@@ -62,5 +62,5 @@ print(f"\nfacet JSON keys: {sorted(facets.to_json())}")
 # Rank 3 works the same way but over C(27,6) = 296010 subsets; budget it
 # explicitly if you want to wait (about half a minute):
 #
-#   fs = enumerate_ressayre(3, threads=4)
+#   fs = enumerate_ressayre(3)
 #   print(len(fs.nontrivial))   # -> 114 verified inequalities

@@ -62,7 +62,7 @@ for _ in range(50):
     v = rng.normal(size=m**3) + 1j * rng.normal(size=m**3)
     v /= np.linalg.norm(v)
     t = v.reshape(m, m, m)
-    exact = reduced_densities(truncate(v, b), check_psd=False).to_numpy()
+    exact = reduced_densities(truncate(v, b)).to_numpy()
     floats = (
         np.einsum("abc,dbc->ad", t, t.conj()),
         np.einsum("abc,adc->bd", t, t.conj()),

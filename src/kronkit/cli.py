@@ -4,8 +4,14 @@ Exit-code discipline, used by every subcommand:
 
 * 0 — accepted / true / success,
 * 1 — rejected / false / unknown / not found,
-* 2 — malformed input (parse errors, shape mismatches, exceeded caps);
-  never used for a valid rejection.
+* 2 — malformed input (unreadable or unparsable files, bad arguments,
+  shape mismatches, exceeded caps, unwritable output); never used for a
+  valid rejection,
+* 3 — internal error: an unexpected exception, i.e. a bug in kronkit.
+
+The loaders below are the only code that turns foreign exceptions into a
+:class:`~kronkit.errors.KronkitError`, and :func:`main` is the only place that
+maps exceptions to exit codes, so a crash never reads as a rejection.
 
 All file formats are JSON with rationals as ``"num/den"`` strings, so
 certificates are bit-exact across platforms.
@@ -17,22 +23,15 @@ import argparse
 import json
 import sys
 
-from .diagrams import KronInstance, make_instance, parse_young
-from .errors import KronkitError
-from .marginals import (
-    MembershipCertificate,
-    accept_threshold2,
-    frobenius_gap2,
-    reduced_densities,
-    verify_membership,
-)
+from .diagrams import KronInstance, parse_young
+from .errors import CapExceeded, KronkitError, MalformedInput
+from .marginals import MembershipCertificate, accept_threshold2, verify_membership
 from .oracle import DEFAULT_ORACLE_CAP, kron_coeff, semigroup_member
 from .ressayre import RessayreCertificate, verify_nonmembership
 from .scalars import format_rational
 from .search import (
     DEFAULT_ENUM_CAP_M,
     DEFAULT_SUBSET_BUDGET,
-    FacetSystem,
     enumerate_ressayre,
     reduce_irredundant,
     sample_spectra,
@@ -43,33 +42,44 @@ from .search import (
 EXIT_ACCEPT = 0
 EXIT_REJECT = 1
 EXIT_MALFORMED = 2
+EXIT_INTERNAL = 3
+
+# What malformed input raises before kronkit's own checks see it
+# (json.JSONDecodeError is a ValueError).
+_FOREIGN = (OSError, KeyError, TypeError, ValueError, ZeroDivisionError)
 
 
-class InputError(Exception):
-    """Anything that should map to exit code 2."""
-
-
-def _load_json(path: str) -> dict:
+def _load_json(path: str, build, what: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+            return build(json.load(fh))
+    except (KronkitError, *_FOREIGN) as exc:
+        raise MalformedInput(f"bad {what} file {path}: {exc}") from exc
 
 
 def _load_instance(path: str) -> KronInstance:
-    obj = _load_json(path)
-    try:
-        return KronInstance.from_json(obj)
-    except (KronkitError, KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad instance file {path}: {exc}") from exc
+    return _load_json(path, KronInstance.from_json, "instance")
+
+
+def _load_certificate(path: str, cls):
+    return _load_json(path, cls.from_json, "certificate")
 
 
 def _parse_partition(text: str):
     try:
         return parse_young([int(tok) for tok in text.split(",") if tok.strip()])
-    except (KronkitError, ValueError) as exc:
-        raise InputError(f"bad partition {text!r}: {exc}") from exc
+    except (KronkitError, *_FOREIGN) as exc:
+        raise MalformedInput(f"bad partition {text!r}: {exc}") from exc
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _emit(payload: dict | None, as_json: bool, lines: list[str]) -> None:
@@ -82,11 +92,8 @@ def _emit(payload: dict | None, as_json: bool, lines: list[str]) -> None:
 
 def cmd_verify_nonmembership(args) -> int:
     inst = _load_instance(args.instance)
-    try:
-        cert = RessayreCertificate.from_json(_load_json(args.certificate))
-        verdict = verify_nonmembership(inst, cert)
-    except (KronkitError, KeyError, TypeError, ValueError) as exc:
-        raise InputError(str(exc)) from exc
+    cert = _load_certificate(args.certificate, RessayreCertificate)
+    verdict = verify_nonmembership(inst, cert)
     payload = {"instance": inst.to_json(), "verdict": str(verdict)}
     if verdict.accepted:
         lhs = cert.h.pair_instance(inst.padded_rows())
@@ -107,23 +114,20 @@ def cmd_verify_nonmembership(args) -> int:
 
 def cmd_verify_membership(args) -> int:
     inst = _load_instance(args.instance)
-    try:
-        cert = MembershipCertificate.from_json(_load_json(args.certificate))
-        verdict = verify_membership(inst, cert)
-        gap2 = frobenius_gap2(reduced_densities(cert, check_psd=False), inst)
-    except (KronkitError, KeyError, TypeError, ValueError) as exc:
-        raise InputError(str(exc)) from exc
-    thr2 = accept_threshold2(inst.m, inst.k)
+    cert = _load_certificate(args.certificate, MembershipCertificate)
+    verdict = verify_membership(inst, cert)
+    gap2 = format_rational(verdict.gap2)
+    thr2 = format_rational(accept_threshold2(inst.m, inst.k))
     payload = {
         "instance": inst.to_json(),
         "verdict": str(verdict),
-        "gap2": format_rational(gap2),
-        "threshold2": format_rational(thr2),
+        "gap2": gap2,
+        "threshold2": thr2,
     }
     lines = [
         f"{verdict} for {inst}",
-        f"  exact gap^2       = {format_rational(gap2)}",
-        f"  exact threshold^2 = {format_rational(thr2)}",
+        f"  exact gap^2       = {gap2}",
+        f"  exact threshold^2 = {thr2}",
     ]
     _emit(payload, args.json, lines)
     return EXIT_ACCEPT if verdict.accepted else EXIT_REJECT
@@ -144,13 +148,8 @@ def cmd_find_witness(args) -> int:
 
 def cmd_facets(args) -> int:
     if args.m > args.max_m:
-        raise InputError(f"m={args.m} exceeds the enumeration cap {args.max_m}")
-    try:
-        fs = enumerate_ressayre(
-            args.m, budget=args.budget, seed=args.seed, threads=args.threads
-        )
-    except KronkitError as exc:
-        raise InputError(str(exc)) from exc
+        raise CapExceeded(f"m={args.m} exceeds the enumeration cap {args.max_m}")
+    fs = enumerate_ressayre(args.m, budget=args.budget, seed=args.seed)
     if args.irredundant:
         fs = reduce_irredundant(fs)
     text = json.dumps(fs.to_json(), indent=2) + "\n"
@@ -170,21 +169,15 @@ def cmd_kron(args) -> int:
     diagrams = [_parse_partition(t) for t in (args.lam_a, args.lam_b, args.lam_c)]
     k = diagrams[0].boxes
     if k > args.cap:
-        raise InputError(f"k={k} exceeds the oracle cap {args.cap}")
-    try:
-        g = kron_coeff(*diagrams)
-    except KronkitError as exc:
-        raise InputError(str(exc)) from exc
+        raise CapExceeded(f"k={k} exceeds the oracle cap {args.cap}")
+    g = kron_coeff(*diagrams)
     print(g)
     return EXIT_ACCEPT if g > 0 else EXIT_REJECT
 
 
 def cmd_member_bruteforce(args) -> int:
     inst = _load_instance(args.instance)
-    try:
-        result = semigroup_member(inst, args.lmax, cap=args.cap)
-    except KronkitError as exc:
-        raise InputError(str(exc)) from exc
+    result = semigroup_member(inst, args.lmax, cap=args.cap)
     if result is None:
         print("Unknown")
         return EXIT_REJECT
@@ -229,22 +222,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("find-witness", help="search for a verified witness vector")
     p.add_argument("instance", help="instance JSON file")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iters", type=int, default=400)
+    p.add_argument("--max-iters", type=_positive_int, default=400)
     p.add_argument("--out", default="witness.json", help="output certificate path")
     p.set_defaults(func=cmd_find_witness)
 
     p = sub.add_parser("facets", help="enumerate hyperplane certificates")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_SUBSET_BUDGET)
+    p.add_argument("--m", type=_positive_int, required=True)
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_SUBSET_BUDGET)
     p.add_argument("--irredundant", action="store_true")
-    p.add_argument("--max-m", type=int, default=DEFAULT_ENUM_CAP_M)
+    p.add_argument("--max-m", type=_positive_int, default=DEFAULT_ENUM_CAP_M)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="parallel batches (default: KRONKIT_THREADS or 1)",
-    )
     p.add_argument("--out", default=None, help="output JSON path (default stdout)")
     p.set_defaults(func=cmd_facets)
 
@@ -252,20 +239,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("lam_a", help="comma-separated rows, e.g. 2,1")
     p.add_argument("lam_b")
     p.add_argument("lam_c")
-    p.add_argument("--cap", type=int, default=DEFAULT_ORACLE_CAP)
+    p.add_argument("--cap", type=_positive_int, default=DEFAULT_ORACLE_CAP)
     p.set_defaults(func=cmd_kron)
 
     p = sub.add_parser(
         "member-bruteforce", help="stretched-multiplicity membership probe"
     )
     p.add_argument("instance", help="instance JSON file")
-    p.add_argument("--lmax", type=int, default=4)
-    p.add_argument("--cap", type=int, default=DEFAULT_ORACLE_CAP)
+    p.add_argument("--lmax", type=_positive_int, default=4)
+    p.add_argument("--cap", type=_positive_int, default=DEFAULT_ORACLE_CAP)
     p.set_defaults(func=cmd_member_bruteforce)
 
     p = sub.add_parser("sample", help="Monte-Carlo spectra as CSV")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, default=1000)
+    p.add_argument("--m", type=_positive_int, required=True)
+    p.add_argument("--n", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_sample)
@@ -274,13 +261,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; the single place that maps exceptions to exit codes."""
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (KronkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -60,6 +60,10 @@ class ShapeMismatch(KronkitError):
     """Certificate dimensions disagree with the instance."""
 
 
+class CoordinateTooLarge(KronkitError):
+    """A hyperplane coordinate exceeds the search-space bound (4m)^{3m}."""
+
+
 # ---------------------------------------------------------------------------
 # witness-vector verification
 
@@ -90,3 +94,11 @@ class CapExceeded(KronkitError):
 
 class InternalNonInteger(KronkitError):
     """An exact computation produced a non-integer where one was required."""
+
+
+# ---------------------------------------------------------------------------
+# command-line input
+
+
+class MalformedInput(KronkitError):
+    """A file or argument could not be read or parsed into a kronkit object."""

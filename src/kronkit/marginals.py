@@ -6,9 +6,14 @@ exactly (including the normalization), and the certificate is accepted iff
 the squared Frobenius distance to the target diagonal triple is at most the
 squared acceptance threshold — an exact comparison of two rationals.
 
-Floating point appears here only in diagnostics (spectra, PSD sanity check)
-and in the truncation helper that converts numerically found vectors into
-exact certificates.  The accept/reject decision itself never touches floats.
+The Gram matrices and the squared gap are sums of products of Python
+integers over one common denominator; a Gram matrix is positive semidefinite
+by construction, so no numeric check is needed.
+
+Floating point appears here only in diagnostics (``to_complex_array``,
+``DensityTriple.to_numpy``, ``sorted_spectrum``) and in the truncation helper
+that converts numerically found vectors into exact certificates.  The
+accept/reject decision itself never touches floats.
 """
 
 from __future__ import annotations
@@ -28,13 +33,11 @@ from .errors import (
     ZeroVector,
 )
 from .ressayre import Decision, Reason, Verdict
-from .scalars import GR_ZERO, GaussianRational
+from .scalars import GaussianRational
 from .weights import weights
 
 Entry = tuple[int, int, int]
 Matrix = tuple[tuple[GaussianRational, ...], ...]
-
-PSD_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -114,45 +117,60 @@ class DensityTriple:
         )
 
 
-def _gram(
-    cert: MembershipCertificate, axis: int, norm2: Fraction
-) -> Matrix:
-    """One reduced density matrix: the Gram matrix along one tensor leg."""
-    m = cert.m
-    inv = Fraction(1) / norm2
+def _common_denominator(values, *extra: int) -> int:
+    """Least common multiple of ``extra`` and the denominators of ``values``."""
+    return math.lcm(*extra, *(q.denominator for v in values for q in (v.re, v.im)))
+
+
+def _over(q: Fraction, den: int) -> int:
+    """The integer q·den; den must be a multiple of q's denominator."""
+    return q.numerator * (den // q.denominator)
+
+
+def _gram(ints: dict[Entry, tuple[int, int]], m: int, axis: int) -> list:
+    """Unnormalized Gram matrix along one tensor leg, as (re, im) int pairs."""
     # group entries by the two traced-out indices
-    buckets: dict[tuple[int, int], list[tuple[int, GaussianRational]]] = {}
-    for idx, value in cert.entries.items():
-        kept = idx[axis]
+    buckets: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    for idx, (re, im) in ints.items():
         traced = tuple(v for pos, v in enumerate(idx) if pos != axis)
-        buckets.setdefault(traced, []).append((kept, value))
-    rows = [[GR_ZERO for _ in range(m)] for _ in range(m)]
+        buckets.setdefault(traced, []).append((idx[axis] - 1, re, im))
+    rows = [[(0, 0)] * m for _ in range(m)]
     for group in buckets.values():
-        for a, va in group:
-            for ap, vap in group:
-                rows[a - 1][ap - 1] = rows[a - 1][ap - 1] + va * vap.conjugate()
-    return tuple(
-        tuple(entry.scale(inv) for entry in row) for row in rows
-    )
+        for a, xa, ya in group:
+            row = rows[a]
+            for b, xb, yb in group:
+                # (xa + i·ya)·conj(xb + i·yb)
+                re, im = row[b]
+                row[b] = (re + xa * xb + ya * yb, im + ya * xb - xa * yb)
+    return rows
 
 
-def reduced_densities(
-    cert: MembershipCertificate, check_psd: bool = True
-) -> DensityTriple:
-    """Exact normalized reduced density matrices of the certificate vector."""
-    norm2 = cert.norm2()
-    if norm2 == 0:
-        raise ZeroVector("certificate vector has zero norm")
-    triple = DensityTriple(*(_gram(cert, axis, norm2) for axis in range(3)))
-    if check_psd:
-        for rho in triple.to_numpy():
-            eigs = np.linalg.eigvalsh(rho)
-            if eigs.min() < -PSD_TOLERANCE:
-                raise AssertionError(
-                    "reduced density lost positive semidefiniteness "
-                    f"(min eigenvalue {eigs.min():.3e})"
+def reduced_densities(cert: MembershipCertificate) -> DensityTriple:
+    """Exact normalized reduced density matrices of the certificate vector.
+
+    The entries are scaled by their common denominator once; every Gram entry
+    and the norm² are then integers, and each density entry is the single
+    rational Gram/norm².
+    """
+    den = _common_denominator(cert.entries.values())
+    ints = {
+        idx: (_over(v.re, den), _over(v.im, den))
+        for idx, v in cert.entries.items()
+    }
+    # positive: MembershipCertificate rejects the zero vector
+    norm2 = sum(re * re + im * im for re, im in ints.values())
+    return DensityTriple(
+        *(
+            tuple(
+                tuple(
+                    GaussianRational(Fraction(re, norm2), Fraction(im, norm2))
+                    for re, im in row
                 )
-    return triple
+                for row in _gram(ints, cert.m, axis)
+            )
+            for axis in range(3)
+        )
+    )
 
 
 def accept_threshold2(m: int, k: int) -> Fraction:
@@ -162,29 +180,42 @@ def accept_threshold2(m: int, k: int) -> Fraction:
 
 
 def frobenius_gap2(rho: DensityTriple, inst: KronInstance) -> Fraction:
-    """Exact squared Frobenius distance to the padded diagonal targets."""
+    """Exact squared Frobenius distance to the padded diagonal targets.
+
+    Every entry and target is scaled to one common denominator, so the sum
+    runs over integer squares and a single Fraction is built at the end.
+    """
     if rho.m != inst.m:
         raise ShapeMismatch(f"density rank {rho.m} vs instance m={inst.m}")
-    total = Fraction(0)
+    den = _common_denominator(
+        (entry for mat in rho.matrices for row in mat for entry in row), inst.k
+    )
+    per_box = den // inst.k
+    total = 0
     for mat, lam in zip(rho.matrices, inst.padded_rows()):
-        for r in range(inst.m):
-            for s in range(inst.m):
-                entry = mat[r][s]
-                re = entry.re - Fraction(lam[r], inst.k) if r == s else entry.re
-                total += re * re + entry.im * entry.im
-    return total
+        for r, row in enumerate(mat):
+            for s, entry in enumerate(row):
+                re = _over(entry.re, den)
+                if r == s:
+                    re -= lam[r] * per_box
+                im = _over(entry.im, den)
+                total += re * re + im * im
+    return Fraction(total, den * den)
 
 
 def verify_membership(inst: KronInstance, cert: MembershipCertificate) -> Verdict:
-    """Exact accept/reject: squared gap against squared threshold."""
+    """Exact accept/reject: squared gap against squared threshold.
+
+    The verdict carries the measured gap² in ``Verdict.gap2``.
+    """
     if cert.m != inst.m:
         raise ShapeMismatch(
             f"certificate rank {cert.m} does not match instance m={inst.m}"
         )
     gap2 = frobenius_gap2(reduced_densities(cert), inst)
     if gap2 <= accept_threshold2(inst.m, inst.k):
-        return Verdict(Decision.ACCEPT, Reason.IN_THRESHOLD)
-    return Verdict(Decision.REJECT, Reason.OUT_OF_THRESHOLD)
+        return Verdict(Decision.ACCEPT, Reason.IN_THRESHOLD, gap2)
+    return Verdict(Decision.REJECT, Reason.OUT_OF_THRESHOLD, gap2)
 
 
 def required_bits(m: int, k: int) -> int:

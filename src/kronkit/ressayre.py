@@ -19,7 +19,7 @@ normalized point lies outside the polytope.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .diagrams import KronInstance
@@ -45,7 +45,6 @@ class Reason(enum.Enum):
     TRACE_MISMATCH = "TraceMismatch"
     DETERMINANT_VANISHES = "DeterminantVanishes"
     INEQUALITY_NOT_VIOLATED = "InequalityNotViolated"
-    WELL_FORMED_FAILURE = "WellFormed-failure"
     IN_THRESHOLD = "InThreshold"
     OUT_OF_THRESHOLD = "OutOfThreshold"
 
@@ -54,6 +53,8 @@ class Reason(enum.Enum):
 class Verdict:
     decision: Decision
     reason: Reason | None = None
+    # squared gap measured by the membership verifier; not part of the verdict
+    gap2: Fraction | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.decision is Decision.REJECT and self.reason is None:

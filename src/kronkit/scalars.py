@@ -91,6 +91,3 @@ class GaussianRational:
     def from_json(cls, obj: dict) -> "GaussianRational":
         return cls(parse_rational(obj["re"]), parse_rational(obj.get("im", "0")))
 
-
-GR_ZERO = GaussianRational(Fraction(0), Fraction(0))
-GR_ONE = GaussianRational(Fraction(1), Fraction(0))

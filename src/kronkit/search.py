@@ -18,9 +18,7 @@ a verifier decision is exact.
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -29,7 +27,7 @@ from math import comb, isqrt
 import numpy as np
 
 from .diagrams import KronInstance
-from .errors import BudgetExceeded, TruncatedToZero
+from .errors import BudgetExceeded, CoordinateTooLarge, TruncatedToZero
 from .exactlp import solve_lp
 from .intlinalg import kernel_vector_if_unique
 from .marginals import (
@@ -51,7 +49,6 @@ from .weights import SUBSYSTEMS, HyperplaneCandidate, weights
 
 DEFAULT_SUBSET_BUDGET = 400_000
 DEFAULT_ENUM_CAP_M = 3
-_BATCH = 8192
 
 
 def find_point(
@@ -87,7 +84,9 @@ class RessayreElement:
         bound = siegel_bound(self.h.m)
         coords = [v for block in self.h.blocks for v in block] + [self.h.z]
         if max(abs(v) for v in coords) > bound:
-            raise AssertionError("element exceeds the search-space bound")
+            raise CoordinateTooLarge(
+                f"element exceeds the search-space bound {bound}"
+            )
 
     def certificate(self) -> RessayreCertificate:
         return RessayreCertificate(self.h, self.witness_point)
@@ -163,39 +162,11 @@ def _canonical_sign(vec: list[int]) -> tuple[int, ...]:
     return tuple(vec)
 
 
-def _solve_batch(
-    subsets: list[tuple[int, ...]],
-    weight_rows: list[list[int]],
-    trace_rows: list[list[int]],
-) -> list[tuple[int, ...]]:
-    """Kernel-solve a batch of weight subsets; unique candidates in order."""
-    seen: set[tuple[int, ...]] = set()
-    out: list[tuple[int, ...]] = []
-    for subset in subsets:
-        mat = [weight_rows[i] for i in subset] + trace_rows
-        v = kernel_vector_if_unique(mat)
-        if v is None:
-            continue
-        key = _canonical_sign(v)
-        if key not in seen:
-            seen.add(key)
-            out.append(key)
-    return out
-
-
-def _resolve_threads(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, threads)
-    env = os.environ.get("KRONKIT_THREADS", "").strip()
-    return max(1, int(env)) if env else 1
-
-
 def enumerate_ressayre(
     m: int,
     budget: int = DEFAULT_SUBSET_BUDGET,
     seed: int = 0,
     trials: int = 64,
-    threads: int | None = None,
 ) -> FacetSystem:
     """Complete enumeration of hyperplane certificates at rank m.
 
@@ -204,7 +175,7 @@ def enumerate_ressayre(
     the exact linear system (weight incidences plus blockwise tracelessness)
     finds every candidate (H,z) up to scale.  Both orientations then run the
     full verification pipeline; survivors are returned with their evaluation
-    points.  Output order is deterministic regardless of thread count.
+    points, in order of first discovery.
     """
     chamber = chamber_inequalities(m)
     if m == 1:
@@ -224,48 +195,27 @@ def enumerate_ressayre(
             row[block_idx * m + i] = 1
         trace_rows.append(row)
 
-    subset_iter = combinations(range(m**3), subset_size)
-    batches: list[list[tuple[int, ...]]] = []
-    while True:
-        batch = []
-        for _ in range(_BATCH):
-            nxt = next(subset_iter, None)
-            if nxt is None:
-                break
-            batch.append(nxt)
-        if not batch:
-            break
-        batches.append(batch)
-
-    n_threads = _resolve_threads(threads)
-    if n_threads > 1 and len(batches) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(
-                pool.map(
-                    lambda b: _solve_batch(b, weight_rows, trace_rows), batches
-                )
-            )
-    else:
-        results = [_solve_batch(b, weight_rows, trace_rows) for b in batches]
-
     seen: set[tuple[int, ...]] = set()
     elements: list[RessayreElement] = []
-    for batch_result in results:
-        for key in batch_result:
-            if key in seen:
+    for subset in combinations(range(m**3), subset_size):
+        v = kernel_vector_if_unique([weight_rows[i] for i in subset] + trace_rows)
+        if v is None:
+            continue
+        key = _canonical_sign(v)
+        if key in seen:
+            continue
+        seen.add(key)
+        blocks = (key[:m], key[m : 2 * m], key[2 * m : 3 * m])
+        base = HyperplaneCandidate(*blocks, key[3 * m])
+        for h in (base, base.negated()):
+            if not check_admissible(h, m):
                 continue
-            seen.add(key)
-            blocks = (key[:m], key[m : 2 * m], key[2 * m : 3 * m])
-            base = HyperplaneCandidate(*blocks, key[3 * m])
-            for h in (base, base.negated()):
-                if not check_admissible(h, m):
-                    continue
-                if not check_trace(h, m):
-                    continue
-                p = find_point(h, m, seed=seed, trials=trials)
-                if p is None:
-                    continue
-                elements.append(RessayreElement(h, p, True))
+            if not check_trace(h, m):
+                continue
+            p = find_point(h, m, seed=seed, trials=trials)
+            if p is None:
+                continue
+            elements.append(RessayreElement(h, p, True))
     return FacetSystem(m, tuple(elements), chamber)
 
 

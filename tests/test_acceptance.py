@@ -299,7 +299,7 @@ def test_criterion_7_bound_suite():
                 trunc_ok = trunc_ok and (
                     np.linalg.norm(cert.to_complex_array() - v) <= vec_bound
                 )
-                exact = reduced_densities(cert, check_psd=False).to_numpy()
+                exact = reduced_densities(cert).to_numpy()
                 t = v.reshape(m, m, m)
                 floats = (
                     np.einsum("abc,dbc->ad", t, t.conj()),
@@ -323,7 +323,7 @@ def test_criterion_8_evaluation_point_search():
     checked = 0
     failures = 0
     for m in (2, 3):
-        fs = enumerate_ressayre(m, threads=2)
+        fs = enumerate_ressayre(m)
         for elem in fs.nontrivial:
             for seed in range(10):
                 checked += 1

@@ -1,8 +1,10 @@
+import argparse
 import json
 
 import pytest
 
-from kronkit.cli import main
+from kronkit import cli
+from kronkit.cli import build_parser, main
 
 OUTSIDE = {"lambda_A": [2], "lambda_B": [2], "lambda_C": [1, 1], "k": 2}
 INSIDE = {"lambda_A": [1, 1], "lambda_B": [1, 1], "lambda_C": [1, 1], "k": 2}
@@ -246,3 +248,96 @@ def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# the error boundary: malformed input exits 2, a crash exits 3
+
+RANK_13 = {key: [1] * 13 for key in ("lambda_A", "lambda_B", "lambda_C")}
+RANK_13["k"] = 13
+ONE_OVER_ZERO_CERT = {
+    "m": 2,
+    "entries": [{"idx": [1, 1, 1], "re": "1/0", "im": "0/1"}],
+}
+
+
+MALFORMED = {
+    "verify-nonmembership certificate without p": lambda t: [
+        "verify-nonmembership",
+        jfile(t, "i.json", OUTSIDE),
+        jfile(t, "c.json", {"H": WORKED_CERT["H"], "z": -1}),
+    ],
+    "verify-membership 1/0 amplitude": lambda t: [
+        "verify-membership",
+        jfile(t, "i.json", INSIDE),
+        jfile(t, "c.json", ONE_OVER_ZERO_CERT),
+    ],
+    "verify-membership certificate is a list": lambda t: [
+        "verify-membership", jfile(t, "i.json", INSIDE), jfile(t, "c.json", [1]),
+    ],
+    "verify-membership rank mismatch": lambda t: [
+        "verify-membership", jfile(t, "i.json", OUTSIDE), jfile(t, "c.json", {
+            "m": 1, "entries": [{"idx": [1, 1, 1], "re": "1/1"}],
+        }),
+    ],
+    "find-witness missing instance": lambda t: [
+        "find-witness", str(t / "no-such-file.json"),
+    ],
+    "find-witness m=13": lambda t: [
+        "find-witness", jfile(t, "i.json", RANK_13), "--out", str(t / "w.json"),
+    ],
+    "find-witness unwritable --out": lambda t: [
+        "find-witness", jfile(t, "i.json", INSIDE),
+        "--out", str(t / "no-such-dir" / "w.json"),
+    ],
+    "find-witness --max-iters 0": lambda t: [
+        "find-witness", jfile(t, "i.json", INSIDE), "--max-iters", "0",
+    ],
+    "facets --m 0": lambda t: ["facets", "--m", "0"],
+    "facets unwritable --out": lambda t: [
+        "facets", "--m", "1", "--out", str(t / "no-such-dir" / "f.json"),
+    ],
+    "kron --cap 0": lambda t: ["kron", "1", "1", "1", "--cap", "0"],
+    "member-bruteforce --lmax 0": lambda t: [
+        "member-bruteforce", jfile(t, "i.json", INSIDE), "--lmax", "0",
+    ],
+    "sample --m 0": lambda t: ["sample", "--m", "0"],
+    "sample --n -1": lambda t: ["sample", "--m", "2", "--n", "-1"],
+    "sample unwritable --out": lambda t: [
+        "sample", "--m", "1", "--n", "1", "--out", str(t / "no-such-dir" / "s.csv"),
+    ],
+}
+
+
+def run_cli(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects a bad argument itself
+        return exc.code
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_two(case, tmp_path, capsys):
+    code = run_cli(MALFORMED[case](tmp_path))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
+def test_every_subcommand_has_a_malformed_case():
+    (sub,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert {case.split()[0] for case in MALFORMED} == set(sub.choices)
+
+
+def test_unexpected_exception_exits_three(monkeypatch, capsys):
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_kron", crash)
+    assert main(["kron", "1", "1", "1"]) == 3
+    err = capsys.readouterr().err
+    assert "internal error:" in err and "boom" in err

@@ -1,8 +1,10 @@
 """Exception taxonomy for kronkit.
 
-Every error raised by the library derives from :class:`KronkitError`, so
-callers (and the command-line front end) can distinguish "the input was
-malformed" from "the certificate was valid but rejected".
+Every error raised by the library for bad input or an exceeded limit
+derives from :class:`KronkitError`, so callers (and the command-line front
+end) can distinguish "the input was malformed" from "the certificate was
+valid but rejected".  A failed internal consistency check, such as LP
+multipliers that do not prove a redundancy, is a bug and raises otherwise.
 """
 
 from __future__ import annotations

@@ -1,20 +1,29 @@
-"""Exact rational linear programming.
+"""Exact rational linear programming in standard form.
 
 A small two-phase primal simplex over :class:`fractions.Fraction`, with
 Bland's anti-cycling rule.  It exists so that redundancy of inequalities can
 be decided exactly at desk scale — no floating-point tolerances, no external
-solver.  Problem sizes here are tiny (a dozen or two variables and
-constraints), so the dense tableau is perfectly adequate.
+solver.  Problem sizes here are tiny (a few rows, a few dozen columns), so
+the dense tableau is perfectly adequate.
 
 Solves::
 
     minimize    c · x
-    subject to  A_ub x ≤ b_ub
-                A_eq x = b_eq
-                x free
+    subject to  A x = b
+                x ≥ 0
 
 and reports one of the statuses ``"optimal"``, ``"unbounded"``,
 ``"infeasible"``.
+
+Its one caller, ``search.reduce_irredundant``, solves the dual of "is
+r·H_e ≥ z_e implied by r·H_i ≥ z_i and the three block sums Σ_X r = 1?".
+The primal minimizes r·H_e; its dual maximizes Σ yᵢzᵢ + Σ μ_X over y ≥ 0,
+μ free, with Σ yᵢHᵢ + Σ μ_X·1_X = H_e.  Every H is blockwise traceless, so
+summing block X of that equation gives m·μ_X = 0, and the last coordinate
+of each block is implied by the others.  That leaves: minimize −z·y subject
+to Σ yᵢHᵢ = H_e on 3(m−1) coordinates, y ≥ 0.  By LP duality this is
+optimal exactly when the primal is, with value −(primal minimum), so e is
+redundant iff the status is ``"optimal"`` and −value ≥ z_e.
 """
 
 from __future__ import annotations
@@ -67,86 +76,53 @@ def _simplex(tab: list[list[Fraction]], basis: list[int], n_cols: int) -> str:
         _pivot(tab, basis, row, col)
 
 
-def solve_lp(
-    c: Row,
-    a_ub: Sequence[Row],
-    b_ub: Row,
-    a_eq: Sequence[Row] = (),
-    b_eq: Row = (),
-) -> LPResult:
-    """Exact two-phase simplex; see module docstring for the problem form."""
+def solve_lp(c: Row, a_eq: Sequence[Row], b_eq: Row) -> LPResult:
+    """Exact two-phase simplex for min c·x subject to A x = b, x ≥ 0."""
     n = len(c)
-    c = [Fraction(v) for v in c]
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    n_slack = len(a_ub)
-    for idx, (arow, b) in enumerate(zip(a_ub, b_ub)):
-        r = [Fraction(v) for v in arow] + [Fraction(0)] * n_slack
-        r[n + idx] = Fraction(1)
-        rows.append(r)
-        rhs.append(Fraction(b))
-    for arow, b in zip(a_eq, b_eq):
-        rows.append([Fraction(v) for v in arow] + [Fraction(0)] * n_slack)
-        rhs.append(Fraction(b))
-
-    # split free variables x = u − v, both nonnegative
-    def expand(row: list[Fraction]) -> list[Fraction]:
-        return [*row[:n], *(-v for v in row[:n]), *row[n:]]
-
-    rows = [expand(r) for r in rows]
-    n_struct = 2 * n + n_slack
+    n_rows = len(a_eq)
 
     # normalize to b ≥ 0, then add one artificial per row
-    for i in range(len(rows)):
-        if rhs[i] < 0:
-            rows[i] = [-v for v in rows[i]]
-            rhs[i] = -rhs[i]
-    n_rows = len(rows)
     tab: list[list[Fraction]] = []
-    for i, r in enumerate(rows):
+    for i, (arow, b) in enumerate(zip(a_eq, b_eq)):
+        sign = -1 if b < 0 else 1
         art = [Fraction(0)] * n_rows
         art[i] = Fraction(1)
-        tab.append(r + art + [rhs[i]])
-    basis = [n_struct + i for i in range(n_rows)]
+        tab.append([Fraction(sign * v) for v in arow] + art + [Fraction(sign * b)])
+    basis = [n + i for i in range(n_rows)]
 
     # phase 1: minimize the sum of artificials
-    width = n_struct + n_rows
-    phase1 = [Fraction(0)] * (width + 1)
-    for j in range(n_struct, width):
-        phase1[j] = Fraction(1)
+    width = n + n_rows
+    phase1 = [Fraction(0)] * n + [Fraction(1)] * n_rows + [Fraction(0)]
+    for row in tab:  # price out the artificial basis
+        phase1 = [a - b for a, b in zip(phase1, row)]
     tab.append(phase1)
-    for i in range(n_rows):  # price out the artificial basis
-        tab[-1] = [a - b for a, b in zip(tab[-1], tab[i])]
     status = _simplex(tab, basis, width)
     if status != "optimal" or tab[-1][-1] != 0:
         return LPResult("infeasible", None, None)
     tab.pop()
 
-    # drive any residual artificial variables out of the basis
+    # drive any residual artificial variables out of the basis; a row where
+    # none can leave is zero on every real column, i.e. a redundant equation
     for i in range(n_rows):
-        if basis[i] >= n_struct:
-            col = next((j for j in range(n_struct) if tab[i][j] != 0), None)
+        if basis[i] >= n:
+            col = next((j for j in range(n) if tab[i][j] != 0), None)
             if col is not None:
                 _pivot(tab, basis, i, col)
-    live = [i for i in range(n_rows) if basis[i] < n_struct or tab[i][-1] == 0]
-    tab = [tab[i] for i in live]
+    live = [i for i in range(n_rows) if basis[i] < n]
+    tab = [tab[i][:n] + tab[i][-1:] for i in live]
     basis = [basis[i] for i in live]
-    n_rows = len(tab)
 
-    # phase 2 with the real objective (on the split variables)
-    obj = [*c, *(-v for v in c)] + [Fraction(0)] * (width - 2 * n) + [Fraction(0)]
-    tab.append(obj)
-    for i in range(n_rows):
-        coef = tab[-1][basis[i]]
+    # phase 2 with the real objective
+    obj = [Fraction(v) for v in c] + [Fraction(0)]
+    for row, var in zip(tab, basis):
+        coef = obj[var]
         if coef != 0:
-            tab[-1] = [a - coef * b for a, b in zip(tab[-1], tab[i])]
-    status = _simplex(tab, basis, n_struct)
-    if status == "unbounded":
+            obj = [a - coef * b for a, b in zip(obj, row)]
+    tab.append(obj)
+    if _simplex(tab, basis, n) == "unbounded":
         return LPResult("unbounded", None, None)
-    solution = [Fraction(0)] * n_struct
-    for i in range(n_rows):
-        if basis[i] < n_struct:
-            solution[basis[i]] = tab[i][-1]
-    x = tuple(solution[j] - solution[n + j] for j in range(n))
-    value = sum((ci * xi for ci, xi in zip(c, x)), Fraction(0))
-    return LPResult("optimal", value, x)
+    x = [Fraction(0)] * n
+    for row, var in zip(tab, basis):
+        x[var] = row[-1]
+    value = sum((Fraction(ci) * xi for ci, xi in zip(c, x)), Fraction(0))
+    return LPResult("optimal", value, tuple(x))

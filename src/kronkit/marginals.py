@@ -34,7 +34,7 @@ from .errors import (
 )
 from .ressayre import Decision, Reason, Verdict
 from .scalars import GaussianRational
-from .weights import weights
+from .weights import check_weight_cap, weights
 
 Entry = tuple[int, int, int]
 Matrix = tuple[tuple[GaussianRational, ...], ...]
@@ -206,8 +206,10 @@ def frobenius_gap2(rho: DensityTriple, inst: KronInstance) -> Fraction:
 def verify_membership(inst: KronInstance, cert: MembershipCertificate) -> Verdict:
     """Exact accept/reject: squared gap against squared threshold.
 
-    The verdict carries the measured gap² in ``Verdict.gap2``.
+    The verdict carries the measured gap² in ``Verdict.gap2``.  Ranks above
+    the weight cap raise CapExceeded: the densities are dense in m.
     """
+    check_weight_cap(inst.m)
     if cert.m != inst.m:
         raise ShapeMismatch(
             f"certificate rank {cert.m} does not match instance m={inst.m}"

@@ -179,7 +179,6 @@ def verify_nonmembership(inst: KronInstance, cert: RessayreCertificate) -> Verdi
         raise ShapeMismatch(
             f"certificate rank {cert.h.m} does not match instance m={inst.m}"
         )
-    cert.h.validate_traceless()
     m = inst.m
     if not check_admissible(cert.h, m):
         return Verdict(Decision.REJECT, Reason.NOT_ADMISSIBLE)

@@ -6,7 +6,9 @@ Four generators live here:
   small m, by iterating over affinely independent weight subsets and solving
   the accompanying integer linear system exactly;
 * ``reduce_irredundant`` — removal of implied inequalities by exact rational
-  linear programming;
+  linear programming: one standard-form LP per element, the 3(m−1)-row dual
+  of "is this inequality implied by the others?", whose Farkas multipliers
+  are re-checked exactly before an element is dropped;
 * ``search_witness`` — numerically guided construction of membership
   witnesses, gated by the exact verifier (only verified certificates are
   ever returned);
@@ -45,7 +47,7 @@ from .ressayre import (
     siegel_bound,
 )
 from .scalars import GaussianRational
-from .weights import SUBSYSTEMS, HyperplaneCandidate, weights
+from .weights import SUBSYSTEMS, HyperplaneCandidate, check_weight_cap, weights
 
 DEFAULT_SUBSET_BUDGET = 400_000
 DEFAULT_ENUM_CAP_M = 3
@@ -81,8 +83,9 @@ class RessayreElement:
     primitive: bool
 
     def __post_init__(self) -> None:
+        self.h.validate_traceless()
         bound = siegel_bound(self.h.m)
-        coords = [v for block in self.h.blocks for v in block] + [self.h.z]
+        coords = _flat(self.h) + [self.h.z]
         if max(abs(v) for v in coords) > bound:
             raise CoordinateTooLarge(
                 f"element exceeds the search-space bound {bound}"
@@ -219,43 +222,45 @@ def enumerate_ressayre(
     return FacetSystem(m, tuple(elements), chamber)
 
 
-def _lp_rows(system: list[HyperplaneCandidate], m: int):
-    """Constraints r·H ≥ z rewritten as −H·r ≤ −z for the LP solver."""
-    a_ub, b_ub = [], []
-    for h in system:
-        flat = [v for block in h.blocks for v in block]
-        a_ub.append([Fraction(-v) for v in flat])
-        b_ub.append(Fraction(-h.z))
-    return a_ub, b_ub
+def _flat(h: HyperplaneCandidate) -> list[int]:
+    return [v for block in h.blocks for v in block]
 
 
-def reduce_irredundant(fs: FacetSystem, m: int | None = None) -> FacetSystem:
+def _check_implied(columns, y, h: HyperplaneCandidate) -> None:
+    """Exact Farkas check: y ≥ 0, Σ yᵢHᵢ = H on all 3m coordinates, Σ yᵢzᵢ ≥ z.
+
+    A failure is a fault of the LP solver, not of the input, so it raises an
+    exception that is not a KronkitError.
+    """
+    flats = [_flat(c) for c in columns]
+    combined = [sum(yi * f[i] for yi, f in zip(y, flats)) for i in range(3 * h.m)]
+    level = sum(yi * c.z for yi, c in zip(y, columns))
+    if min(y, default=0) < 0 or combined != _flat(h) or level < h.z:
+        raise RuntimeError(f"LP multipliers do not certify that {h} is implied")
+
+
+def reduce_irredundant(fs: FacetSystem) -> FacetSystem:
     """Drop every inequality implied by the rest plus the chamber.
 
-    An element is kept iff some rational point satisfies all the other
-    constraints while strictly violating it — decided by exact LP
-    (minimize r·H over the others; redundant iff the minimum exists
-    and is ≥ z).
+    Elements are tested in order against the ones still kept, by one exact
+    LP each: the dual described in :mod:`kronkit.exactlp`, minimize −z·y
+    subject to Σ yᵢHᵢ = H_e on 3(m−1) coordinates, y ≥ 0, with a column per
+    other element and then per chamber inequality.  e is dropped iff it is
+    optimal with −value ≥ z_e, after its multipliers pass an exact check.
+    An unbounded or infeasible dual (infeasible or unbounded primal) keeps e.
     """
-    m = fs.m if m is None else m
-    a_eq, b_eq = [], []
-    for block_idx in range(3):
-        row = [Fraction(0)] * (3 * m)
-        for i in range(m):
-            row[block_idx * m + i] = Fraction(1)
-        a_eq.append(row)
-        b_eq.append(Fraction(1))
-
+    m = fs.m
+    rows = [i for i in range(3 * m) if i % m != m - 1]
     active = list(fs.nontrivial)
     for element in list(active):
-        others = [e for e in active if e is not element]
-        system = [e.h for e in others] + list(fs.chamber)
-        a_ub, b_ub = _lp_rows(system, m)
-        objective = [
-            Fraction(v) for block in element.h.blocks for v in block
-        ]
-        result = solve_lp(objective, a_ub, b_ub, a_eq, b_eq)
-        if result.status == "optimal" and result.value >= element.h.z:
+        columns = [e.h for e in active if e is not element] + list(fs.chamber)
+        flats = [_flat(h) for h in columns]
+        target = _flat(element.h)
+        a_eq = [[flat[i] for flat in flats] for i in rows]
+        b_eq = [target[i] for i in rows]
+        result = solve_lp([-h.z for h in columns], a_eq, b_eq)
+        if result.status == "optimal" and -result.value >= element.h.z:
+            _check_implied(columns, result.x, element.h)
             active.remove(element)
     return FacetSystem(fs.m, tuple(active), fs.chamber)
 
@@ -382,7 +387,12 @@ def search_witness(
 def sample_spectra(
     m: int, n: int, seed: int = 0
 ) -> list[tuple[tuple[float, ...], ...]]:
-    """n spectra triples of seeded Gaussian random vectors, non-increasing."""
+    """n spectra triples of seeded Gaussian random vectors, non-increasing.
+
+    Each sample is a dense m³ vector, so ranks above the weight cap raise
+    CapExceeded.
+    """
+    check_weight_cap(m)
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(n):

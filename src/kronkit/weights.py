@@ -113,10 +113,15 @@ class HyperplaneCandidate:
         return total
 
 
-def weights(m: int, cap: int = DEFAULT_WEIGHT_CAP) -> list[Weight]:
-    """All m³ weights in canonical lexicographic order."""
+def check_weight_cap(m: int, cap: int = DEFAULT_WEIGHT_CAP) -> None:
+    """Raise CapExceeded when work dense in m³ would exceed the rank cap."""
     if m > cap:
         raise CapExceeded(f"m={m} exceeds the weight materialization cap {cap}")
+
+
+def weights(m: int, cap: int = DEFAULT_WEIGHT_CAP) -> list[Weight]:
+    """All m³ weights in canonical lexicographic order."""
+    check_weight_cap(m, cap)
     rng = range(1, m + 1)
     return [Weight(i, j, l) for i, j, l in product(rng, rng, rng)]
 

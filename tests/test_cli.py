@@ -255,6 +255,8 @@ def test_unknown_subcommand_exits_two():
 
 RANK_13 = {key: [1] * 13 for key in ("lambda_A", "lambda_B", "lambda_C")}
 RANK_13["k"] = 13
+RANK_200 = {"lambda_A": [1], "lambda_B": [1], "lambda_C": [1], "k": 1, "m": 200}
+RANK_200_CERT = {"m": 200, "entries": [{"idx": [1, 1, 1], "re": "1/1", "im": "0/1"}]}
 ONE_OVER_ZERO_CERT = {
     "m": 2,
     "entries": [{"idx": [1, 1, 1], "re": "1/0", "im": "0/1"}],
@@ -280,6 +282,11 @@ MALFORMED = {
             "m": 1, "entries": [{"idx": [1, 1, 1], "re": "1/1"}],
         }),
     ],
+    "verify-membership m=200": lambda t: [
+        "verify-membership",
+        jfile(t, "i.json", RANK_200),
+        jfile(t, "c.json", RANK_200_CERT),
+    ],
     "find-witness missing instance": lambda t: [
         "find-witness", str(t / "no-such-file.json"),
     ],
@@ -302,6 +309,7 @@ MALFORMED = {
         "member-bruteforce", jfile(t, "i.json", INSIDE), "--lmax", "0",
     ],
     "sample --m 0": lambda t: ["sample", "--m", "0"],
+    "sample --m 13": lambda t: ["sample", "--m", "13"],
     "sample --n -1": lambda t: ["sample", "--m", "2", "--n", "-1"],
     "sample unwritable --out": lambda t: [
         "sample", "--m", "1", "--n", "1", "--out", str(t / "no-such-dir" / "s.csv"),

@@ -42,45 +42,54 @@ def vertex_enum_min(c, a_ub, b_ub):
     return best
 
 
+def slack_form(c, a_ub, b_ub):
+    """Standard form of min c·x, a_ub x ≤ b_ub, x ≥ 0: one slack per row."""
+    rows = [
+        list(row) + [1 if j == i else 0 for j in range(len(a_ub))]
+        for i, row in enumerate(a_ub)
+    ]
+    return list(c) + [0] * len(a_ub), rows, list(b_ub)
+
+
 def test_known_bounded_lp():
-    # min −x−y subject to x ≤ 3, y ≤ 2, x+y ≤ 4, −x ≤ 0, −y ≤ 0 → −4
-    c = [Fraction(-1), Fraction(-1)]
-    a_ub = [[1, 0], [0, 1], [1, 1], [-1, 0], [0, -1]]
-    b_ub = [3, 2, 4, 0, 0]
-    res = solve_lp(c, a_ub, b_ub)
+    # min −x−y subject to x + s1 = 3, y + s2 = 2, x + y + s3 = 4 → −4
+    c = [-1, -1, 0, 0, 0]
+    a_eq = [[1, 0, 1, 0, 0], [0, 1, 0, 1, 0], [1, 1, 0, 0, 1]]
+    res = solve_lp(c, a_eq, [3, 2, 4])
     assert res.status == "optimal"
     assert res.value == -4
-    assert sum(res.x) == 4
+    assert sum(res.x[:2]) == 4
 
 
 def test_equality_constrained_lp():
-    # min x subject to x + y = 1, x ≥ 0, y ≥ 0 → 0 at (0,1)
-    res = solve_lp(
-        [Fraction(1), Fraction(0)],
-        [[-1, 0], [0, -1]],
-        [0, 0],
-        [[1, 1]],
-        [1],
-    )
+    # min x subject to x + y = 1 → 0 at (0,1)
+    res = solve_lp([Fraction(1), Fraction(0)], [[1, 1]], [1])
     assert res.status == "optimal" and res.value == 0
     assert res.x == (0, 1)
 
 
+def test_redundant_equation_is_dropped():
+    # the second row is twice the first; its artificial cannot leave the basis
+    res = solve_lp([1, 2], [[1, 1], [2, 2]], [1, 2])
+    assert res.status == "optimal" and res.value == 1
+    assert res.x == (1, 0)
+
+
 def test_unbounded_lp():
-    # min −x subject to −x ≤ 0: x can grow forever
-    res = solve_lp([Fraction(-1)], [[-1]], [0])
+    # min −x subject to x − s = 0: x can grow forever
+    res = solve_lp([Fraction(-1), 0], [[1, -1]], [0])
     assert res.status == "unbounded"
 
 
 def test_infeasible_lp():
-    # x ≤ −1 and −x ≤ 0 cannot both hold
-    res = solve_lp([Fraction(1)], [[1], [-1]], [-1, 0])
+    # x + s = −1 has no nonnegative solution
+    res = solve_lp([Fraction(1), 0], [[1, 1]], [-1])
     assert res.status == "infeasible"
 
 
 def test_exact_rational_answer():
-    # min x subject to 3x ≥ 1 → exactly 1/3, no float drift
-    res = solve_lp([Fraction(1)], [[-3]], [-1])
+    # min x subject to 3x − s = 1 → exactly 1/3, no float drift
+    res = solve_lp([Fraction(1), 0], [[3, -1]], [1])
     assert res.status == "optimal" and res.value == Fraction(1, 3)
 
 
@@ -100,7 +109,7 @@ def test_random_lps_match_vertex_enumeration():
             b_ub.append(rng.randint(1, 10))
         c = [Fraction(rng.randint(-4, 4)) for _ in range(n)]
         expected = vertex_enum_min(c, a_ub, b_ub)
-        res = solve_lp(c, a_ub, b_ub)
+        res = solve_lp(*slack_form(c, a_ub, b_ub))
         if expected is None:
             assert res.status == "infeasible"
         else:

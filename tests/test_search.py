@@ -1,7 +1,14 @@
+import json
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 
+from kronkit import search
+from kronkit.cli import main
 from kronkit.diagrams import make_instance, parse_young
-from kronkit.errors import BudgetExceeded, CoordinateTooLarge
+from kronkit.errors import BudgetExceeded, ComponentNotTraceless, CoordinateTooLarge
+from kronkit.exactlp import LPResult
 from kronkit.marginals import frobenius_gap2, reduced_densities, verify_membership
 from kronkit.ressayre import (
     build_det_matrix,
@@ -58,6 +65,15 @@ def test_element_rejects_oversized_coordinates():
     with pytest.raises(CoordinateTooLarge) as exc:
         RessayreElement(huge, (), True)
     assert exc.type is CoordinateTooLarge
+
+
+def test_element_rejects_block_that_is_not_traceless():
+    # the A block sums to 1; reduce_irredundant relies on every H being traceless
+    obj = {"H": [[1, 0], [0, 0], [0, 0]], "z": 0, "p": []}
+    with pytest.raises(ComponentNotTraceless):
+        RessayreElement.from_json(obj)
+    with pytest.raises(ComponentNotTraceless):
+        FacetSystem.from_json({"m": 2, "nontrivial": [obj]})
 
 
 def test_element_json_round_trip():
@@ -131,6 +147,27 @@ def test_reduce_drops_scaled_duplicate():
 def test_reduce_empty_system_unchanged():
     fs = FacetSystem(2, (), chamber_inequalities(2))
     assert reduce_irredundant(fs) == fs
+
+
+def test_reduce_rank_three_matches_committed_system():
+    # the reference was computed by the primal LP over the full 3m coordinates
+    fixtures = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
+    system = json.loads((fixtures / "facets_m3.json").read_text(encoding="utf-8"))
+    reduced = reduce_irredundant(FacetSystem.from_json(system))
+    text = json.dumps(reduced.to_json(), indent=2) + "\n"
+    assert len(reduced.nontrivial) == 39
+    assert text == (fixtures / "facets_m3_irredundant.json").read_text(encoding="utf-8")
+
+
+def test_reduce_rejects_wrong_multipliers(monkeypatch, capsys):
+    # an LP answer that claims redundancy with multipliers that prove nothing
+    def wrong(c, a_eq, b_eq):
+        return LPResult("optimal", Fraction(-100), (Fraction(0),) * len(c))
+
+    monkeypatch.setattr(search, "solve_lp", wrong)
+    assert main(["facets", "--m", "2", "--irredundant"]) == 3
+    err = capsys.readouterr().err
+    assert "internal error:" in err and "multipliers" in err
 
 
 def test_facet_system_json_round_trip():

@@ -94,8 +94,8 @@ class CapExceeded(KronkitError):
     """A configurable size cap would be exceeded."""
 
 
-class InternalNonInteger(KronkitError):
-    """An exact computation produced a non-integer where one was required."""
+class InternalNonInteger(RuntimeError):
+    """An exact count came out non-integral: a bug, hence no KronkitError."""
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 """Exact rational linear programming in standard form.
 
-A small two-phase primal simplex over :class:`fractions.Fraction`, with
-Bland's anti-cycling rule.  It exists so that redundancy of inequalities can
-be decided exactly at desk scale — no floating-point tolerances, no external
-solver.  Problem sizes here are tiny (a few rows, a few dozen columns), so
-the dense tableau is perfectly adequate.
+A small two-phase primal simplex with Bland's anti-cycling rule.  It exists
+so that redundancy of inequalities can be decided exactly at desk scale — no
+floating-point tolerances, no external solver.  Problem sizes here are tiny
+(a few rows, a few dozen columns), so the dense tableau is perfectly adequate.
+
+Coefficients must be integers (an integral ``Fraction`` is accepted, any
+other value raises ``ValueError``).  The tableau holds ints over one common
+denominator d = |det B| of the basis B (Edmonds' integer pivoting), so each
+pivot divides exactly by Sylvester's identity.  Only the returned
+:class:`LPResult` is built from ``Fraction``.
 
 Solves::
 
@@ -32,7 +37,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-Row = Sequence[Fraction]
+Row = Sequence[int]
+Tableau = list[list[int]]
 
 
 @dataclass(frozen=True)
@@ -42,61 +48,68 @@ class LPResult:
     x: tuple[Fraction, ...] | None
 
 
-def _pivot(tab: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    piv = tab[row][col]
-    tab[row] = [v / piv for v in tab[row]]
+def _integer(v) -> int:
+    if int(v) != v:
+        raise ValueError(f"LP coefficient {v} is not an integer")
+    return int(v)
+
+
+def _pivot(tab: Tableau, basis: list[int], row: int, col: int, d: int) -> int:
+    """Pivot on (row, col) over denominator d; return the new d, which is |pivot|."""
+    prow = tab[row]
+    p = prow[col]
     for i, r in enumerate(tab):
-        if i != row and r[col] != 0:
+        if i != row:
             coef = r[col]
-            tab[i] = [a - coef * b for a, b in zip(r, tab[row])]
+            tab[i] = [(p * a - coef * b) // d for a, b in zip(r, prow)]
     basis[row] = col
+    if p < 0:
+        tab[:] = [[-v for v in r] for r in tab]
+    return abs(p)
 
 
-def _simplex(tab: list[list[Fraction]], basis: list[int], n_cols: int) -> str:
-    """Minimize the objective stored in the last tableau row; Bland's rule."""
+def _simplex(tab: Tableau, basis: list[int], n_cols: int, d: int) -> tuple[str, int]:
+    """Minimize the last tableau row by Bland's rule; return the status and d."""
     while True:
         obj = tab[-1]
         col = next((j for j in range(n_cols) if obj[j] < 0), None)
         if col is None:
-            return "optimal"
-        best_ratio: Fraction | None = None
+            return "optimal", d
         row = None
         for i in range(len(tab) - 1):
-            if tab[i][col] > 0:
-                ratio = tab[i][-1] / tab[i][col]
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[row])
-                ):
-                    best_ratio = ratio
+            a = tab[i][col]
+            if a > 0:  # ratio tab[i][-1]/a against the best, cross-multiplied
+                if row is not None:
+                    lhs, rhs = tab[i][-1] * tab[row][col], tab[row][-1] * a
+                if row is None or lhs < rhs or (lhs == rhs and basis[i] < basis[row]):
                     row = i
         if row is None:
-            return "unbounded"
-        _pivot(tab, basis, row, col)
+            return "unbounded", d
+        d = _pivot(tab, basis, row, col, d)
 
 
 def solve_lp(c: Row, a_eq: Sequence[Row], b_eq: Row) -> LPResult:
     """Exact two-phase simplex for min c·x subject to A x = b, x ≥ 0."""
+    c = [_integer(v) for v in c]
     n = len(c)
     n_rows = len(a_eq)
 
     # normalize to b ≥ 0, then add one artificial per row
-    tab: list[list[Fraction]] = []
+    tab: Tableau = []
     for i, (arow, b) in enumerate(zip(a_eq, b_eq)):
         sign = -1 if b < 0 else 1
-        art = [Fraction(0)] * n_rows
-        art[i] = Fraction(1)
-        tab.append([Fraction(sign * v) for v in arow] + art + [Fraction(sign * b)])
+        art = [0] * n_rows
+        art[i] = 1
+        tab.append([sign * _integer(v) for v in arow] + art + [sign * _integer(b)])
     basis = [n + i for i in range(n_rows)]
 
     # phase 1: minimize the sum of artificials
     width = n + n_rows
-    phase1 = [Fraction(0)] * n + [Fraction(1)] * n_rows + [Fraction(0)]
+    phase1 = [0] * n + [1] * n_rows + [0]
     for row in tab:  # price out the artificial basis
         phase1 = [a - b for a, b in zip(phase1, row)]
     tab.append(phase1)
-    status = _simplex(tab, basis, width)
+    status, d = _simplex(tab, basis, width, 1)
     if status != "optimal" or tab[-1][-1] != 0:
         return LPResult("infeasible", None, None)
     tab.pop()
@@ -107,22 +120,21 @@ def solve_lp(c: Row, a_eq: Sequence[Row], b_eq: Row) -> LPResult:
         if basis[i] >= n:
             col = next((j for j in range(n) if tab[i][j] != 0), None)
             if col is not None:
-                _pivot(tab, basis, i, col)
+                d = _pivot(tab, basis, i, col, d)
     live = [i for i in range(n_rows) if basis[i] < n]
     tab = [tab[i][:n] + tab[i][-1:] for i in live]
     basis = [basis[i] for i in live]
 
-    # phase 2 with the real objective
-    obj = [Fraction(v) for v in c] + [Fraction(0)]
+    # phase 2 with the real objective, scaled by d like every other row
+    obj = [d * v for v in c] + [0]
     for row, var in zip(tab, basis):
-        coef = obj[var]
-        if coef != 0:
-            obj = [a - coef * b for a, b in zip(obj, row)]
+        if c[var]:
+            obj = [a - c[var] * b for a, b in zip(obj, row)]
     tab.append(obj)
-    if _simplex(tab, basis, n) == "unbounded":
+    status, d = _simplex(tab, basis, n, d)
+    if status == "unbounded":
         return LPResult("unbounded", None, None)
     x = [Fraction(0)] * n
     for row, var in zip(tab, basis):
-        x[var] = row[-1]
-    value = sum((Fraction(ci) * xi for ci, xi in zip(c, x)), Fraction(0))
-    return LPResult("optimal", value, tuple(x))
+        x[var] = Fraction(row[-1], d)
+    return LPResult("optimal", Fraction(-tab[-1][-1], d), tuple(x))

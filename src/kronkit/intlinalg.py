@@ -1,15 +1,14 @@
 """Exact linear algebra over the integers.
 
 Everything here is fraction-free Bareiss-style elimination: intermediate
-entries are integer minors of the input, every division is exact, and no
-floating point is involved anywhere.  Ranks, determinants and one-dimensional
-kernels of the small structured matrices used elsewhere all come from the same
-echelon routine.
+entries are integer minors of the input, every division is exact, and neither
+a rational nor a float is built anywhere.  Ranks, determinants and
+one-dimensional kernels of the small structured matrices used elsewhere all
+come from the same echelon routine.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 IntMatrix = list[list[int]]
@@ -77,25 +76,16 @@ def det_bareiss(mat: IntMatrix) -> int:
     return sign * ech[n - 1][n - 1]
 
 
-def _primitive(vec: list[Fraction]) -> list[int]:
-    """Scale a nonzero rational vector to a primitive integer vector."""
-    lcm = 1
-    for q in vec:
-        d = q.denominator
-        lcm = lcm // gcd(lcm, d) * d
-    ints = [int(q * lcm) for q in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    return [v // g for v in ints]
-
-
 def kernel_vector_if_unique(mat: IntMatrix) -> list[int] | None:
     """Primitive generator of the kernel when the nullity is exactly one.
 
     ``mat`` rows are equations over the unknown vector.  Returns ``None``
     whenever the kernel is trivial or has dimension greater than one.  The
-    sign of the returned generator is arbitrary; callers canonicalize.
+    free coordinate of the returned generator is positive.
+
+    The free coordinate starts at |D|, where D is the last Bareiss pivot, the
+    r×r minor on the pivot rows and columns.  By Cramer's rule every pivot
+    coordinate is then an integer, so back-substitution divides exactly.
     """
     if not mat:
         return None
@@ -105,14 +95,12 @@ def kernel_vector_if_unique(mat: IntMatrix) -> list[int] | None:
     if n_cols - rank != 1:
         return None
     free_col = next(c for c in range(n_cols) if c not in set(pivot_cols))
-    x: list[Fraction] = [Fraction(0)] * n_cols
-    x[free_col] = Fraction(1)
+    x = [0] * n_cols
+    x[free_col] = abs(ech[rank - 1][pivot_cols[-1]]) if rank else 1
     for t in range(rank - 1, -1, -1):
         p = pivot_cols[t]
-        acc = Fraction(0)
         row = ech[t]
-        for j in range(p + 1, n_cols):
-            if row[j] and x[j]:
-                acc += Fraction(row[j]) * x[j]
-        x[p] = -acc / row[p]
-    return _primitive(x)
+        acc = sum(row[j] * x[j] for j in range(p + 1, n_cols) if row[j])
+        x[p] = -acc // row[p]
+    g = gcd(*x)
+    return [v // g for v in x]

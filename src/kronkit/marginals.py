@@ -233,6 +233,12 @@ def required_bits(m: int, k: int) -> int:
     return 2 * half
 
 
+def _trunc_scaled(x: float, b: int) -> int:
+    """trunc(x·2^b) in integers; the float product overflows once b > 1023."""
+    num, den = x.as_integer_ratio()
+    return (num << b) // den if num >= 0 else -((-num << b) // den)
+
+
 def truncate(v, b: int) -> MembershipCertificate:
     """Exact b-bit truncation (toward zero) of a float complex vector.
 
@@ -247,8 +253,8 @@ def truncate(v, b: int) -> MembershipCertificate:
     scale = 1 << b
     entries: dict[Entry, GaussianRational] = {}
     for w, value in zip(weights(m), vec):
-        re = Fraction(math.trunc(value.real * scale), scale)
-        im = Fraction(math.trunc(value.imag * scale), scale)
+        re = Fraction(_trunc_scaled(value.real, b), scale)
+        im = Fraction(_trunc_scaled(value.imag, b), scale)
         if re or im:
             entries[w.as_tuple()] = GaussianRational(re, im)
     if not entries:

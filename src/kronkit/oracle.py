@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .diagrams import KronInstance, YoungDiagram, parse_young
@@ -109,22 +108,23 @@ def mn_character(lam: YoungDiagram, mu: YoungDiagram) -> int:
 def kron_coeff(
     lam_a: YoungDiagram, lam_b: YoungDiagram, lam_c: YoungDiagram
 ) -> int:
-    """Exact multiplicity Σ_μ χ_{λA}(μ)·χ_{λB}(μ)·χ_{λC}(μ)/z_μ."""
+    """Exact multiplicity Σ_μ χ_{λA}(μ)·χ_{λB}(μ)·χ_{λC}(μ)·|C_μ| / k!."""
     k = lam_a.boxes
     if lam_b.boxes != k or lam_c.boxes != k:
         raise BoxCountMismatch("the three diagrams must have equal box counts")
-    total = Fraction(0)
+    total = 0
     for cls in conjugacy_classes(k):
         mu = cls.cycle_type
-        product = (
-            mn_character(lam_a, mu)
+        total += (
+            cls.class_size
+            * mn_character(lam_a, mu)
             * mn_character(lam_b, mu)
             * mn_character(lam_c, mu)
         )
-        total += Fraction(product, cls.centralizer_order)
-    if total.denominator != 1 or total < 0:
-        raise InternalNonInteger(f"multiplicity came out as {total}")
-    return int(total)
+    g, rem = divmod(total, math.factorial(k))
+    if rem or g < 0:
+        raise InternalNonInteger(f"class sum {total} / {k}! is not a natural number")
+    return g
 
 
 def _stretched(lam: YoungDiagram, l: int) -> YoungDiagram:

@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, isqrt
+from math import comb, gcd, isqrt
 
 import numpy as np
 
@@ -104,14 +104,7 @@ class RessayreElement:
 
 
 def _is_primitive(h: HyperplaneCandidate) -> bool:
-    from math import gcd
-
-    g = 0
-    for block in h.blocks:
-        for v in block:
-            g = gcd(g, v)
-    g = gcd(g, h.z)
-    return g == 1
+    return gcd(*_flat(h), h.z) == 1
 
 
 def chamber_inequalities(m: int) -> tuple[HyperplaneCandidate, ...]:

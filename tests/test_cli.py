@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from kronkit import cli
+from kronkit import cli, oracle
 from kronkit.cli import build_parser, main
 
 OUTSIDE = {"lambda_A": [2], "lambda_B": [2], "lambda_C": [1, 1], "k": 2}
@@ -147,6 +147,16 @@ def test_find_witness_not_found(tmp_path, capsys):
     assert code == 1
     assert "NotFound" in capsys.readouterr().out
     assert not out_path.exists()
+
+
+def test_find_witness_beyond_float_range_not_found(tmp_path, capsys):
+    # k = 2^500 needs more than 1023 bits of truncation, past float·2^b
+    k = 2**500
+    big = {"lambda_A": [k], "lambda_B": [k // 2, k // 2], "lambda_C": [k], "k": k}
+    code = main(["find-witness", jfile(tmp_path, "inst.json", big)])
+    captured = capsys.readouterr()
+    assert code == 1, captured.err
+    assert "NotFound" in captured.out
 
 
 def test_facets_rank_one_stdout(capsys):
@@ -349,3 +359,10 @@ def test_unexpected_exception_exits_three(monkeypatch, capsys):
     assert main(["kron", "1", "1", "1"]) == 3
     err = capsys.readouterr().err
     assert "internal error:" in err and "boom" in err
+
+
+def test_non_integral_class_sum_exits_three(monkeypatch, capsys):
+    # fake characters make the class sum 1·1 + 1·2³ = 9, not a multiple of 2!
+    monkeypatch.setattr(oracle, "mn_character", lambda lam, mu: len(mu.rows))
+    assert main(["kron", "1,1", "1,1", "1,1"]) == 3
+    assert "internal error:" in capsys.readouterr().err

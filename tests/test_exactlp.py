@@ -2,6 +2,9 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
+from kronkit import exactlp
 from kronkit.exactlp import solve_lp
 
 
@@ -73,6 +76,34 @@ def test_redundant_equation_is_dropped():
     res = solve_lp([1, 2], [[1, 1], [2, 2]], [1, 2])
     assert res.status == "optimal" and res.value == 1
     assert res.x == (1, 0)
+
+
+def test_negative_drive_out_pivot(monkeypatch):
+    # the third row is the sum of the others; phase 1 ends with the second
+    # and third artificials basic, the second leaves through the one nonzero
+    # real entry of its row, −2, and the third row is dropped as zero
+    pivots = []
+    real_pivot = exactlp._pivot
+
+    def spy(tab, basis, row, col, d):
+        pivots.append(tab[row][col])
+        return real_pivot(tab, basis, row, col, d)
+
+    monkeypatch.setattr(exactlp, "_pivot", spy)
+    res = solve_lp([3, -2], [[-2, -1], [2, 0], [0, -1]], [-1, 1, 0])
+    assert min(pivots) < -1
+    assert res.status == "optimal" and res.value == Fraction(3, 2)
+    assert res.x == (Fraction(1, 2), 0)
+
+
+def test_non_integral_coefficient_is_rejected():
+    for c, a_eq, b_eq in (
+        ([Fraction(1, 2), 0], [[1, 1]], [1]),
+        ([1, 0], [[Fraction(3, 2), 1]], [1]),
+        ([1, 0], [[1, 1]], [0.5]),
+    ):
+        with pytest.raises(ValueError, match="not an integer"):
+            solve_lp(c, a_eq, b_eq)
 
 
 def test_unbounded_lp():

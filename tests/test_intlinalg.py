@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 from kronkit.intlinalg import (
     det_bareiss,
     integer_rank,
     kernel_vector_if_unique,
 )
+from kronkit.weights import weights
 
 
 def naive_det(mat):
@@ -23,23 +25,48 @@ def naive_det(mat):
     return total
 
 
-def fraction_rank(mat):
-    """Plain Gaussian elimination over Fraction — independent oracle."""
+def fraction_rref(mat):
+    """Plain Gauss–Jordan elimination over Fraction — independent oracle.
+
+    Returns the reduced rows and the pivot columns."""
     a = [[Fraction(v) for v in row] for row in mat]
-    rank = 0
     n_rows, n_cols = len(a), len(a[0])
+    pivots = []
     for c in range(n_cols):
-        piv = next((i for i in range(rank, n_rows) if a[i][c] != 0), None)
+        r = len(pivots)
+        piv = next((i for i in range(r, n_rows) if a[i][c] != 0), None)
         if piv is None:
             continue
-        a[rank], a[piv] = a[piv], a[rank]
-        a[rank] = [v / a[rank][c] for v in a[rank]]
+        a[r], a[piv] = a[piv], a[r]
+        a[r] = [v / a[r][c] for v in a[r]]
         for i in range(n_rows):
-            if i != rank and a[i][c] != 0:
+            if i != r and a[i][c] != 0:
                 coef = a[i][c]
-                a[i] = [x - coef * y for x, y in zip(a[i], a[rank])]
-        rank += 1
-    return rank
+                a[i] = [x - coef * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots
+
+
+def fraction_rank(mat):
+    return len(fraction_rref(mat)[1])
+
+
+def fraction_kernel(mat):
+    """Reference kernel: free coordinate 1 in the reduced echelon form, then
+    scaled to a primitive integer vector (so the free coordinate is > 0)."""
+    a, pivots = fraction_rref(mat)
+    n_cols = len(a[0])
+    if n_cols - len(pivots) != 1:
+        return None
+    free = next(c for c in range(n_cols) if c not in pivots)
+    x = [Fraction(0)] * n_cols
+    x[free] = Fraction(1)
+    for r, c in enumerate(pivots):
+        x[c] = -a[r][free]
+    scale = lcm(*(q.denominator for q in x))
+    ints = [int(q * scale) for q in x]
+    g = gcd(*ints)
+    return [v // g for v in ints]
 
 
 def test_det_matches_cofactor_oracle():
@@ -103,10 +130,38 @@ def test_kernel_vector_is_primitive_and_in_kernel():
         found += 1
         for row in mat:
             assert sum(a * b for a, b in zip(row, v)) == 0
-        from math import gcd
-
         g = 0
         for x in v:
             g = gcd(g, x)
         assert g == 1
     assert found > 50  # the generator hits plenty of corank-1 systems
+
+
+def test_kernel_matches_fraction_reference_exactly():
+    # equal as vectors, sign included, not merely up to scale
+    rng = random.Random(41)
+    for _ in range(300):
+        n = rng.randint(2, 7)
+        mat = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n - 1)]
+        if rng.random() < 0.3:  # a dependent row keeps the corank at most 1
+            mat.append([u + v for u, v in zip(mat[0], mat[-1])])
+        assert kernel_vector_if_unique(mat) == fraction_kernel(mat)
+
+
+def test_kernel_matches_fraction_reference_on_rank_three_systems():
+    # the systems enumeration solves: six weight incidences plus tracelessness
+    m = 3
+    weight_rows = [list(w.vector(m)) + [-1] for w in weights(m)]
+    trace_rows = [
+        [1 if b * m <= j < (b + 1) * m else 0 for j in range(3 * m + 1)]
+        for b in range(3)
+    ]
+    rng = random.Random(43)
+    hits = 0
+    for _ in range(400):
+        subset = rng.sample(range(m**3), 3 * (m - 1))
+        mat = [weight_rows[i] for i in subset] + trace_rows
+        v = kernel_vector_if_unique(mat)
+        assert v == fraction_kernel(mat)
+        hits += v is not None
+    assert hits > 100

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -242,6 +244,23 @@ def test_truncate_is_exact_dyadic():
         assert abs(vec[pos].real - float(value.re)) < 2**-b
         assert abs(float(value.re)) <= abs(vec[pos].real)
         assert abs(vec[pos].imag - float(value.im)) < 2**-b
+
+
+def test_truncate_is_exact_beyond_float_range():
+    # float·2^b overflows once b > 1023; up to there it is exact, so the
+    # integer truncation must agree with it bit for bit
+    rng = random.Random(101)
+    vec = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(7)]
+    vec.insert(0, complex(5e-324, -3e-310))  # subnormals: both truncate to 0 at b ≤ 1023
+    for b in (16, 1023, 1100):
+        cert = truncate(vec, b)
+        for pos, idx in enumerate(itertools.product((1, 2), repeat=3)):
+            value = cert.entries.get(idx, GR(F(0)))
+            for part, x in ((value.re, vec[pos].real), (value.im, vec[pos].imag)):
+                assert part == F(math.trunc(F(x) * 2**b), 2**b)
+                if b <= 1023:
+                    assert part == F(math.trunc(x * 2**b), 2**b)
+    assert truncate(vec, 1100).entries[(1, 1, 1)].re == F(2**26, 2**1100)
 
 
 def test_truncation_perturbs_densities_within_bound():

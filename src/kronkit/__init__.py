@@ -62,12 +62,11 @@ from .search import (
 )
 from .weights import (
     HyperplaneCandidate,
-    NegativeRoot,
-    Weight,
     affine_rank,
     negative_roots,
     negative_roots_on,
     split_weights,
+    weight_vector,
     weights,
 )
 
@@ -118,11 +117,10 @@ __all__ = [
     "search_witness",
     "spectra_csv",
     "HyperplaneCandidate",
-    "NegativeRoot",
-    "Weight",
     "affine_rank",
     "negative_roots",
     "negative_roots_on",
     "split_weights",
+    "weight_vector",
     "weights",
 ]

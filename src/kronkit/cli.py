@@ -30,7 +30,6 @@ from .oracle import DEFAULT_ORACLE_CAP, kron_coeff, semigroup_member
 from .ressayre import RessayreCertificate, verify_nonmembership
 from .scalars import format_rational
 from .search import (
-    DEFAULT_ENUM_CAP_M,
     DEFAULT_SUBSET_BUDGET,
     enumerate_ressayre,
     reduce_irredundant,
@@ -72,18 +71,27 @@ def _parse_partition(text: str):
         raise MalformedInput(f"bad partition {text!r}: {exc}") from exc
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_at_least(low: int, what: str):
+    """An argparse type for integers ≥ low; anything else exits 2."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected a {what} integer, got {text!r}")
+        return value
+
+    return parse
 
 
-def _emit(payload: dict | None, as_json: bool, lines: list[str]) -> None:
-    if as_json and payload is not None:
+_positive_int = _int_at_least(1, "positive")
+_nonnegative_int = _int_at_least(0, "non-negative")
+
+
+def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
+    if as_json:
         print(json.dumps(payload, indent=2))
     else:
         for line in lines:
@@ -147,8 +155,6 @@ def cmd_find_witness(args) -> int:
 
 
 def cmd_facets(args) -> int:
-    if args.m > args.max_m:
-        raise CapExceeded(f"m={args.m} exceeds the enumeration cap {args.max_m}")
     fs = enumerate_ressayre(args.m, budget=args.budget, seed=args.seed)
     if args.irredundant:
         fs = reduce_irredundant(fs)
@@ -221,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("find-witness", help="search for a verified witness vector")
     p.add_argument("instance", help="instance JSON file")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--max-iters", type=_positive_int, default=400)
     p.add_argument("--out", default="witness.json", help="output certificate path")
     p.set_defaults(func=cmd_find_witness)
@@ -230,8 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=_positive_int, required=True)
     p.add_argument("--budget", type=_positive_int, default=DEFAULT_SUBSET_BUDGET)
     p.add_argument("--irredundant", action="store_true")
-    p.add_argument("--max-m", type=_positive_int, default=DEFAULT_ENUM_CAP_M)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out", default=None, help="output JSON path (default stdout)")
     p.set_defaults(func=cmd_facets)
 
@@ -253,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="Monte-Carlo spectra as CSV")
     p.add_argument("--m", type=_positive_int, required=True)
     p.add_argument("--n", type=_positive_int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_sample)
 

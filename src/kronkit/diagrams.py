@@ -25,6 +25,7 @@ from .errors import (
     NotWeaklyDecreasing,
     RankTooSmall,
 )
+from .scalars import json_int
 
 
 @dataclass(frozen=True)
@@ -107,11 +108,12 @@ class KronInstance:
     @classmethod
     def from_json(cls, obj: dict) -> "KronInstance":
         return make_instance(
-            parse_young(obj["lambda_A"]),
-            parse_young(obj["lambda_B"]),
-            parse_young(obj["lambda_C"]),
-            int(obj["k"]),
-            m_override=int(obj["m"]) if "m" in obj else None,
+            *(
+                parse_young([json_int(r) for r in obj[key]])
+                for key in ("lambda_A", "lambda_B", "lambda_C")
+            ),
+            json_int(obj["k"]),
+            m_override=json_int(obj["m"]) if "m" in obj else None,
         )
 
     def __str__(self) -> str:

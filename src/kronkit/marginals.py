@@ -33,7 +33,7 @@ from .errors import (
     ZeroVector,
 )
 from .ressayre import Decision, Reason, Verdict
-from .scalars import GaussianRational
+from .scalars import GaussianRational, json_int
 from .weights import check_weight_cap, weights
 
 Entry = tuple[int, int, int]
@@ -88,10 +88,10 @@ class MembershipCertificate:
     @classmethod
     def from_json(cls, obj: dict) -> "MembershipCertificate":
         entries = {
-            tuple(int(v) for v in item["idx"]): GaussianRational.from_json(item)
+            tuple(json_int(v) for v in item["idx"]): GaussianRational.from_json(item)
             for item in obj["entries"]
         }
-        return cls(int(obj["m"]), entries)
+        return cls(json_int(obj["m"]), entries)
 
 
 @dataclass(frozen=True)
@@ -256,7 +256,7 @@ def truncate(v, b: int) -> MembershipCertificate:
         re = Fraction(_trunc_scaled(value.real, b), scale)
         im = Fraction(_trunc_scaled(value.imag, b), scale)
         if re or im:
-            entries[w.as_tuple()] = GaussianRational(re, im)
+            entries[w] = GaussianRational(re, im)
     if not entries:
         raise TruncatedToZero(f"no entry survived truncation at {b} bits")
     return MembershipCertificate(m, entries)

@@ -25,14 +25,8 @@ from fractions import Fraction
 from .diagrams import KronInstance
 from .errors import ComponentNotTraceless, LengthMismatch, NotSquare, ShapeMismatch
 from .intlinalg import det_bareiss
-from .weights import (
-    HyperplaneCandidate,
-    NegativeRoot,
-    Weight,
-    affine_rank,
-    negative_roots_on,
-    split_weights,
-)
+from .scalars import json_int
+from .weights import HyperplaneCandidate, affine_rank, negative_roots_on, split_weights
 
 
 class Decision(enum.Enum):
@@ -83,8 +77,8 @@ class PolyMatrix:
 
     entries: tuple[tuple[int | None, ...], ...]
     n_slots: int
-    row_weights: tuple[Weight, ...]
-    col_roots: tuple[NegativeRoot, ...]
+    row_weights: tuple[tuple[int, int, int], ...]
+    col_roots: tuple[tuple[int, int, int], ...]
 
     @property
     def n(self) -> int:
@@ -108,13 +102,9 @@ class RessayreCertificate:
         h_blocks = obj["H"]
         if len(h_blocks) != 3:
             raise ShapeMismatch("H must have exactly three components")
-        h = HyperplaneCandidate(
-            tuple(int(v) for v in h_blocks[0]),
-            tuple(int(v) for v in h_blocks[1]),
-            tuple(int(v) for v in h_blocks[2]),
-            int(obj["z"]),
-        )
-        return cls(h, tuple(int(v) for v in obj["p"]))
+        h_a, h_b, h_c = (tuple(json_int(v) for v in block) for block in h_blocks)
+        h = HyperplaneCandidate(h_a, h_b, h_c, json_int(obj["z"]))
+        return cls(h, tuple(json_int(v) for v in obj["p"]))
 
 
 def check_admissible(h: HyperplaneCandidate, m: int) -> bool:
@@ -130,13 +120,17 @@ def check_trace(h: HyperplaneCandidate, m: int) -> bool:
     return len(negative_roots_on(h, m)) == len(below)
 
 
-def _difference_weight(w: Weight, root: NegativeRoot) -> Weight | None:
-    """ω − α as a weight, or None when the difference leaves the weight set."""
-    if root.subsystem == "A":
-        return Weight(root.j, w.j, w.l) if w.i == root.i else None
-    if root.subsystem == "B":
-        return Weight(w.i, root.j, w.l) if w.j == root.i else None
-    return Weight(w.i, w.j, root.j) if w.l == root.i else None
+def _difference_weight(
+    w: tuple[int, int, int], root: tuple[int, int, int]
+) -> tuple[int, int, int] | None:
+    """ω − α as a weight, or None when the difference leaves the weight set.
+
+    α = e_i − e_j in block b moves coordinate b of ω from i to j.
+    """
+    block, i, j = root
+    if w[block] != i:
+        return None
+    return w[:block] + (j,) + w[block + 1 :]
 
 
 def build_det_matrix(h: HyperplaneCandidate, m: int) -> PolyMatrix:
@@ -147,15 +141,13 @@ def build_det_matrix(h: HyperplaneCandidate, m: int) -> PolyMatrix:
         raise NotSquare(
             f"{len(below)} below-level weights vs {len(roots)} negative roots"
         )
-    slot_of = {w.as_tuple(): idx for idx, w in enumerate(on)}
-    rows = []
-    for w in below:
-        row: list[int | None] = []
-        for root in roots:
-            diff = _difference_weight(w, root)
-            row.append(None if diff is None else slot_of.get(diff.as_tuple()))
-        rows.append(tuple(row))
-    return PolyMatrix(tuple(rows), len(on), tuple(below), tuple(roots))
+    slot_of = {w: idx for idx, w in enumerate(on)}
+    # a difference that is off the level, or None, has no slot: a structural zero
+    rows = tuple(
+        tuple(slot_of.get(_difference_weight(w, root)) for root in roots)
+        for w in below
+    )
+    return PolyMatrix(rows, len(on), tuple(below), tuple(roots))
 
 
 def eval_determinant(matrix: PolyMatrix, p: tuple[int, ...]) -> int:

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from .errors import MalformedInput
+
 RationalLike = Union[Fraction, int, str]
 
 
@@ -30,6 +32,17 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, str):
         return Fraction(value.strip())
     raise TypeError(f"cannot interpret {value!r} as a rational")
+
+
+def json_int(value) -> int:
+    """A JSON integer field as an int; anything else raises MalformedInput.
+
+    ``int()`` would truncate 2.9 to 2 and read ``true`` as 1, so floats and
+    bools are refused rather than converted.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise MalformedInput(f"expected an integer, got {value!r}")
 
 
 def format_rational(q: Fraction) -> str:

@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd, isqrt
+from math import comb, isqrt
 
 import numpy as np
 
@@ -46,11 +46,16 @@ from .ressayre import (
     eval_determinant,
     siegel_bound,
 )
-from .scalars import GaussianRational
-from .weights import SUBSYSTEMS, HyperplaneCandidate, check_weight_cap, weights
+from .scalars import GaussianRational, json_int
+from .weights import (
+    SUBSYSTEMS,
+    HyperplaneCandidate,
+    check_weight_cap,
+    weight_vector,
+    weights,
+)
 
 DEFAULT_SUBSET_BUDGET = 400_000
-DEFAULT_ENUM_CAP_M = 3
 
 
 def find_point(
@@ -80,7 +85,6 @@ class RessayreElement:
 
     h: HyperplaneCandidate
     witness_point: tuple[int, ...]
-    primitive: bool
 
     def __post_init__(self) -> None:
         self.h.validate_traceless()
@@ -100,11 +104,7 @@ class RessayreElement:
     @classmethod
     def from_json(cls, obj: dict) -> "RessayreElement":
         cert = RessayreCertificate.from_json(obj)
-        return cls(cert.h, cert.p, _is_primitive(cert.h))
-
-
-def _is_primitive(h: HyperplaneCandidate) -> bool:
-    return gcd(*_flat(h), h.z) == 1
+        return cls(cert.h, cert.p)
 
 
 def chamber_inequalities(m: int) -> tuple[HyperplaneCandidate, ...]:
@@ -144,7 +144,7 @@ class FacetSystem:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FacetSystem":
-        m = int(obj["m"])
+        m = json_int(obj["m"])
         elements = tuple(
             RessayreElement.from_json(e) for e in obj["nontrivial"]
         )
@@ -162,7 +162,6 @@ def enumerate_ressayre(
     m: int,
     budget: int = DEFAULT_SUBSET_BUDGET,
     seed: int = 0,
-    trials: int = 64,
 ) -> FacetSystem:
     """Complete enumeration of hyperplane certificates at rank m.
 
@@ -173,6 +172,7 @@ def enumerate_ressayre(
     full verification pipeline; survivors are returned with their evaluation
     points, in order of first discovery.
     """
+    check_weight_cap(m)  # before comb(), which is slow for huge m
     chamber = chamber_inequalities(m)
     if m == 1:
         return FacetSystem(1, (), chamber)
@@ -182,8 +182,7 @@ def enumerate_ressayre(
         raise BudgetExceeded(
             f"{total} subsets at m={m} exceed the budget of {budget}"
         )
-    all_weights = weights(m)
-    weight_rows = [list(w.vector(m)) + [-1] for w in all_weights]
+    weight_rows = [weight_vector(w, m) + [-1] for w in weights(m)]
     trace_rows = []
     for block_idx in range(3):
         row = [0] * (3 * m + 1)
@@ -208,10 +207,10 @@ def enumerate_ressayre(
                 continue
             if not check_trace(h, m):
                 continue
-            p = find_point(h, m, seed=seed, trials=trials)
+            p = find_point(h, m, seed=seed, trials=64)
             if p is None:
                 continue
-            elements.append(RessayreElement(h, p, True))
+            elements.append(RessayreElement(h, p))
     return FacetSystem(m, tuple(elements), chamber)
 
 

@@ -1,13 +1,14 @@
 """Weights, negative roots, and the affine geometry they live in.
 
 The ambient space is ℝ^{3m}, three blocks of length m, one per subsystem.
-A weight is a triple of basis indices (i,j,l); its vector form is the
+A weight is a tuple (i, j, l) of 1-based basis indices; its vector is the
 concatenation (e_i, e_j, e_l).  There are exactly m³ weights, kept in
-lexicographic order on (i,j,l) throughout — this order is part of the
+lexicographic order on (i, j, l) throughout — this order is part of the
 certificate format, not an implementation detail.
 
-Negative roots act inside a single block: e_i − e_j with i > j.  They are
-ordered by subsystem A < B < C and then lexicographically by (i,j).
+A negative root is a tuple (block, i, j) with block 0, 1, 2 for A, B, C and
+i > j: the vector e_i − e_j inside that block, zero elsewhere.  Roots are
+ordered by block and then lexicographically by (i, j).
 """
 
 from __future__ import annotations
@@ -23,50 +24,6 @@ from .intlinalg import integer_rank
 DEFAULT_WEIGHT_CAP = 12
 
 SUBSYSTEMS = ("A", "B", "C")
-
-
-@dataclass(frozen=True)
-class Weight:
-    """Basis-index triple (i,j,l), 1-based."""
-
-    i: int
-    j: int
-    l: int
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.i, self.j, self.l)
-
-    def vector(self, m: int) -> tuple[int, ...]:
-        """Concatenation (e_i, e_j, e_l) ∈ ℤ^{3m}."""
-        v = [0] * (3 * m)
-        v[self.i - 1] = 1
-        v[m + self.j - 1] = 1
-        v[2 * m + self.l - 1] = 1
-        return tuple(v)
-
-    def pair_with(self, h: "HyperplaneCandidate") -> int:
-        """φ·H = (H_A)_i + (H_B)_j + (H_C)_l."""
-        return h.h_a[self.i - 1] + h.h_b[self.j - 1] + h.h_c[self.l - 1]
-
-
-@dataclass(frozen=True)
-class NegativeRoot:
-    """e_i − e_j (i > j) in one subsystem block, zero elsewhere."""
-
-    subsystem: str  # "A" | "B" | "C"
-    i: int
-    j: int
-
-    def vector(self, m: int) -> tuple[int, ...]:
-        v = [0] * (3 * m)
-        off = SUBSYSTEMS.index(self.subsystem) * m
-        v[off + self.i - 1] = 1
-        v[off + self.j - 1] = -1
-        return tuple(v)
-
-    def pair_with(self, h: "HyperplaneCandidate") -> int:
-        block = (h.h_a, h.h_b, h.h_c)[SUBSYSTEMS.index(self.subsystem)]
-        return block[self.i - 1] - block[self.j - 1]
 
 
 @dataclass(frozen=True)
@@ -119,30 +76,41 @@ def check_weight_cap(m: int, cap: int = DEFAULT_WEIGHT_CAP) -> None:
         raise CapExceeded(f"m={m} exceeds the weight materialization cap {cap}")
 
 
-def weights(m: int, cap: int = DEFAULT_WEIGHT_CAP) -> list[Weight]:
-    """All m³ weights in canonical lexicographic order."""
+def weights(m: int, cap: int = DEFAULT_WEIGHT_CAP) -> list[tuple[int, int, int]]:
+    """All m³ weights (i, j, l) in canonical lexicographic order."""
     check_weight_cap(m, cap)
     rng = range(1, m + 1)
-    return [Weight(i, j, l) for i, j, l in product(rng, rng, rng)]
+    return list(product(rng, rng, rng))
 
 
-def negative_roots(m: int) -> list[NegativeRoot]:
-    """All 3·m(m−1)/2 negative roots, subsystem-major then lexicographic."""
-    out = []
-    for tag in SUBSYSTEMS:
-        for i in range(2, m + 1):
-            for j in range(1, i):
-                out.append(NegativeRoot(tag, i, j))
-    return out
+def negative_roots(m: int) -> list[tuple[int, int, int]]:
+    """All 3·m(m−1)/2 negative roots (block, i, j), block-major then lexicographic."""
+    return [
+        (block, i, j)
+        for block in range(3)
+        for i in range(2, m + 1)
+        for j in range(1, i)
+    ]
 
 
-def split_weights(
-    h: HyperplaneCandidate, m: int
-) -> tuple[list[Weight], list[Weight], list[Weight]]:
-    """Partition Φ(m) by the sign of φ·H − z, canonical order preserved."""
+def weight_vector(w: tuple[int, int, int], m: int) -> list[int]:
+    """Concatenation (e_i, e_j, e_l) ∈ ℤ^{3m} of the weight w = (i, j, l)."""
+    v = [0] * (3 * m)
+    for block, idx in enumerate(w):
+        v[block * m + idx - 1] = 1
+    return v
+
+
+def split_weights(h: HyperplaneCandidate, m: int) -> tuple[list, list, list]:
+    """Partition Φ(m) by the sign of φ·H − z, canonical order preserved.
+
+    φ·H = (H_A)_i + (H_B)_j + (H_C)_l for φ = (i, j, l).
+    """
+    h_a, h_b, h_c = h.blocks
     on, below, above = [], [], []
     for w in weights(m):
-        value = w.pair_with(h)
+        i, j, l = w
+        value = h_a[i - 1] + h_b[j - 1] + h_c[l - 1]
         if value == h.z:
             on.append(w)
         elif value < h.z:
@@ -152,12 +120,17 @@ def split_weights(
     return on, below, above
 
 
-def negative_roots_on(h: HyperplaneCandidate, m: int) -> list[NegativeRoot]:
-    """The sublist of negative roots with α·H < 0, canonical order preserved."""
-    return [a for a in negative_roots(m) if a.pair_with(h) < 0]
+def negative_roots_on(h: HyperplaneCandidate, m: int) -> list[tuple[int, int, int]]:
+    """The negative roots with α·H < 0, canonical order preserved."""
+    blocks = h.blocks
+    return [
+        (block, i, j)
+        for block, i, j in negative_roots(m)
+        if blocks[block][i - 1] < blocks[block][j - 1]
+    ]
 
 
-def affine_rank(s: list[Weight], m: int) -> int:
+def affine_rank(s: list[tuple[int, int, int]], m: int) -> int:
     """Exact rank of the (3m+1)-row matrix with columns (φ_vec; −1).
 
     Computed by fraction-free elimination on the transpose (rank is the same
@@ -165,5 +138,4 @@ def affine_rank(s: list[Weight], m: int) -> int:
     """
     if not s:
         return 0
-    mat = [list(w.vector(m)) + [-1] for w in s]
-    return integer_rank(mat)
+    return integer_rank([weight_vector(w, m) + [-1] for w in s])

@@ -6,10 +6,12 @@ recomputes what it needs inside its own timed body, so the reported runtime
 is the full cost of the capability being demonstrated.
 """
 
+import json
 import random
 import time
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 
@@ -41,6 +43,7 @@ from kronkit.search import (
 from kronkit.weights import HyperplaneCandidate
 
 F = Fraction
+FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
 
 H_WORKED = HyperplaneCandidate((-1, 1), (-1, 1), (1, -1), -1)
 
@@ -324,6 +327,10 @@ def test_criterion_8_evaluation_point_search():
     failures = 0
     for m in (2, 3):
         fs = enumerate_ressayre(m)
+        if m == 3:
+            # the committed fixture was written by the Fraction back-substitution
+            text = json.dumps(fs.to_json(), indent=2) + "\n"
+            assert text == (FIXTURES / "facets_m3.json").read_text(encoding="utf-8")
         for elem in fs.nontrivial:
             for seed in range(10):
                 checked += 1
@@ -331,4 +338,5 @@ def test_criterion_8_evaluation_point_search():
                     failures += 1
     elapsed = time.perf_counter() - t0
     report(8, failures == 0 and checked > 0, elapsed, 600,
-           f"{checked} (element, seed) pairs all found a point within 10 trials")
+           f"m = 3 system matches facets_m3.json; {checked} (element, seed) "
+           "pairs all found a point within 10 trials")

@@ -181,7 +181,8 @@ def test_facets_irredundant_writes_file(tmp_path, capsys):
 
 def test_facets_rank_cap(capsys):
     assert main(["facets", "--m", "9"]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and "budget" in err
 
 
 def test_facets_budget_exceeded(capsys):
@@ -271,6 +272,13 @@ ONE_OVER_ZERO_CERT = {
     "m": 2,
     "entries": [{"idx": [1, 1, 1], "re": "1/0", "im": "0/1"}],
 }
+RANK_3 = {key: [1, 1, 1] for key in ("lambda_A", "lambda_B", "lambda_C")}
+RANK_3["k"] = 3
+# int() would truncate these to OUTSIDE and WORKED_CERT, which verify
+FRACTIONAL_INSTANCE = {
+    "lambda_A": [2.5], "lambda_B": [2], "lambda_C": [1, 1], "k": 2.9,
+}
+FRACTIONAL_CERT = {"H": [[-1.9, 1.9], [-1, 1], [1, -1]], "z": -1.5, "p": [1.7, 0, 0]}
 
 
 MALFORMED = {
@@ -278,6 +286,16 @@ MALFORMED = {
         "verify-nonmembership",
         jfile(t, "i.json", OUTSIDE),
         jfile(t, "c.json", {"H": WORKED_CERT["H"], "z": -1}),
+    ],
+    "verify-nonmembership fractional instance": lambda t: [
+        "verify-nonmembership",
+        jfile(t, "i.json", FRACTIONAL_INSTANCE),
+        jfile(t, "c.json", WORKED_CERT),
+    ],
+    "verify-nonmembership fractional certificate": lambda t: [
+        "verify-nonmembership",
+        jfile(t, "i.json", OUTSIDE),
+        jfile(t, "c.json", FRACTIONAL_CERT),
     ],
     "verify-membership 1/0 amplitude": lambda t: [
         "verify-membership",
@@ -310,6 +328,10 @@ MALFORMED = {
     "find-witness --max-iters 0": lambda t: [
         "find-witness", jfile(t, "i.json", INSIDE), "--max-iters", "0",
     ],
+    "find-witness --seed -1": lambda t: [
+        "find-witness", jfile(t, "i.json", RANK_3), "--seed", "-1",
+        "--out", str(t / "w.json"),
+    ],
     "facets --m 0": lambda t: ["facets", "--m", "0"],
     "facets unwritable --out": lambda t: [
         "facets", "--m", "1", "--out", str(t / "no-such-dir" / "f.json"),
@@ -321,6 +343,7 @@ MALFORMED = {
     "sample --m 0": lambda t: ["sample", "--m", "0"],
     "sample --m 13": lambda t: ["sample", "--m", "13"],
     "sample --n -1": lambda t: ["sample", "--m", "2", "--n", "-1"],
+    "sample --seed -1": lambda t: ["sample", "--m", "2", "--seed", "-1"],
     "sample unwritable --out": lambda t: [
         "sample", "--m", "1", "--n", "1", "--out", str(t / "no-such-dir" / "s.csv"),
     ],

@@ -7,7 +7,7 @@ from kronkit.intlinalg import (
     integer_rank,
     kernel_vector_if_unique,
 )
-from kronkit.weights import weights
+from kronkit.weights import weight_vector, weights
 
 
 def naive_det(mat):
@@ -151,7 +151,7 @@ def test_kernel_matches_fraction_reference_exactly():
 def test_kernel_matches_fraction_reference_on_rank_three_systems():
     # the systems enumeration solves: six weight incidences plus tracelessness
     m = 3
-    weight_rows = [list(w.vector(m)) + [-1] for w in weights(m)]
+    weight_rows = [weight_vector(w, m) + [-1] for w in weights(m)]
     trace_rows = [
         [1 if b * m <= j < (b + 1) * m else 0 for j in range(3 * m + 1)]
         for b in range(3)

@@ -9,6 +9,7 @@ import pytest
 from kronkit.diagrams import make_instance, parse_young
 from kronkit.errors import (
     IndexOutOfRange,
+    MalformedInput,
     NotHermitian,
     ShapeMismatch,
     TruncatedToZero,
@@ -327,3 +328,14 @@ def test_json_round_trip():
 
     fancy = cert_from(2, {(1, 2, 1): (F(-3, 7), F(1, 2))})
     assert MembershipCertificate.from_json(fancy.to_json()) == fancy
+
+
+def test_json_refuses_fractional_rank_and_index():
+    entry = {"re": "1/1", "im": "0/1"}
+    for obj in (
+        {"m": 2.0, "entries": [{"idx": [1, 1, 1], **entry}]},
+        {"m": 2, "entries": [{"idx": [1.5, 1, 1], **entry}]},
+        {"m": 2, "entries": [{"idx": [True, 1, 1], **entry}]},
+    ):
+        with pytest.raises(MalformedInput):
+            MembershipCertificate.from_json(obj)

@@ -23,7 +23,7 @@ from kronkit.ressayre import (
     siegel_bound,
     verify_nonmembership,
 )
-from kronkit.weights import HyperplaneCandidate
+from kronkit.weights import HyperplaneCandidate, split_weights, weight_vector
 
 H_WORKED = HyperplaneCandidate((-1, 1), (-1, 1), (1, -1), -1)
 H_ZERO = HyperplaneCandidate((0, 0), (0, 0), (0, 0), 0)
@@ -83,8 +83,8 @@ def test_build_det_matrix_worked():
     mat = build_det_matrix(H_WORKED, 2)
     assert mat.n == 1 and mat.n_slots == 3
     assert mat.entries == ((0,),)  # slot of φ=(1,1,1), first on-level weight
-    assert mat.row_weights[0].as_tuple() == (1, 1, 2)
-    assert (mat.col_roots[0].subsystem, mat.col_roots[0].i) == ("C", 2)
+    assert mat.row_weights == ((1, 1, 2),)
+    assert mat.col_roots == ((2, 2, 1),)  # e_2 − e_1 in block C
 
 
 def test_build_det_matrix_empty():
@@ -112,6 +112,26 @@ def test_build_det_matrix_two_by_two():
     # det = p0·p3 − p1·p2 by construction
     assert eval_determinant(mat, (1, 1, 1, 1)) == 0
     assert eval_determinant(mat, (2, 3, 1, 5)) == 2 * 5 - 3 * 1
+
+
+def test_det_matrix_slots_match_vector_differences():
+    # entry (ω, α) is the slot of the weight with vector ω − α, if on the level
+    rng = random.Random(59)
+    m, squares = 3, 0
+    for _ in range(200):
+        h = random_candidate(rng, m)
+        if not check_trace(h, m):
+            continue
+        squares += 1
+        mat = build_det_matrix(h, m)
+        on_vectors = [weight_vector(w, m) for w in split_weights(h, m)[0]]
+        for w, row in zip(mat.row_weights, mat.entries):
+            for (block, i, j), slot in zip(mat.col_roots, row):
+                diff = weight_vector(w, m)
+                diff[block * m + i - 1] -= 1
+                diff[block * m + j - 1] += 1
+                assert slot == (on_vectors.index(diff) if diff in on_vectors else None)
+    assert squares > 10
 
 
 def test_eval_determinant_examples():

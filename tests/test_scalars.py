@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from kronkit.errors import MalformedInput
 from kronkit.scalars import (
     GaussianRational,
     as_fraction,
     format_rational,
+    json_int,
     parse_rational,
 )
 
@@ -80,3 +82,11 @@ def test_gaussian_json_round_trip():
     assert GaussianRational.from_json({"re": "2/5"}) == GaussianRational(
         Fraction(2, 5), Fraction(0)
     )
+
+
+def test_json_int_takes_only_integers():
+    assert json_int(7) == 7
+    assert json_int(-(2**70)) == -(2**70)
+    for bad in (2.9, 2.0, True, False, "3", None, [1]):
+        with pytest.raises(MalformedInput):
+            json_int(bad)

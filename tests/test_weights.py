@@ -9,6 +9,7 @@ from kronkit.weights import (
     negative_roots,
     negative_roots_on,
     split_weights,
+    weight_vector,
     weights,
 )
 
@@ -26,14 +27,13 @@ def random_candidate(rng, m, z_range=4):
 
 
 def test_weights_counts_and_order():
-    assert [w.as_tuple() for w in weights(1)] == [(1, 1, 1)]
+    assert weights(1) == [(1, 1, 1)]
     ws = weights(2)
     assert len(ws) == 8
-    assert ws[0].as_tuple() == (1, 1, 1) and ws[-1].as_tuple() == (2, 2, 2)
+    assert ws[0] == (1, 1, 1) and ws[-1] == (2, 2, 2)
     assert len(weights(3)) == 27
     # strictly increasing lexicographic order
-    tuples = [w.as_tuple() for w in weights(3)]
-    assert tuples == sorted(tuples)
+    assert weights(3) == sorted(set(weights(3)))
 
 
 def test_weights_cap():
@@ -43,34 +43,25 @@ def test_weights_cap():
 
 
 def test_weight_vector_blocks():
-    w = weights(3)[0]
-    assert w.vector(3) == (1, 0, 0, 1, 0, 0, 1, 0, 0)
+    assert weight_vector(weights(3)[0], 3) == [1, 0, 0, 1, 0, 0, 1, 0, 0]
+    assert weight_vector((2, 3, 1), 3) == [0, 1, 0, 0, 0, 1, 1, 0, 0]
     for w in weights(2):
-        vec = w.vector(2)
+        vec = weight_vector(w, 2)
         assert sum(vec[0:2]) == 1 and sum(vec[2:4]) == 1 and sum(vec[4:6]) == 1
 
 
 def test_negative_roots_counts():
     assert negative_roots(1) == []
-    roots2 = negative_roots(2)
-    assert [(r.subsystem, r.i, r.j) for r in roots2] == [
-        ("A", 2, 1),
-        ("B", 2, 1),
-        ("C", 2, 1),
-    ]
-    assert [r.vector(2) for r in roots2] == [
-        (-1, 1, 0, 0, 0, 0),
-        (0, 0, -1, 1, 0, 0),
-        (0, 0, 0, 0, -1, 1),
-    ]
+    assert negative_roots(2) == [(0, 2, 1), (1, 2, 1), (2, 2, 1)]
+    assert negative_roots(3)[:3] == [(0, 2, 1), (0, 3, 1), (0, 3, 2)]
     assert len(negative_roots(3)) == 9
     assert len(negative_roots(5)) == 3 * 5 * 4 // 2
 
 
 def test_split_weights_worked_example():
     on, below, above = split_weights(H_WORKED, 2)
-    assert [w.as_tuple() for w in on] == [(1, 1, 1), (1, 2, 2), (2, 1, 2)]
-    assert [w.as_tuple() for w in below] == [(1, 1, 2)]
+    assert on == [(1, 1, 1), (1, 2, 2), (2, 1, 2)]
+    assert below == [(1, 1, 2)]
     assert len(above) == 4
 
 
@@ -93,11 +84,9 @@ def test_split_sizes_partition_everything():
 
 
 def test_negative_roots_on_worked_example():
-    sel = negative_roots_on(H_WORKED, 2)
-    assert [(r.subsystem, r.i, r.j) for r in sel] == [("C", 2, 1)]
+    assert negative_roots_on(H_WORKED, 2) == [(2, 2, 1)]  # C
     # and the sign-flipped candidate selects the complementary pair
-    sel = negative_roots_on(H_FLIPPED, 2)
-    assert [(r.subsystem, r.i, r.j) for r in sel] == [("A", 2, 1), ("B", 2, 1)]
+    assert negative_roots_on(H_FLIPPED, 2) == [(0, 2, 1), (1, 2, 1)]  # A, B
     zero = HyperplaneCandidate((0, 0), (0, 0), (0, 0), 0)
     assert negative_roots_on(zero, 2) == []
 
@@ -107,30 +96,40 @@ def test_negative_roots_on_negation_partition():
     for m in (2, 3):
         for _ in range(40):
             h = random_candidate(rng, m)
-            neg = {(r.subsystem, r.i, r.j) for r in negative_roots_on(h, m)}
-            pos = {(r.subsystem, r.i, r.j) for r in negative_roots_on(h.negated(), m)}
+            neg = set(negative_roots_on(h, m))
+            pos = set(negative_roots_on(h.negated(), m))
             nonzero = {
-                (r.subsystem, r.i, r.j)
-                for r in negative_roots(m)
-                if r.pair_with(h) != 0
+                (b, i, j)
+                for b, i, j in negative_roots(m)
+                if h.blocks[b][i - 1] != h.blocks[b][j - 1]
             }
             assert neg.isdisjoint(pos)
             assert neg | pos == nonzero
 
 
+def root_vector(root, m):
+    block, i, j = root
+    v = [0] * (3 * m)
+    v[block * m + i - 1] = 1
+    v[block * m + j - 1] = -1
+    return v
+
+
 def test_pairings_match_naive_dot_products():
     rng = random.Random(47)
     for m in (2, 3):
-        flat = lambda h: [v for block in h.blocks for v in block]
         for _ in range(30):
             h = random_candidate(rng, m)
-            hv = flat(h)
-            for w in weights(m):
-                naive = sum(a * b for a, b in zip(w.vector(m), hv))
-                assert w.pair_with(h) == naive
-            for r in negative_roots(m):
-                naive = sum(a * b for a, b in zip(r.vector(m), hv))
-                assert r.pair_with(h) == naive
+            hv = [v for block in h.blocks for v in block]
+            dot = lambda vec: sum(a * b for a, b in zip(vec, hv))
+            on, below, above = split_weights(h, m)
+            ws = weights(m)
+            assert on == [w for w in ws if dot(weight_vector(w, m)) == h.z]
+            assert below == [w for w in ws if dot(weight_vector(w, m)) < h.z]
+            assert above == [w for w in ws if dot(weight_vector(w, m)) > h.z]
+            assert negative_roots_on(h, m) == [
+                r for r in negative_roots(m) if dot(root_vector(r, m)) < 0
+            ]
 
 
 def test_affine_rank_examples():

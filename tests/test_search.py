@@ -160,6 +160,13 @@ def test_reduce_empty_system_unchanged():
     assert reduce_irredundant(fs) == fs
 
 
+def test_enumerate_rank_three_matches_committed_system(enumerate_once):
+    # the committed fixture was written by the Fraction back-substitution
+    fixtures = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
+    text = json.dumps(enumerate_once(3).to_json(), indent=2) + "\n"
+    assert text == (fixtures / "facets_m3.json").read_text(encoding="utf-8")
+
+
 def test_reduce_rank_three_matches_committed_system():
     # the reference was computed by the primal LP over the full 3m coordinates
     fixtures = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"

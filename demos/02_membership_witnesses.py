@@ -61,10 +61,11 @@ gap2 = frobenius_gap2(reduced_densities(bell), corner)
 print(f"Bell x e1 vs ((2),(2),(2)):     gap^2 = {gap2} -> {verify_membership(corner, bell)}")
 
 # %%
-# search_witness automates this: an analytic rank-2 construction (or, at
-# higher rank, seeded alternating marginal steering) produces a vector,
-# which is truncated to dyadic rationals and re-verified exactly.  Only
-# verified certificates are ever returned.
+# search_witness automates this.  It first solves one exact LP per free
+# support (the diagonal, then cyclic Latin supports), on which all three
+# marginals are diagonal; only if none works does it fall back to seeded
+# float marginal steering.  Either vector is truncated to dyadic rationals
+# and re-verified exactly: only verified certificates are ever returned.
 
 target = inst([5, 3], [6, 2], [7, 1], 8)
 cert = search_witness(target)

@@ -1,8 +1,8 @@
 """Exact rational linear programming in standard form.
 
 A small two-phase primal simplex with Bland's anti-cycling rule.  It exists
-so that redundancy of inequalities can be decided exactly at desk scale — no
-floating-point tolerances, no external solver.  Problem sizes here are tiny
+so that redundancy of inequalities and exact membership witnesses can be
+decided at desk scale — no floating-point tolerances, no external solver.  Problem sizes here are tiny
 (a few rows, a few dozen columns), so the dense tableau is perfectly adequate.
 
 Coefficients must be integers (an integral ``Fraction`` is accepted, any
@@ -20,7 +20,10 @@ Solves::
 and reports one of the statuses ``"optimal"``, ``"unbounded"``,
 ``"infeasible"``.
 
-Its one caller, ``search.reduce_irredundant``, solves the dual of "is
+``search._exact_witness`` solves a feasibility problem (objective
+0): x ≥ 0 on a free support whose block sums are the three diagrams.
+
+``search.reduce_irredundant`` solves the dual of "is
 r·H_e ≥ z_e implied by r·H_i ≥ z_i and the three block sums Σ_X r = 1?".
 The primal minimizes r·H_e; its dual maximizes Σ yᵢzᵢ + Σ μ_X over y ≥ 0,
 μ free, with Σ yᵢHᵢ + Σ μ_X·1_X = H_e.  Every H is blockwise traceless, so

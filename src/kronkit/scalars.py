@@ -24,10 +24,14 @@ RationalLike = Union[Fraction, int, str]
 
 
 def as_fraction(value: RationalLike) -> Fraction:
-    """Coerce ints, ``"p/q"`` strings, or Fractions to Fraction."""
+    """Coerce ints, ``"p/q"`` strings, or Fractions to Fraction.
+
+    A ``bool`` is an ``int`` in Python, but JSON ``true`` is no amplitude,
+    so it is refused like any other junk.
+    """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value.strip())

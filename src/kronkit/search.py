@@ -9,21 +9,23 @@ Four generators live here:
   linear programming: one standard-form LP per element, the 3(m−1)-row dual
   of "is this inequality implied by the others?", whose Farkas multipliers
   are re-checked exactly before an element is dropped;
-* ``search_witness`` — numerically guided construction of membership
-  witnesses, gated by the exact verifier (only verified certificates are
-  ever returned);
+* ``search_witness`` — construction of membership witnesses, exactly first
+  (one rational LP per free support: the diagonal, then cyclic Latin
+  supports) and by a seeded float scaling only when that fails; gated by
+  the exact verifier (only verified certificates are ever returned);
 * ``sample_spectra`` — seeded Monte-Carlo spectra for containment checks.
 
-Floats appear only in the witness search and the sampler; everything feeding
-a verifier decision is exact.
+Floats appear only in the float fallback of the witness search and in the
+sampler; everything feeding a verifier decision is exact.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb, isqrt
 
 import numpy as np
@@ -33,6 +35,7 @@ from .errors import BudgetExceeded, CoordinateTooLarge, TruncatedToZero
 from .exactlp import solve_lp
 from .intlinalg import kernel_vector_if_unique
 from .marginals import (
+    Entry,
     MembershipCertificate,
     required_bits,
     truncate,
@@ -56,6 +59,10 @@ from .weights import (
 )
 
 DEFAULT_SUBSET_BUDGET = 400_000
+
+# Free supports tried per witness search: the diagonal plus the 144 cyclic
+# Latin supports of m = 4, which bounds the LPs of find-witness at any m.
+MAX_FREE_SUPPORTS = 145
 
 
 def find_point(
@@ -273,33 +280,60 @@ def _dyadic_sqrt(q: Fraction, bits: int) -> Fraction:
     return Fraction(isqrt(num * scale * scale // den), scale)
 
 
-def _diagonal_ansatz(inst: KronInstance, bits: int) -> MembershipCertificate | None:
-    """Exact rank-2 construction with identically diagonal marginals.
+def free_supports(m: int) -> Iterator[tuple[Entry, ...]]:
+    """The free supports tried for an exact witness, in their fixed order.
 
-    Four amplitudes on the parity-even positions give marginals
-    diag(x+y, z+w), diag(x+z, y+w), diag(x+w, y+z) for squared magnitudes
-    x,y,z,w — solvable whenever the target spectra satisfy the triangle-type
-    inequalities, i.e. on the whole polytope at rank 2.
+    A support S ⊂ [m]³ is free when no two of its indices differ in exactly
+    one coordinate; then every reduced density of a vector on S is diagonal.
+    First comes the diagonal {(i,i,i)}, then the cyclic Latin supports
+    {(σ(i), τ(j), l) : i + j + l ≡ c (mod m)}, with (σ, τ, c) in
+    lexicographic order and repeated sets skipped.  At most
+    ``MAX_FREE_SUPPORTS`` are yielded: every relabelling up to m = 4, the
+    first ones in this order above.  Supports are built lazily, so a
+    witness on the diagonal costs no Latin square.
     """
-    (a1, _), (b1, _), (c1, _) = (
-        (Fraction(vec[0], inst.k), Fraction(vec[1], inst.k))
-        for vec in inst.padded_rows()
-    )
-    x = (a1 + b1 + c1 - 1) / 2
-    squares = {
-        (1, 1, 1): x,
-        (1, 2, 2): a1 - x,
-        (2, 1, 2): b1 - x,
-        (2, 2, 1): c1 - x,
-    }
-    if any(q < 0 for q in squares.values()):
-        return None
-    entries = {}
-    for idx, q in squares.items():
-        amp = _dyadic_sqrt(q, bits)
-        if amp:
-            entries[idx] = GaussianRational(amp, Fraction(0))
-    return MembershipCertificate(inst.m, entries)
+    diagonal = tuple((i, i, i) for i in range(1, m + 1))
+    yield diagonal
+    seen = {diagonal}
+    # nested loops, not itertools.product, which would list all m! perms
+    for sigma in permutations(range(m)):
+        for tau in permutations(range(m)):
+            for c in range(m):
+                if len(seen) == MAX_FREE_SUPPORTS:
+                    return
+                support = tuple(sorted(
+                    (sigma[i] + 1, tau[j] + 1, (c - i - j) % m + 1)
+                    for i in range(m)
+                    for j in range(m)
+                ))
+                if support not in seen:
+                    seen.add(support)
+                    yield support
+
+
+def _exact_witness(inst: KronInstance) -> MembershipCertificate | None:
+    """The first free-support witness that verify_membership accepts, or None.
+
+    On a free support S the marginals of Σ_{s∈S} √(x_s/k)|s⟩ are diagonal,
+    entry i of block X being Σ_{s_X = i} x_s/k.  So x ≥ 0 with block sums
+    λ_A, λ_B, λ_C is one standard-form LP (objective 0, one row per block
+    entry), and its rational solution, truncated to required_bits, is the
+    candidate.
+    """
+    bits = required_bits(inst.m, inst.k)
+    b_eq = [v for row in inst.padded_rows() for v in row]
+    for support in free_supports(inst.m):
+        columns = [weight_vector(s, inst.m) for s in support]
+        result = solve_lp([0] * len(support), [list(r) for r in zip(*columns)], b_eq)
+        if result.status != "optimal":
+            continue
+        cert = MembershipCertificate(inst.m, {
+            s: GaussianRational(_dyadic_sqrt(x / inst.k, bits))
+            for s, x in zip(support, result.x)
+        })
+        if verify_membership(inst, cert).accepted:
+            return cert
+    return None
 
 
 def _marginal(psi: np.ndarray, axis: int) -> np.ndarray:
@@ -332,22 +366,19 @@ def search_witness(
 ) -> MembershipCertificate | None:
     """Find a certificate that passes the exact membership verifier.
 
-    Heuristic with an exact gate: candidate vectors come from an analytic
-    construction (rank ≤ 2) or alternating marginal-steering iterations from
-    seeded random starts; a candidate is returned only after truncation to
-    required_bits and acceptance by verify_membership.
+    Exact route first: one LP per free support (``free_supports``), whose
+    rational solution gives the amplitudes.  Only if none is feasible and
+    accepted does the float route run: alternating marginal-steering
+    iterations from seeded random starts.  Either way a candidate is
+    returned only after truncation to required_bits and acceptance by
+    verify_membership.
     """
+    check_weight_cap(inst.m)
+    cert = _exact_witness(inst)
+    if cert is not None:
+        return cert
+    # float route: seeded alternating scaling
     bits = required_bits(inst.m, inst.k)
-    if inst.m == 1:
-        cert = MembershipCertificate(
-            1, {(1, 1, 1): GaussianRational(Fraction(1), Fraction(0))}
-        )
-        return cert if verify_membership(inst, cert).accepted else None
-    if inst.m == 2:
-        cert = _diagonal_ansatz(inst, bits)
-        if cert is not None and verify_membership(inst, cert).accepted:
-            return cert
-    # seeded numeric route for general rank (and as fallback)
     rng = np.random.default_rng(seed)
     m = inst.m
     targets = [

@@ -272,6 +272,14 @@ ONE_OVER_ZERO_CERT = {
     "m": 2,
     "entries": [{"idx": [1, 1, 1], "re": "1/0", "im": "0/1"}],
 }
+# JSON true is a Python int: read as 1, it would make this the GHZ witness
+BOOL_CERT = {
+    "m": 2,
+    "entries": [
+        {"idx": [1, 1, 1], "re": True},
+        {"idx": [2, 2, 2], "re": 1},
+    ],
+}
 RANK_3 = {key: [1, 1, 1] for key in ("lambda_A", "lambda_B", "lambda_C")}
 RANK_3["k"] = 3
 # int() would truncate these to OUTSIDE and WORKED_CERT, which verify
@@ -301,6 +309,11 @@ MALFORMED = {
         "verify-membership",
         jfile(t, "i.json", INSIDE),
         jfile(t, "c.json", ONE_OVER_ZERO_CERT),
+    ],
+    "verify-membership bool amplitude": lambda t: [
+        "verify-membership",
+        jfile(t, "i.json", INSIDE),
+        jfile(t, "c.json", BOOL_CERT),
     ],
     "verify-membership certificate is a list": lambda t: [
         "verify-membership", jfile(t, "i.json", INSIDE), jfile(t, "c.json", [1]),

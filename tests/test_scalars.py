@@ -50,6 +50,13 @@ def test_as_fraction_rejects_junk():
         as_fraction(0.5)
 
 
+def test_as_fraction_rejects_bool():
+    # bool is an int subclass; JSON true must not read as the amplitude 1
+    for value in (True, False):
+        with pytest.raises(TypeError):
+            as_fraction(value)
+
+
 def test_gaussian_ring_ops():
     rng = random.Random(13)
     for _ in range(100):

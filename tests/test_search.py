@@ -1,5 +1,7 @@
 import json
+import random
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 from pathlib import Path
 
@@ -16,6 +18,7 @@ from kronkit.errors import (
 )
 from kronkit.exactlp import LPResult
 from kronkit.marginals import frobenius_gap2, reduced_densities, verify_membership
+from kronkit.oracle import kron_coeff, partitions
 from kronkit.ressayre import (
     build_det_matrix,
     check_admissible,
@@ -212,7 +215,7 @@ def test_witness_rank_two_interior():
 
 
 def test_witness_rank_two_boundary_corner():
-    # a product-state corner, reachable exactly by the analytic construction
+    # a product-state corner, reachable exactly on the diagonal support
     target = inst([2], [2], [2], 2, m=2)
     cert = search_witness(target)
     assert cert is not None and verify_membership(target, cert).accepted
@@ -235,6 +238,100 @@ def test_witness_rank_three_degenerate_spectrum():
     target = inst([2, 1], [2, 1], [2, 1], 3, m=3)
     cert = search_witness(target, seed=0)
     assert cert is not None and verify_membership(target, cert).accepted
+
+
+# The certify panel instances (perfbench) that the float search left
+# undecided, all decided by free supports.  At m = 4 the panel holds 25
+# instances of the form (λ, λ, λ); these are its 11 distinct λ.
+FREE_SUPPORT_M3 = [
+    ((2, 1), (1, 1, 1), (2, 1)), ((2, 1, 1), (2, 2), (3, 1)),
+    ((2, 2), (2, 1, 1), (3, 1)), ((4, 1), (2, 2, 1), (3, 1, 1)),
+    ((4, 1), (2, 2, 1), (3, 2)), ((4, 1), (3, 1, 1), (3, 2)),
+    ((4, 1), (3, 2), (2, 2, 1)), ((5, 1), (3, 2, 1), (4, 1, 1)),
+    ((4, 4), (4, 2, 2), (6, 2)), ((5, 2, 1), (7, 1), (5, 2, 1)),
+    ((3, 3, 3), (4, 3, 2), (4, 4, 1)), ((4, 3, 2), (6, 3), (7, 2)),
+    ((7, 1, 1), (5, 2, 2), (4, 3, 2)), ((4, 4, 3), (4, 4, 3), (6, 4, 1)),
+    ((8, 2, 1), (7, 4), (5, 5, 1)), ((7, 5), (7, 3, 2), (4, 4, 4)),
+    ((8, 2, 2), (6, 4, 2), (6, 3, 3)), ((8, 4), (7, 4, 1), (9, 2, 1)),
+    ((9, 3), (8, 2, 2), (7, 4, 1)),
+]
+FREE_SUPPORT_M4 = [
+    (1, 1, 1, 1), (4, 4, 1, 1), (4, 4, 4, 1), (9, 1, 1, 1), (9, 4, 1, 1),
+    (9, 4, 4, 1), (9, 4, 4, 4), (9, 9, 1, 1), (9, 9, 4, 1), (9, 9, 4, 4),
+    (9, 9, 9, 1),
+]
+# inside (kron = 1) but on no free support of the fixed order
+FREE_SUPPORT_MISSES = [((8, 4), (6, 5, 1), (10, 2)), ((8, 4), (7, 5), (8, 2, 2))]
+
+
+def triple_instance(triple):
+    return inst(*triple, sum(triple[0]))
+
+
+@pytest.mark.parametrize(
+    "triple",
+    FREE_SUPPORT_M3 + [(lam, lam, lam) for lam in FREE_SUPPORT_M4],
+    ids=lambda t: "/".join(",".join(map(str, lam)) for lam in t),
+)
+def test_witness_on_free_support(triple):
+    target = triple_instance(triple)
+    cert = search_witness(target)
+    assert cert is not None and verify_membership(target, cert).accepted
+    assert search._exact_witness(target) == cert
+
+
+def test_exact_route_misses_are_left_to_the_float_route():
+    for triple in FREE_SUPPORT_MISSES:
+        assert search._exact_witness(triple_instance(triple)) is None
+    assert search._exact_witness(inst([2], [2], [1, 1], 2)) is None
+
+
+def test_witness_float_route():
+    # inside, missed by every free support, reached by the float scaling
+    target = inst([5, 3], [5, 3], [5, 2, 1], 8)
+    assert search._exact_witness(target) is None
+    cert = search_witness(target, seed=0)
+    assert cert is not None and verify_membership(target, cert).accepted
+
+
+def test_free_supports_are_free_and_bounded():
+    for m in range(1, 6):
+        supports = list(search.free_supports(m))
+        assert supports[0] == tuple((i, i, i) for i in range(1, m + 1))
+        assert len(set(supports)) == len(supports)
+        for support in supports:
+            assert len(support) in (m, m * m)
+            for s, t in combinations(support, 2):
+                assert sum(a != b for a, b in zip(s, t)) >= 2
+    # every relabelling up to m = 4: 12 Latin supports at m = 3, 144 at m = 4
+    counts = [sum(1 for _ in search.free_supports(m)) for m in (1, 2, 3, 4, 12)]
+    assert counts == [1, 3, 13, 145, search.MAX_FREE_SUPPORTS]
+
+
+def m4_kron_panel(seed, size=40):
+    """Distinct seeded triples with at most 4 rows, m = 4, k ≤ 10, kron > 0."""
+    rng = random.Random(seed)
+    shapes = {k: [p for p in partitions(k) if len(p) <= 4] for k in range(4, 11)}
+    panel = []
+    while len(panel) < size:
+        k = rng.randint(4, 10)
+        triple = tuple(rng.choice(shapes[k]) for _ in range(3))
+        if max(map(len, triple)) != 4 or triple in panel:
+            continue
+        if kron_coeff(*(parse_young(lam) for lam in triple)) > 0:
+            panel.append(triple)
+    return panel
+
+
+def test_exact_route_on_rank_four_kron_panel():
+    decided = 0
+    for triple in m4_kron_panel(seed=0):
+        target = triple_instance(triple)
+        cert = search._exact_witness(target)
+        if cert is not None:
+            assert verify_membership(target, cert).accepted
+            decided += 1
+    assert decided >= 39  # the one miss is ((4,4,1),(7,2),(5,2,1,1))
 
 
 def test_witness_consistent_with_nonmembership_certificate():

@@ -318,13 +318,16 @@ def _exact_witness(inst: KronInstance) -> MembershipCertificate | None:
     entry i of block X being Σ_{s_X = i} x_s/k.  So x ≥ 0 with block sums
     λ_A, λ_B, λ_C is one standard-form LP (objective 0, one row per block
     entry), and its rational solution, truncated to required_bits, is the
-    candidate.
+    candidate.  The supports are those of r = the largest diagram height,
+    not of m: indices in [r]³ are indices in [m]³, so an instance padded by
+    an m override is decided exactly as at its natural rank.
     """
+    r = max(d.height for d in inst.diagrams)
     bits = required_bits(inst.m, inst.k)
-    b_eq = [v for row in inst.padded_rows() for v in row]
-    for support in free_supports(inst.m):
-        columns = [weight_vector(s, inst.m) for s in support]
-        result = solve_lp([0] * len(support), [list(r) for r in zip(*columns)], b_eq)
+    b_eq = [v for d in inst.diagrams for v in d.padded(r)]
+    for support in free_supports(r):
+        columns = [weight_vector(s, r) for s in support]
+        result = solve_lp([0] * len(support), [list(c) for c in zip(*columns)], b_eq)
         if result.status != "optimal":
             continue
         cert = MembershipCertificate(inst.m, {

@@ -308,30 +308,49 @@ def test_free_supports_are_free_and_bounded():
     assert counts == [1, 3, 13, 145, search.MAX_FREE_SUPPORTS]
 
 
-def m4_kron_panel(seed, size=40):
-    """Distinct seeded triples with at most 4 rows, m = 4, k ≤ 10, kron > 0."""
+def kron_panel(rank, seed, kmax, size=40):
+    """Distinct seeded triples with at most rank rows, one of exactly rank,
+    k from rank to kmax, kron > 0."""
     rng = random.Random(seed)
-    shapes = {k: [p for p in partitions(k) if len(p) <= 4] for k in range(4, 11)}
+    shapes = {
+        k: [p for p in partitions(k) if len(p) <= rank] for k in range(rank, kmax + 1)
+    }
     panel = []
     while len(panel) < size:
-        k = rng.randint(4, 10)
+        k = rng.randint(rank, kmax)
         triple = tuple(rng.choice(shapes[k]) for _ in range(3))
-        if max(map(len, triple)) != 4 or triple in panel:
+        if max(map(len, triple)) != rank or triple in panel:
             continue
         if kron_coeff(*(parse_young(lam) for lam in triple)) > 0:
             panel.append(triple)
     return panel
 
 
-def test_exact_route_on_rank_four_kron_panel():
+@pytest.mark.parametrize(
+    "rank, kmax, at_least",
+    [
+        (4, 10, 39),  # the one miss is ((4,4,1),(7,2),(5,2,1,1))
+        (5, 12, 32),  # decided on Latin supports only, none on the diagonal
+    ],
+)
+def test_exact_route_on_kron_panel(rank, kmax, at_least):
     decided = 0
-    for triple in m4_kron_panel(seed=0):
+    for triple in kron_panel(rank, seed=0, kmax=kmax):
         target = triple_instance(triple)
         cert = search._exact_witness(target)
         if cert is not None:
             assert verify_membership(target, cert).accepted
             decided += 1
-    assert decided >= 39  # the one miss is ((4,4,1),(7,2),(5,2,1,1))
+    assert decided >= at_least
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 8])
+def test_exact_route_ignores_padding(m):
+    # supports are taken at the largest height, 3, whatever m is
+    target = inst([3, 2], [4, 1], [3, 1, 1], 5, m=m)
+    cert = search._exact_witness(target)
+    assert cert is not None and cert.m == m
+    assert verify_membership(target, cert).accepted
 
 
 def test_witness_consistent_with_nonmembership_certificate():

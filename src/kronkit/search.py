@@ -62,6 +62,8 @@ DEFAULT_SUBSET_BUDGET = 400_000
 
 # Free supports tried per witness search: the diagonal plus the 144 cyclic
 # Latin supports of m = 4, which bounds the LPs of find-witness at any m.
+# Above m = 4 they are the first relabellings in order; BENCH_witness.json
+# records what they decide on seeded kron > 0 panels at m = 5 and 6.
 MAX_FREE_SUPPORTS = 145
 
 

@@ -43,7 +43,9 @@ def inst(rows_a, rows_b, rows_c, k, m=None):
 ghz = MembershipCertificate(2, {(1, 1, 1): one, (2, 2, 2): one})
 mixed = inst([1, 1], [1, 1], [1, 1], 2)
 rho = reduced_densities(ghz)
-print("GHZ marginal A:", [[str(v.re) for v in row] for row in rho.rho_a])
+# the densities are integer Gram matrices over one denominator
+gram_a = rho.grams[0]
+print("GHZ marginal A:", [[str(Fraction(re, rho.den)) for re, _ in row] for row in gram_a])
 print(f"gap^2       = {frobenius_gap2(rho, mixed)}")
 print(f"threshold^2 = {accept_threshold2(2, 2)}")
 print(f"verdict     = {verify_membership(mixed, ghz)}")

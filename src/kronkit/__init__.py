@@ -15,7 +15,7 @@ with desk-scale generators for both certificate kinds and an independent
 character-theoretic oracle for cross-validation.
 """
 
-from .diagrams import KronInstance, YoungDiagram, make_instance, parse_young, weight_index
+from .diagrams import KronInstance, YoungDiagram, make_instance, parse_young
 from .errors import KronkitError
 from .marginals import (
     DensityTriple,
@@ -24,7 +24,6 @@ from .marginals import (
     frobenius_gap2,
     reduced_densities,
     required_bits,
-    sorted_spectrum,
     truncate,
     verify_membership,
 )
@@ -66,6 +65,7 @@ from .weights import (
     negative_roots,
     negative_roots_on,
     split_weights,
+    weight_index,
     weight_vector,
     weights,
 )
@@ -77,7 +77,6 @@ __all__ = [
     "YoungDiagram",
     "make_instance",
     "parse_young",
-    "weight_index",
     "KronkitError",
     "DensityTriple",
     "MembershipCertificate",
@@ -85,7 +84,6 @@ __all__ = [
     "frobenius_gap2",
     "reduced_densities",
     "required_bits",
-    "sorted_spectrum",
     "truncate",
     "verify_membership",
     "ConjugacyClass",
@@ -121,6 +119,7 @@ __all__ = [
     "negative_roots",
     "negative_roots_on",
     "split_weights",
+    "weight_index",
     "weight_vector",
     "weights",
 ]

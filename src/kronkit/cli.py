@@ -143,7 +143,7 @@ def cmd_verify_membership(args) -> int:
 
 def cmd_find_witness(args) -> int:
     inst = _load_instance(args.instance)
-    cert = search_witness(inst, seed=args.seed, max_iters=args.max_iters)
+    cert = search_witness(inst, seed=args.seed)
     if cert is None:
         print(f"NotFound: no verified witness for {inst}")
         return EXIT_REJECT
@@ -228,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("find-witness", help="search for a verified witness vector")
     p.add_argument("instance", help="instance JSON file")
     p.add_argument("--seed", type=_nonnegative_int, default=0)
-    p.add_argument("--max-iters", type=_positive_int, default=400)
     p.add_argument("--out", default="witness.json", help="output certificate path")
     p.set_defaults(func=cmd_find_witness)
 

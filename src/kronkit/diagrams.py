@@ -5,22 +5,17 @@ together with an ambient local dimension ``m`` (by default the maximum of the
 three heights).  The normalized point associated with the instance is the
 triple of padded row vectors divided by ``k``; the toolkit decides on which
 side of the relevant polytope that point lies.
-
-This module also fixes the single canonical ordering of basis-index triples
-``(i, j, l)`` — lexicographic, zero-based — that every certificate format and
-structured matrix in the toolkit relies on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import (
     BoxCountMismatch,
     EmptyDiagram,
-    IndexOutOfRange,
     NonPositiveRow,
     NotWeaklyDecreasing,
     RankTooSmall,
@@ -146,12 +141,3 @@ def make_instance(
         m = m_override
         overridden = m_override != max_height
     return KronInstance(lam_a, lam_b, lam_c, k, m, overridden)
-
-
-def weight_index(m: int, w: Sequence[int]) -> int:
-    """Zero-based ordinal of (i,j,l) in lexicographic order on {1..m}³."""
-    i, j, l = w
-    for idx in (i, j, l):
-        if not 1 <= idx <= m:
-            raise IndexOutOfRange(f"index {idx} outside 1..{m}")
-    return (i - 1) * m * m + (j - 1) * m + (l - 1)

@@ -78,10 +78,6 @@ class TruncatedToZero(KronkitError):
     """Truncation wiped out every entry of the vector."""
 
 
-class NotHermitian(KronkitError):
-    """A matrix expected to be Hermitian is not (beyond tolerance)."""
-
-
 # ---------------------------------------------------------------------------
 # search / oracle resource limits
 

@@ -6,14 +6,16 @@ exactly (including the normalization), and the certificate is accepted iff
 the squared Frobenius distance to the target diagonal triple is at most the
 squared acceptance threshold — an exact comparison of two rationals.
 
-The Gram matrices and the squared gap are sums of products of Python
-integers over one common denominator; a Gram matrix is positive semidefinite
-by construction, so no numeric check is needed.
+The densities are integer Gram matrices over one denominator, the norm² of
+the vector scaled to integers; the squared gap is a sum of integer squares,
+and the one Fraction built on the way to a verdict is the gap² itself.  A
+Gram matrix is positive semidefinite by construction, so no numeric check is
+needed.
 
 Floating point appears here only in diagnostics (``to_complex_array``,
-``DensityTriple.to_numpy``, ``sorted_spectrum``) and in the truncation helper
-that converts numerically found vectors into exact certificates.  The
-accept/reject decision itself never touches floats.
+``DensityTriple.to_numpy``) and in the truncation helper that converts
+numerically found vectors into exact certificates.  The accept/reject
+decision itself never touches floats.
 """
 
 from __future__ import annotations
@@ -27,17 +29,18 @@ import numpy as np
 from .diagrams import KronInstance
 from .errors import (
     IndexOutOfRange,
-    NotHermitian,
+    MalformedInput,
     ShapeMismatch,
     TruncatedToZero,
     ZeroVector,
 )
 from .ressayre import Decision, Reason, Verdict
 from .scalars import GaussianRational, json_int
-from .weights import check_weight_cap, weights
+from .weights import check_weight_cap, weight_index, weights
 
 Entry = tuple[int, int, int]
-Matrix = tuple[tuple[GaussianRational, ...], ...]
+# a Gram matrix: rows of (re, im) integer pairs
+Gram = tuple[tuple[tuple[int, int], ...], ...]
 
 
 @dataclass(frozen=True)
@@ -60,20 +63,10 @@ class MembershipCertificate:
             raise ZeroVector("certificate has no nonzero entry")
         object.__setattr__(self, "entries", cleaned)
 
-    def scaled(self, factor: GaussianRational) -> "MembershipCertificate":
-        return MembershipCertificate(
-            self.m, {idx: v * factor for idx, v in self.entries.items()}
-        )
-
-    def norm2(self) -> Fraction:
-        return sum((v.abs2() for v in self.entries.values()), Fraction(0))
-
     def to_complex_array(self) -> np.ndarray:
         vec = np.zeros(self.m**3, dtype=complex)
-        for (a, b, c), v in self.entries.items():
-            vec[(a - 1) * self.m * self.m + (b - 1) * self.m + (c - 1)] = (
-                v.to_complex()
-            )
+        for idx, v in self.entries.items():
+            vec[weight_index(self.m, idx)] = v.to_complex()
         return vec
 
     def to_json(self) -> dict:
@@ -87,39 +80,45 @@ class MembershipCertificate:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MembershipCertificate":
-        entries = {
-            tuple(json_int(v) for v in item["idx"]): GaussianRational.from_json(item)
-            for item in obj["entries"]
-        }
+        """Read a certificate; an index given twice is refused, not merged."""
+        entries = {}
+        for item in obj["entries"]:
+            idx = tuple(json_int(v) for v in item["idx"])
+            if idx in entries:
+                raise MalformedInput(f"index {list(idx)} appears twice")
+            entries[idx] = GaussianRational.from_json(item)
         return cls(json_int(obj["m"]), entries)
 
 
 @dataclass(frozen=True)
 class DensityTriple:
-    """Exact reduced density matrices; Hermitian with unit trace by construction."""
+    """Exact reduced density matrices G/den, one integer Gram matrix per leg.
 
-    rho_a: Matrix
-    rho_b: Matrix
-    rho_c: Matrix
+    Entry (r, s) of a Gram is the pair (re, im) of the density entry
+    (re + i·im)/den.  The triple is kept in lowest terms (den > 0, and den and
+    every part of every Gram have gcd 1), so equal densities compare equal.
+    Each Gram is Hermitian with trace den.
+    """
+
+    grams: tuple[Gram, Gram, Gram]
+    den: int
 
     @property
     def m(self) -> int:
-        return len(self.rho_a)
-
-    @property
-    def matrices(self) -> tuple[Matrix, Matrix, Matrix]:
-        return (self.rho_a, self.rho_b, self.rho_c)
+        return len(self.grams[0])
 
     def to_numpy(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # int / int rounds correctly even where the ints exceed the float range
+        den = self.den
         return tuple(
-            np.array([[v.to_complex() for v in row] for row in mat])
-            for mat in self.matrices
+            np.array([[complex(re / den, im / den) for re, im in row] for row in gram])
+            for gram in self.grams
         )
 
 
-def _common_denominator(values, *extra: int) -> int:
-    """Least common multiple of ``extra`` and the denominators of ``values``."""
-    return math.lcm(*extra, *(q.denominator for v in values for q in (v.re, v.im)))
+def _common_denominator(values) -> int:
+    """Least common multiple of the denominators of Gaussian rationals."""
+    return math.lcm(*(q.denominator for v in values for q in (v.re, v.im)))
 
 
 def _over(q: Fraction, den: int) -> int:
@@ -149,8 +148,8 @@ def reduced_densities(cert: MembershipCertificate) -> DensityTriple:
     """Exact normalized reduced density matrices of the certificate vector.
 
     The entries are scaled by their common denominator once; every Gram entry
-    and the norm² are then integers, and each density entry is the single
-    rational Gram/norm².
+    and the norm² are then integers, and the densities are the Grams over
+    the norm², both divided by their common gcd.
     """
     den = _common_denominator(cert.entries.values())
     ints = {
@@ -159,17 +158,16 @@ def reduced_densities(cert: MembershipCertificate) -> DensityTriple:
     }
     # positive: MembershipCertificate rejects the zero vector
     norm2 = sum(re * re + im * im for re, im in ints.values())
+    grams = [_gram(ints, cert.m, axis) for axis in range(3)]
+    g = math.gcd(
+        norm2, *(part for gram in grams for row in gram for pair in row for part in pair)
+    )
     return DensityTriple(
-        *(
-            tuple(
-                tuple(
-                    GaussianRational(Fraction(re, norm2), Fraction(im, norm2))
-                    for re, im in row
-                )
-                for row in _gram(ints, cert.m, axis)
-            )
-            for axis in range(3)
-        )
+        tuple(
+            tuple(tuple((re // g, im // g) for re, im in row) for row in gram)
+            for gram in grams
+        ),
+        norm2 // g,
     )
 
 
@@ -182,25 +180,23 @@ def accept_threshold2(m: int, k: int) -> Fraction:
 def frobenius_gap2(rho: DensityTriple, inst: KronInstance) -> Fraction:
     """Exact squared Frobenius distance to the padded diagonal targets.
 
-    Every entry and target is scaled to one common denominator, so the sum
-    runs over integer squares and a single Fraction is built at the end.
+    With densities G/N and targets λ/k, k·G − diag(λ)·N is N·k times the
+    difference, an integer matrix; its squared norm over (k·N)² is built as
+    the one Fraction.
     """
     if rho.m != inst.m:
         raise ShapeMismatch(f"density rank {rho.m} vs instance m={inst.m}")
-    den = _common_denominator(
-        (entry for mat in rho.matrices for row in mat for entry in row), inst.k
-    )
-    per_box = den // inst.k
+    k, den = inst.k, rho.den
     total = 0
-    for mat, lam in zip(rho.matrices, inst.padded_rows()):
-        for r, row in enumerate(mat):
-            for s, entry in enumerate(row):
-                re = _over(entry.re, den)
+    for gram, lam in zip(rho.grams, inst.padded_rows()):
+        for r, row in enumerate(gram):
+            for s, (re, im) in enumerate(row):
+                re *= k
                 if r == s:
-                    re -= lam[r] * per_box
-                im = _over(entry.im, den)
+                    re -= lam[r] * den
+                im *= k
                 total += re * re + im * im
-    return Fraction(total, den * den)
+    return Fraction(total, (k * den) ** 2)
 
 
 def verify_membership(inst: KronInstance, cert: MembershipCertificate) -> Verdict:
@@ -260,11 +256,3 @@ def truncate(v, b: int) -> MembershipCertificate:
     if not entries:
         raise TruncatedToZero(f"no entry survived truncation at {b} bits")
     return MembershipCertificate(m, entries)
-
-
-def sorted_spectrum(rho: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a float Hermitian matrix in non-increasing order."""
-    rho = np.asarray(rho, dtype=complex)
-    if np.abs(rho - rho.conj().T).max() > 1e-10:
-        raise NotHermitian("matrix is not Hermitian within 1e-10")
-    return np.linalg.eigvalsh(rho)[::-1]

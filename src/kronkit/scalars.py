@@ -2,10 +2,10 @@
 
 Rational numbers are plain :class:`fractions.Fraction` instances (arbitrary
 precision, always in lowest terms, positive denominator).  On top of that this
-module provides a Gaussian-rational type — complex numbers with rational real
-and imaginary parts — which is all the arithmetic the exact verifiers need:
-ring operations, conjugation and squared modulus stay inside the field, and no
-rounding ever occurs.
+module provides a Gaussian-rational type — a complex number with rational
+real and imaginary parts — as the value type of a witness amplitude.  It
+carries no arithmetic: the exact verifier scales amplitudes to integers over
+their common denominator and computes there.
 
 Serialization is string-based so that certificates survive JSON without loss:
 a rational is written ``"num/den"`` in lowest terms, a Gaussian rational as
@@ -69,31 +69,6 @@ class GaussianRational:
     def __post_init__(self) -> None:
         object.__setattr__(self, "re", as_fraction(self.re))
         object.__setattr__(self, "im", as_fraction(self.im))
-
-    def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def abs2(self) -> Fraction:
-        """Squared modulus, an exact nonnegative rational."""
-        return self.re * self.re + self.im * self.im
-
-    def scale(self, factor: Fraction) -> "GaussianRational":
-        return GaussianRational(self.re * factor, self.im * factor)
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0

@@ -66,6 +66,9 @@ DEFAULT_SUBSET_BUDGET = 400_000
 # records what they decide on seeded kron > 0 panels at m = 5 and 6.
 MAX_FREE_SUPPORTS = 145
 
+# Alternating scaling passes per seeded start of the float fallback.
+MAX_SCALING_ITERS = 400
+
 
 def find_point(
     h: HyperplaneCandidate, m: int, seed: int = 0, trials: int = 32
@@ -366,9 +369,7 @@ def _scaling_pass(psi: np.ndarray, targets: list[np.ndarray]) -> np.ndarray:
     return psi
 
 
-def search_witness(
-    inst: KronInstance, seed: int = 0, max_iters: int = 400
-) -> MembershipCertificate | None:
+def search_witness(inst: KronInstance, seed: int = 0) -> MembershipCertificate | None:
     """Find a certificate that passes the exact membership verifier.
 
     Exact route first: one LP per free support (``free_supports``), whose
@@ -393,7 +394,7 @@ def search_witness(
     for _ in range(8):
         psi = rng.standard_normal((m, m, m)) + 1j * rng.standard_normal((m, m, m))
         psi = psi / np.linalg.norm(psi)
-        for _ in range(max_iters):
+        for _ in range(MAX_SCALING_ITERS):
             psi = _scaling_pass(psi, targets)
             gap2 = sum(
                 float(

@@ -4,7 +4,8 @@ The ambient space is ℝ^{3m}, three blocks of length m, one per subsystem.
 A weight is a tuple (i, j, l) of 1-based basis indices; its vector is the
 concatenation (e_i, e_j, e_l).  There are exactly m³ weights, kept in
 lexicographic order on (i, j, l) throughout — this order is part of the
-certificate format, not an implementation detail.
+certificate format, not an implementation detail.  ``weight_index`` gives a
+weight's zero-based position in it.
 
 A negative root is a tuple (block, i, j) with block 0, 1, 2 for A, B, C and
 i > j: the vector e_i − e_j inside that block, zero elsewhere.  Roots are
@@ -13,10 +14,11 @@ ordered by block and then lexicographically by (i, j).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import CapExceeded, ComponentNotTraceless
+from .errors import CapExceeded, ComponentNotTraceless, IndexOutOfRange
 from .intlinalg import integer_rank
 
 # Materializing Φ(m) costs m³ memory; the default cap keeps accidental
@@ -81,6 +83,15 @@ def weights(m: int, cap: int = DEFAULT_WEIGHT_CAP) -> list[tuple[int, int, int]]
     check_weight_cap(m, cap)
     rng = range(1, m + 1)
     return list(product(rng, rng, rng))
+
+
+def weight_index(m: int, w: Sequence[int]) -> int:
+    """Zero-based position of the weight (i, j, l) in ``weights(m)``."""
+    i, j, l = w
+    for idx in (i, j, l):
+        if not 1 <= idx <= m:
+            raise IndexOutOfRange(f"index {idx} outside 1..{m}")
+    return (i - 1) * m * m + (j - 1) * m + (l - 1)
 
 
 def negative_roots(m: int) -> list[tuple[int, int, int]]:

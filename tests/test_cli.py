@@ -280,6 +280,16 @@ BOOL_CERT = {
         {"idx": [2, 2, 2], "re": 1},
     ],
 }
+# read as a sum this is 6|111> + |222>; keeping only the last |111>
+# amplitude would make it the GHZ witness
+REPEATED_INDEX_CERT = {
+    "m": 2,
+    "entries": [
+        {"idx": [1, 1, 1], "re": "5/1"},
+        {"idx": [1, 1, 1], "re": "1/1"},
+        {"idx": [2, 2, 2], "re": "1/1"},
+    ],
+}
 RANK_3 = {key: [1, 1, 1] for key in ("lambda_A", "lambda_B", "lambda_C")}
 RANK_3["k"] = 3
 # int() would truncate these to OUTSIDE and WORKED_CERT, which verify
@@ -315,6 +325,11 @@ MALFORMED = {
         jfile(t, "i.json", INSIDE),
         jfile(t, "c.json", BOOL_CERT),
     ],
+    "verify-membership repeated index": lambda t: [
+        "verify-membership",
+        jfile(t, "i.json", INSIDE),
+        jfile(t, "c.json", REPEATED_INDEX_CERT),
+    ],
     "verify-membership certificate is a list": lambda t: [
         "verify-membership", jfile(t, "i.json", INSIDE), jfile(t, "c.json", [1]),
     ],
@@ -337,9 +352,6 @@ MALFORMED = {
     "find-witness unwritable --out": lambda t: [
         "find-witness", jfile(t, "i.json", INSIDE),
         "--out", str(t / "no-such-dir" / "w.json"),
-    ],
-    "find-witness --max-iters 0": lambda t: [
-        "find-witness", jfile(t, "i.json", INSIDE), "--max-iters", "0",
     ],
     "find-witness --seed -1": lambda t: [
         "find-witness", jfile(t, "i.json", RANK_3), "--seed", "-1",

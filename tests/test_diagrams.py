@@ -2,12 +2,7 @@ import itertools
 
 import pytest
 
-from kronkit.diagrams import (
-    KronInstance,
-    make_instance,
-    parse_young,
-    weight_index,
-)
+from kronkit.diagrams import KronInstance, make_instance, parse_young
 from kronkit.errors import (
     BoxCountMismatch,
     EmptyDiagram,
@@ -16,6 +11,7 @@ from kronkit.errors import (
     NotWeaklyDecreasing,
     RankTooSmall,
 )
+from kronkit.weights import weight_index
 
 
 def test_parse_young_valid():

@@ -1,16 +1,17 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kronkit.diagrams import make_instance, parse_young
+from kronkit.diagrams import KronInstance, make_instance, parse_young
 from kronkit.errors import (
     IndexOutOfRange,
     MalformedInput,
-    NotHermitian,
     ShapeMismatch,
     TruncatedToZero,
     ZeroVector,
@@ -21,7 +22,6 @@ from kronkit.marginals import (
     frobenius_gap2,
     reduced_densities,
     required_bits,
-    sorted_spectrum,
     truncate,
     verify_membership,
 )
@@ -76,38 +76,42 @@ def test_certificate_validation():
     assert list(c.entries) == [(1, 1, 1)]
 
 
-def test_norm2_and_scaling():
-    c = ghz()
-    assert c.norm2() == 2
-    scaled = c.scaled(GR(3, 4))
-    assert scaled.norm2() == 2 * 25
+# Gram matrices of the densities over the denominator 2
+IDENTITY_2 = (((1, 0), (0, 0)), ((0, 0), (1, 0)))
+CORNER_2 = (((2, 0), (0, 0)), ((0, 0), (0, 0)))
 
 
 def test_ghz_densities_are_maximally_mixed():
     rho = reduced_densities(ghz())
-    half = GR(F(1, 2))
-    zero = GR(0)
-    for mat in rho.matrices:
-        assert mat == ((half, zero), (zero, half))
+    assert rho.den == 2
+    assert rho.grams == (IDENTITY_2,) * 3
 
 
 def test_bell_e1_densities():
     rho = reduced_densities(bell_e1())
-    half, zero, one = GR(F(1, 2)), GR(0), GR(1)
-    assert rho.rho_a == ((half, zero), (zero, half))
-    assert rho.rho_b == ((half, zero), (zero, half))
-    assert rho.rho_c == ((one, zero), (zero, zero))
+    assert rho.den == 2
+    assert rho.grams == (IDENTITY_2, IDENTITY_2, CORNER_2)
 
 
 def test_product_state_densities():
     rho = reduced_densities(cert_from(1, {(1, 1, 1): (F(2, 3),)}))
-    assert rho.rho_a == ((GR(1),),)
+    assert rho.den == 1
+    assert rho.grams == ((((1, 0),),),) * 3
+
+
+def scaled(cert, re, im=0):
+    """The certificate vector times the Gaussian rational re + i·im."""
+    re, im = F(re), F(im)
+    return MembershipCertificate(cert.m, {
+        idx: GaussianRational(v.re * re - v.im * im, v.re * im + v.im * re)
+        for idx, v in cert.entries.items()
+    })
 
 
 def test_densities_invariant_under_rescaling():
     c = bell_e1()
-    for factor in (GR(3), GR(F(-2, 7)), GR(1, 2)):
-        assert reduced_densities(c.scaled(factor)) == reduced_densities(c)
+    for factor in ((3,), (F(-2, 7),), (1, 2), (F(5, 9), F(-1, 3))):
+        assert reduced_densities(scaled(c, *factor)) == reduced_densities(c)
 
 
 def test_densities_hermitian_unit_trace_exactly():
@@ -126,13 +130,16 @@ def test_densities_hermitian_unit_trace_exactly():
         if not any(v[0] or v[1] for v in entries.values()):
             continue
         rho = reduced_densities(cert_from(m, entries))
-        for mat in rho.matrices:
-            trace = sum((mat[r][r].re for r in range(m)), F(0))
-            assert trace == 1
-            assert all(mat[r][r].im == 0 for r in range(m))
+        # lowest terms: the denominator shares no factor with every part
+        parts = [p for gram in rho.grams for row in gram for pair in row for p in pair]
+        assert rho.den > 0 and math.gcd(rho.den, *parts) == 1
+        for gram in rho.grams:
+            assert sum(gram[r][r][0] for r in range(m)) == rho.den
+            assert all(gram[r][r][1] == 0 for r in range(m))
             for r in range(m):
                 for s in range(m):
-                    assert mat[r][s] == mat[s][r].conjugate()
+                    re, im = gram[s][r]
+                    assert gram[r][s] == (re, -im)
 
 
 def test_exact_densities_match_float_route():
@@ -300,19 +307,10 @@ def test_spectra_match_gap_via_hoffman_wielandt():
         gap2 = float(frobenius_gap2(rho, target))
         per_subsystem = 0.0
         for mat, rows in zip(rho.to_numpy(), target.padded_rows()):
-            spec = sorted_spectrum(mat)
+            spec = np.linalg.eigvalsh(mat)[::-1]
             goal = np.array([r / target.k for r in rows])
             per_subsystem += float(np.sum((spec - goal) ** 2))
         assert per_subsystem <= gap2 + 1e-9
-
-
-def test_sorted_spectrum_examples():
-    spec = sorted_spectrum(np.array([[0.5, 0.5], [0.5, 0.5]]))
-    assert np.allclose(spec, [1.0, 0.0])
-    spec = sorted_spectrum(np.diag([0.25, 0.75]))
-    assert np.allclose(spec, [0.75, 0.25])
-    with pytest.raises(NotHermitian):
-        sorted_spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_json_round_trip():
@@ -339,3 +337,106 @@ def test_json_refuses_fractional_rank_and_index():
     ):
         with pytest.raises(MalformedInput):
             MembershipCertificate.from_json(obj)
+
+
+# ---------------------------------------------------------------------------
+# independent reference: densities and gap² as plain Fraction sums
+
+
+POOL = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "verify_pool.json"
+
+
+def reference_densities(cert):
+    """ρ_X[r][s] = Σ ψ(..r..)·conj(ψ(..s..)) / ‖ψ‖² over the other two legs,
+    as (re, im) Fraction pairs, straight from the definition."""
+    amps = {idx: (v.re, v.im) for idx, v in cert.entries.items()}
+    norm2 = sum(re * re + im * im for re, im in amps.values())
+    out = []
+    for axis in range(3):
+        mat = [[[F(0), F(0)] for _ in range(cert.m)] for _ in range(cert.m)]
+        for x, (xr, xi) in amps.items():
+            for y, (yr, yi) in amps.items():
+                if all(x[p] == y[p] for p in range(3) if p != axis):
+                    entry = mat[x[axis] - 1][y[axis] - 1]
+                    entry[0] += xr * yr + xi * yi
+                    entry[1] += xi * yr - xr * yi
+        out.append([[(re / norm2, im / norm2) for re, im in row] for row in mat])
+    return out
+
+
+def reference_gap2(ref, target):
+    total = F(0)
+    for mat, lam in zip(ref, target.padded_rows()):
+        for r, row in enumerate(mat):
+            for s, (re, im) in enumerate(row):
+                if r == s:
+                    re -= F(lam[r], target.k)
+                total += re * re + im * im
+    return total
+
+
+def random_partition(rng, k, m):
+    """A partition of k with at most m rows, from a random composition."""
+    while True:
+        cuts = sorted(rng.randint(0, k) for _ in range(m - 1))
+        rows = [b - a for a, b in zip([0, *cuts], [*cuts, k])]
+        rows = sorted((r for r in rows if r), reverse=True)
+        if rows:
+            return rows
+
+
+def random_certificates(count, seed):
+    """Seeded (instance, certificate) pairs at m = 2, 3, 4 whose amplitudes
+    have non-dyadic denominators; the instance rank is always m, so a
+    triple of shorter diagrams carries an m override."""
+    rng = random.Random(seed)
+    dens = (1, 3, 5, 6, 7, 9, 10, 12, 15, 21)
+    out = []
+    while len(out) < count:
+        m = (2, 3, 4)[len(out) % 3]
+        raw = {
+            idx: (F(rng.randint(-5, 5), rng.choice(dens)),
+                  F(rng.randint(-3, 3), rng.choice(dens)) if rng.random() < 0.5 else 0)
+            for idx in itertools.product(range(1, m + 1), repeat=3)
+            if rng.random() < 0.4
+        }
+        if not any(re or im for re, im in raw.values()):
+            continue
+        k = rng.randint(2, 12)
+        rows = [random_partition(rng, k, m) for _ in range(3)]
+        out.append((inst(*rows, k, m=m), cert_from(m, raw)))
+    return out
+
+
+def pool_members():
+    items = json.loads(POOL.read_text(encoding="utf-8"))["items"]
+    return [
+        (KronInstance.from_json(item["instance"]),
+         MembershipCertificate.from_json(item["certificate"]))
+        for item in items
+        if item["kind"] == "member"
+    ]
+
+
+def test_densities_and_gap_match_fraction_reference():
+    members = pool_members()
+    randoms = random_certificates(240, seed=107)
+    assert len(members) == 16
+    assert sum(target.m_overridden for target, _ in randoms) > 0
+    accepted = 0
+    for target, cert in members + randoms:
+        rho = reduced_densities(cert)
+        ref = reference_densities(cert)
+        for gram, mat in zip(rho.grams, ref):
+            for gram_row, ref_row in zip(gram, mat):
+                for (re, im), expected in zip(gram_row, ref_row):
+                    assert (F(re, rho.den), F(im, rho.den)) == expected
+        gap2 = reference_gap2(ref, target)
+        assert frobenius_gap2(rho, target) == gap2
+        verdict = verify_membership(target, cert)
+        threshold = 2 * target.k * (4 * target.m) ** (4 * target.m)
+        assert verdict.gap2 == gap2
+        assert verdict.accepted == (gap2 * threshold**2 <= 1)
+        accepted += verdict.accepted
+    # both verdicts are exercised: the pool holds 12 accepted witnesses
+    assert accepted >= 12

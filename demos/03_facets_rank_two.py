@@ -59,8 +59,8 @@ for line in spectra_csv(samples[:2]).strip().split("\n"):
 print(f"\nfacet JSON keys: {sorted(facets.to_json())}")
 
 # %%
-# Rank 3 works the same way but over C(27,6) = 296010 subsets; budget it
-# explicitly if you want to wait (about half a minute):
+# Rank 3 works the same way over C(27,6) = 296010 subsets, in about 20
+# seconds (rank 4 exceeds the subset budget and is refused):
 #
 #   fs = enumerate_ressayre(3)
 #   print(len(fs.nontrivial))   # -> 114 verified inequalities

@@ -28,7 +28,6 @@ from .marginals import (
     verify_membership,
 )
 from .oracle import (
-    ConjugacyClass,
     kron_coeff,
     mn_character,
     partitions,
@@ -51,7 +50,6 @@ from .ressayre import (
 from .scalars import GaussianRational, format_rational, parse_rational
 from .search import (
     FacetSystem,
-    RessayreElement,
     enumerate_ressayre,
     find_point,
     reduce_irredundant,
@@ -86,7 +84,6 @@ __all__ = [
     "required_bits",
     "truncate",
     "verify_membership",
-    "ConjugacyClass",
     "kron_coeff",
     "mn_character",
     "partitions",
@@ -107,7 +104,6 @@ __all__ = [
     "format_rational",
     "parse_rational",
     "FacetSystem",
-    "RessayreElement",
     "enumerate_ressayre",
     "find_point",
     "reduce_irredundant",

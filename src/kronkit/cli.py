@@ -30,7 +30,6 @@ from .oracle import DEFAULT_ORACLE_CAP, kron_coeff, semigroup_member
 from .ressayre import RessayreCertificate, verify_nonmembership
 from .scalars import format_rational
 from .search import (
-    DEFAULT_SUBSET_BUDGET,
     enumerate_ressayre,
     reduce_irredundant,
     sample_spectra,
@@ -155,7 +154,7 @@ def cmd_find_witness(args) -> int:
 
 
 def cmd_facets(args) -> int:
-    fs = enumerate_ressayre(args.m, budget=args.budget, seed=args.seed)
+    fs = enumerate_ressayre(args.m, seed=args.seed)
     if args.irredundant:
         fs = reduce_irredundant(fs)
     text = json.dumps(fs.to_json(), indent=2) + "\n"
@@ -233,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("facets", help="enumerate hyperplane certificates")
     p.add_argument("--m", type=_positive_int, required=True)
-    p.add_argument("--budget", type=_positive_int, default=DEFAULT_SUBSET_BUDGET)
     p.add_argument("--irredundant", action="store_true")
     p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out", default=None, help="output JSON path (default stdout)")

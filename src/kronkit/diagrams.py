@@ -9,7 +9,7 @@ side of the relevant polytope that point lies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -73,7 +73,11 @@ class KronInstance:
     lambda_C: YoungDiagram
     k: int
     m: int
-    m_overridden: bool = field(default=False, compare=False)
+
+    @property
+    def m_overridden(self) -> bool:
+        """True iff m differs from the largest diagram height."""
+        return self.m != max(d.height for d in self.diagrams)
 
     @property
     def diagrams(self) -> tuple[YoungDiagram, YoungDiagram, YoungDiagram]:
@@ -131,13 +135,7 @@ def make_instance(
             raise BoxCountMismatch(f"diagram {lam} has {lam.boxes} boxes, expected {k}")
     max_height = max(lam_a.height, lam_b.height, lam_c.height)
     if m_override is None:
-        m = max_height
-        overridden = False
-    else:
-        if m_override < max_height:
-            raise RankTooSmall(
-                f"m={m_override} is below the maximum height {max_height}"
-            )
-        m = m_override
-        overridden = m_override != max_height
-    return KronInstance(lam_a, lam_b, lam_c, k, m, overridden)
+        return KronInstance(lam_a, lam_b, lam_c, k, max_height)
+    if m_override < max_height:
+        raise RankTooSmall(f"m={m_override} is below the maximum height {max_height}")
+    return KronInstance(lam_a, lam_b, lam_c, k, m_override)

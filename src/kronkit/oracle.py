@@ -15,7 +15,6 @@ class-weighted triple product of characters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .diagrams import KronInstance, YoungDiagram, parse_young
@@ -36,15 +35,6 @@ def partitions(n: int, max_part: int | None = None):
             yield (first, *rest)
 
 
-@dataclass(frozen=True)
-class ConjugacyClass:
-    """A cycle type with its centralizer order and class size."""
-
-    cycle_type: YoungDiagram
-    centralizer_order: int
-    class_size: int
-
-
 def centralizer_order(mu: tuple[int, ...]) -> int:
     """z_μ = Π_i i^{m_i} · m_i! over the part multiplicities m_i."""
     z = 1
@@ -54,15 +44,6 @@ def centralizer_order(mu: tuple[int, ...]) -> int:
     for part, m_i in mult.items():
         z *= part**m_i * math.factorial(m_i)
     return z
-
-
-def conjugacy_classes(k: int) -> list[ConjugacyClass]:
-    factorial_k = math.factorial(k)
-    out = []
-    for mu in partitions(k):
-        z = centralizer_order(mu)
-        out.append(ConjugacyClass(YoungDiagram(mu), z, factorial_k // z))
-    return out
 
 
 def _beta(lam: tuple[int, ...]) -> tuple[int, ...]:
@@ -89,8 +70,8 @@ def _char_rec(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
         if nb < 0 or nb in beta_set:
             continue
         height = sum(1 for x in beta if nb < x < b)
-        new_beta = tuple(sorted((x for x in beta if x != b), reverse=True))
-        new_beta = tuple(sorted((*new_beta, nb), reverse=True))
+        # beta is strictly decreasing and the filter keeps that order
+        new_beta = tuple(sorted((*(x for x in beta if x != b), nb), reverse=True))
         value = _char_rec(_beta_to_partition(new_beta), rest)
         total += -value if height % 2 else value
     return total
@@ -108,20 +89,24 @@ def mn_character(lam: YoungDiagram, mu: YoungDiagram) -> int:
 def kron_coeff(
     lam_a: YoungDiagram, lam_b: YoungDiagram, lam_c: YoungDiagram
 ) -> int:
-    """Exact multiplicity Σ_μ χ_{λA}(μ)·χ_{λB}(μ)·χ_{λC}(μ)·|C_μ| / k!."""
+    """Exact multiplicity Σ_μ χ_{λA}(μ)·χ_{λB}(μ)·χ_{λC}(μ)·|C_μ| / k!.
+
+    The class of cycle type μ has |C_μ| = k!/z_μ elements.
+    """
     k = lam_a.boxes
     if lam_b.boxes != k or lam_c.boxes != k:
         raise BoxCountMismatch("the three diagrams must have equal box counts")
+    factorial_k = math.factorial(k)
     total = 0
-    for cls in conjugacy_classes(k):
-        mu = cls.cycle_type
+    for rows in partitions(k):
+        mu = YoungDiagram(rows)
         total += (
-            cls.class_size
+            (factorial_k // centralizer_order(rows))
             * mn_character(lam_a, mu)
             * mn_character(lam_b, mu)
             * mn_character(lam_c, mu)
         )
-    g, rem = divmod(total, math.factorial(k))
+    g, rem = divmod(total, factorial_k)
     if rem or g < 0:
         raise InternalNonInteger(f"class sum {total} / {k}! is not a natural number")
     return g

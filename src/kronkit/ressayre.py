@@ -1,8 +1,8 @@
 """Hyperplane certificates of non-membership and their exact verifier.
 
 A certificate is a triple ``(H, z, p)``: a blockwise-traceless integer vector
-``H``, an integer level ``z``, and an integer evaluation point ``p``.  The
-verifier accepts only if
+``H``, an integer level ``z``, and an integer evaluation point ``p`` (the
+``witness_point`` field, ``"p"`` in JSON).  The verifier accepts only if
 
 1. the weights lying exactly on the hyperplane φ·H = z affinely span a
    hyperplane of the ambient normalized-spectra space (rank 3(m−1)),
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .diagrams import KronInstance
-from .errors import ComponentNotTraceless, LengthMismatch, NotSquare, ShapeMismatch
+from .errors import LengthMismatch, NotSquare, ShapeMismatch
 from .intlinalg import det_bareiss
 from .scalars import json_int
 from .weights import HyperplaneCandidate, affine_rank, negative_roots_on, split_weights
@@ -88,13 +88,13 @@ class PolyMatrix:
 @dataclass(frozen=True)
 class RessayreCertificate:
     h: HyperplaneCandidate
-    p: tuple[int, ...]
+    witness_point: tuple[int, ...]
 
     def to_json(self) -> dict:
         return {
             "H": [list(b) for b in self.h.blocks],
             "z": self.h.z,
-            "p": list(self.p),
+            "p": list(self.witness_point),
         }
 
     @classmethod
@@ -177,7 +177,7 @@ def verify_nonmembership(inst: KronInstance, cert: RessayreCertificate) -> Verdi
     if not check_trace(cert.h, m):
         return Verdict(Decision.REJECT, Reason.TRACE_MISMATCH)
     matrix = build_det_matrix(cert.h, m)
-    if eval_determinant(matrix, cert.p) == 0:
+    if eval_determinant(matrix, cert.witness_point) == 0:
         return Verdict(Decision.REJECT, Reason.DETERMINANT_VANISHES)
     lhs = cert.h.pair_instance(inst.padded_rows())
     if lhs < inst.k * cert.h.z:

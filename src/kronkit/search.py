@@ -31,7 +31,7 @@ from math import comb, isqrt
 import numpy as np
 
 from .diagrams import KronInstance
-from .errors import BudgetExceeded, CoordinateTooLarge, TruncatedToZero
+from .errors import BudgetExceeded, CoordinateTooLarge, ShapeMismatch, TruncatedToZero
 from .exactlp import solve_lp
 from .intlinalg import kernel_vector_if_unique
 from .marginals import (
@@ -58,7 +58,9 @@ from .weights import (
     weights,
 )
 
-DEFAULT_SUBSET_BUDGET = 400_000
+# Weight subsets enumerate_ressayre may visit: admits m = 3 (C(27,6) =
+# 296,010 subsets, about 61 µs each) and refuses m = 4 (C(64,9) ≈ 2.75·10¹⁰).
+SUBSET_BUDGET = 400_000
 
 # Free supports tried per witness search: the diagonal plus the 144 cyclic
 # Latin supports of m = 4, which bounds the LPs of find-witness at any m.
@@ -91,32 +93,8 @@ def find_point(
     return None
 
 
-@dataclass(frozen=True)
-class RessayreElement:
-    """A verified hyperplane certificate with a working evaluation point."""
-
-    h: HyperplaneCandidate
-    witness_point: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        self.h.validate_traceless()
-        bound = siegel_bound(self.h.m)
-        coords = _flat(self.h) + [self.h.z]
-        if max(abs(v) for v in coords) > bound:
-            raise CoordinateTooLarge(
-                f"element exceeds the search-space bound {bound}"
-            )
-
-    def certificate(self) -> RessayreCertificate:
-        return RessayreCertificate(self.h, self.witness_point)
-
-    def to_json(self) -> dict:
-        return self.certificate().to_json()
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "RessayreElement":
-        cert = RessayreCertificate.from_json(obj)
-        return cls(cert.h, cert.p)
+def _flat(h: HyperplaneCandidate) -> list[int]:
+    return [v for block in h.blocks for v in block]
 
 
 def chamber_inequalities(m: int) -> tuple[HyperplaneCandidate, ...]:
@@ -135,9 +113,30 @@ def chamber_inequalities(m: int) -> tuple[HyperplaneCandidate, ...]:
 
 @dataclass(frozen=True)
 class FacetSystem:
+    """Verified hyperplane certificates of rank m, plus the chamber.
+
+    Every hyperplane, element or chamber inequality, is checked where the
+    system is built: it has rank m, each block sums to 0 (the dual LP of
+    ``reduce_irredundant`` relies on it) and ∥H∥∞ and |z| are at most
+    ``siegel_bound(m)``.
+    """
+
     m: int
-    nontrivial: tuple[RessayreElement, ...]
+    nontrivial: tuple[RessayreCertificate, ...]
     chamber: tuple[HyperplaneCandidate, ...]
+
+    def __post_init__(self) -> None:
+        bound = siegel_bound(self.m)
+        for h in (*(e.h for e in self.nontrivial), *self.chamber):
+            if h.m != self.m:
+                raise ShapeMismatch(
+                    f"hyperplane of rank {h.m} in a facet system of rank {self.m}"
+                )
+            h.validate_traceless()
+            if max(abs(v) for v in (*_flat(h), h.z)) > bound:
+                raise CoordinateTooLarge(
+                    f"element exceeds the search-space bound {bound}"
+                )
 
     def to_json(self) -> dict:
         return {
@@ -158,7 +157,7 @@ class FacetSystem:
     def from_json(cls, obj: dict) -> "FacetSystem":
         m = json_int(obj["m"])
         elements = tuple(
-            RessayreElement.from_json(e) for e in obj["nontrivial"]
+            RessayreCertificate.from_json(e) for e in obj["nontrivial"]
         )
         return cls(m, elements, chamber_inequalities(m))
 
@@ -170,11 +169,7 @@ def _canonical_sign(vec: list[int]) -> tuple[int, ...]:
     return tuple(vec)
 
 
-def enumerate_ressayre(
-    m: int,
-    budget: int = DEFAULT_SUBSET_BUDGET,
-    seed: int = 0,
-) -> FacetSystem:
+def enumerate_ressayre(m: int, seed: int = 0) -> FacetSystem:
     """Complete enumeration of hyperplane certificates at rank m.
 
     Every admissible level hyperplane is affinely spanned by 3(m−1) of the
@@ -190,9 +185,9 @@ def enumerate_ressayre(
         return FacetSystem(1, (), chamber)
     subset_size = 3 * (m - 1)
     total = comb(m**3, subset_size)
-    if total > budget:
+    if total > SUBSET_BUDGET:
         raise BudgetExceeded(
-            f"{total} subsets at m={m} exceed the budget of {budget}"
+            f"{total} subsets at m={m} exceed the budget of {SUBSET_BUDGET}"
         )
     weight_rows = [weight_vector(w, m) + [-1] for w in weights(m)]
     trace_rows = []
@@ -203,7 +198,7 @@ def enumerate_ressayre(
         trace_rows.append(row)
 
     seen: set[tuple[int, ...]] = set()
-    elements: list[RessayreElement] = []
+    elements: list[RessayreCertificate] = []
     for subset in combinations(range(m**3), subset_size):
         v = kernel_vector_if_unique([weight_rows[i] for i in subset] + trace_rows)
         if v is None:
@@ -222,12 +217,8 @@ def enumerate_ressayre(
             p = find_point(h, m, seed=seed, trials=64)
             if p is None:
                 continue
-            elements.append(RessayreElement(h, p))
+            elements.append(RessayreCertificate(h, p))
     return FacetSystem(m, tuple(elements), chamber)
-
-
-def _flat(h: HyperplaneCandidate) -> list[int]:
-    return [v for block in h.blocks for v in block]
 
 
 def _check_implied(columns, y, h: HyperplaneCandidate) -> None:

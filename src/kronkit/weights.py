@@ -21,9 +21,9 @@ from itertools import product
 from .errors import CapExceeded, ComponentNotTraceless, IndexOutOfRange
 from .intlinalg import integer_rank
 
-# Materializing Φ(m) costs m³ memory; the default cap keeps accidental
-# mega-instances from exhausting the machine.  Raise it deliberately.
-DEFAULT_WEIGHT_CAP = 12
+# Materializing Φ(m) costs m³ memory; the cap keeps accidental
+# mega-instances from exhausting the machine.
+WEIGHT_CAP = 12
 
 SUBSYSTEMS = ("A", "B", "C")
 
@@ -72,15 +72,17 @@ class HyperplaneCandidate:
         return total
 
 
-def check_weight_cap(m: int, cap: int = DEFAULT_WEIGHT_CAP) -> None:
+def check_weight_cap(m: int) -> None:
     """Raise CapExceeded when work dense in m³ would exceed the rank cap."""
-    if m > cap:
-        raise CapExceeded(f"m={m} exceeds the weight materialization cap {cap}")
+    if m > WEIGHT_CAP:
+        raise CapExceeded(
+            f"m={m} exceeds the weight materialization cap {WEIGHT_CAP}"
+        )
 
 
-def weights(m: int, cap: int = DEFAULT_WEIGHT_CAP) -> list[tuple[int, int, int]]:
+def weights(m: int) -> list[tuple[int, int, int]]:
     """All m³ weights (i, j, l) in canonical lexicographic order."""
-    check_weight_cap(m, cap)
+    check_weight_cap(m)
     rng = range(1, m + 1)
     return list(product(rng, rng, rng))
 

@@ -186,8 +186,10 @@ def test_facets_rank_cap(capsys):
 
 
 def test_facets_budget_exceeded(capsys):
-    assert main(["facets", "--m", "2", "--budget", "5"]) == 2
-    capsys.readouterr()
+    # m = 4 is within the weight cap; only the subset budget refuses it
+    assert main(["facets", "--m", "4"]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "exceed the budget" in err
 
 
 def test_kron_positive(capsys):

@@ -1,6 +1,8 @@
-"""Every script in demos/ runs to completion against the source tree."""
+"""Every script in demos/ and the README's library tour run to completion
+against the source tree."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,3 +29,20 @@ def test_demo_exits_zero(demo, tmp_path):
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_library_tour_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    assert len(blocks) == 1
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", blocks[0]],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["Accept", "Accept(InThreshold)", "1"]

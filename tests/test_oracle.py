@@ -7,7 +7,6 @@ from kronkit.diagrams import make_instance, parse_young
 from kronkit.errors import BoxCountMismatch, CapExceeded
 from kronkit.oracle import (
     centralizer_order,
-    conjugacy_classes,
     kron_coeff,
     mn_character,
     partitions,
@@ -60,11 +59,14 @@ def test_centralizer_orders():
 
 
 def test_class_sizes_partition_the_group():
+    # the class sizes k!/z_μ are integers that sum to k!
     for k in range(1, 8):
-        classes = conjugacy_classes(k)
-        assert sum(c.class_size for c in classes) == math.factorial(k)
-        for c in classes:
-            assert c.class_size * c.centralizer_order == math.factorial(k)
+        total = 0
+        for mu in partitions(k):
+            size, rem = divmod(math.factorial(k), centralizer_order(mu))
+            assert rem == 0
+            total += size
+        assert total == math.factorial(k)
 
 
 def test_trivial_and_sign_characters():

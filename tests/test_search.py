@@ -15,11 +15,13 @@ from kronkit.errors import (
     ComponentNotTraceless,
     CoordinateTooLarge,
     MalformedInput,
+    ShapeMismatch,
 )
 from kronkit.exactlp import LPResult
 from kronkit.marginals import frobenius_gap2, reduced_densities, verify_membership
 from kronkit.oracle import kron_coeff, partitions
 from kronkit.ressayre import (
+    RessayreCertificate,
     build_det_matrix,
     check_admissible,
     check_trace,
@@ -28,7 +30,6 @@ from kronkit.ressayre import (
 )
 from kronkit.search import (
     FacetSystem,
-    RessayreElement,
     chamber_inequalities,
     enumerate_ressayre,
     find_point,
@@ -70,19 +71,37 @@ def test_find_point_structurally_singular():
 
 
 def test_element_rejects_oversized_coordinates():
-    huge = HyperplaneCandidate((300000, -300000), (0, 0), (0, 0), 0)
+    # siegel_bound(2) = 8^6 = 262144
+    huge = RessayreCertificate(
+        HyperplaneCandidate((300000, -300000), (0, 0), (0, 0), 0), ()
+    )
     with pytest.raises(CoordinateTooLarge) as exc:
-        RessayreElement(huge, ())
+        FacetSystem(2, (huge,), chamber_inequalities(2))
     assert exc.type is CoordinateTooLarge
+    with pytest.raises(CoordinateTooLarge):
+        FacetSystem.from_json({"m": 2, "nontrivial": [huge.to_json()]})
 
 
 def test_element_rejects_block_that_is_not_traceless():
     # the A block sums to 1; reduce_irredundant relies on every H being traceless
     obj = {"H": [[1, 0], [0, 0], [0, 0]], "z": 0, "p": []}
+    cert = RessayreCertificate.from_json(obj)  # a bare certificate is not checked
     with pytest.raises(ComponentNotTraceless):
-        RessayreElement.from_json(obj)
+        FacetSystem(2, (cert,), chamber_inequalities(2))
     with pytest.raises(ComponentNotTraceless):
         FacetSystem.from_json({"m": 2, "nontrivial": [obj]})
+
+
+def test_facet_system_rejects_elements_of_another_rank():
+    # the three m = 2 facets in an m = 3 system: reduce_irredundant would
+    # index past their blocks
+    m2 = reduce_irredundant(enumerate_ressayre(2))
+    with pytest.raises(ShapeMismatch):
+        FacetSystem(3, m2.nontrivial, chamber_inequalities(3))
+    with pytest.raises(ShapeMismatch):
+        FacetSystem.from_json(dict(m2.to_json(), m=3))
+    with pytest.raises(ShapeMismatch):
+        FacetSystem(2, m2.nontrivial, chamber_inequalities(3))
 
 
 def test_facet_system_rejects_fractional_rank():
@@ -91,8 +110,10 @@ def test_facet_system_rejects_fractional_rank():
 
 
 def test_element_json_round_trip():
-    elem = RessayreElement(H_WORKED, (1, 0, 0))
-    assert RessayreElement.from_json(elem.to_json()) == elem
+    for elem in enumerate_ressayre(2).nontrivial:
+        obj = elem.to_json()
+        assert obj["p"] == list(elem.witness_point)
+        assert RessayreCertificate.from_json(obj) == elem
 
 
 def test_chamber_inequalities():
@@ -128,8 +149,9 @@ def test_enumerate_orientations_are_exclusive():
 
 
 def test_enumerate_budget():
+    # C(64, 9) ≈ 2.75·10¹⁰ subsets at m = 4, against 296,010 at m = 3
     with pytest.raises(BudgetExceeded):
-        enumerate_ressayre(2, budget=10)
+        enumerate_ressayre(4)
 
 
 def test_enumerate_is_deterministic():
@@ -150,9 +172,9 @@ def test_reduce_rank_two_to_three_facets():
 
 
 def test_reduce_drops_scaled_duplicate():
-    elem = RessayreElement(H_WORKED, (1, 0, 0))
+    elem = RessayreCertificate(H_WORKED, (1, 0, 0))
     doubled_h = HyperplaneCandidate((-2, 2), (-2, 2), (2, -2), -2)
-    doubled = RessayreElement(doubled_h, find_point(doubled_h, 2))
+    doubled = RessayreCertificate(doubled_h, find_point(doubled_h, 2))
     fs = FacetSystem(2, (elem, doubled), chamber_inequalities(2))
     reduced = reduce_irredundant(fs)
     assert len(reduced.nontrivial) == 1
@@ -356,8 +378,6 @@ def test_exact_route_ignores_padding(m):
 def test_witness_consistent_with_nonmembership_certificate():
     # the two verifiers can never both accept the same instance
     outside = inst([2], [2], [1, 1], 2)
-    from kronkit.ressayre import RessayreCertificate
-
     cert = RessayreCertificate(H_WORKED, (1, 0, 0))
     assert verify_nonmembership(outside, cert).accepted
     assert search_witness(outside) is None

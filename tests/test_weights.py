@@ -37,9 +37,9 @@ def test_weights_counts_and_order():
 
 
 def test_weights_cap():
+    assert len(weights(12)) == 12**3
     with pytest.raises(CapExceeded):
         weights(13)
-    assert len(weights(13, cap=13)) == 13**3
 
 
 def test_weight_vector_blocks():

@@ -11,8 +11,8 @@ Four generators live here:
   are re-checked exactly before an element is dropped;
 * ``search_witness`` — construction of membership witnesses, exactly first
   (one rational LP per free support: the diagonal, then cyclic Latin
-  supports) and by a seeded float scaling only when that fails; gated by
-  the exact verifier (only verified certificates are ever returned);
+  supports) and, only when that fails, by one seeded float scaling that
+  stops at the verifier's threshold; gated by the exact verifier;
 * ``sample_spectra`` — seeded Monte-Carlo spectra for containment checks.
 
 Floats appear only in the float fallback of the witness search and in the
@@ -37,6 +37,7 @@ from .intlinalg import kernel_vector_if_unique
 from .marginals import (
     Entry,
     MembershipCertificate,
+    accept_threshold2,
     required_bits,
     truncate,
     verify_membership,
@@ -68,8 +69,13 @@ SUBSET_BUDGET = 400_000
 # records what they decide on seeded kron > 0 panels at m = 5 and 6.
 MAX_FREE_SUPPORTS = 145
 
-# Alternating scaling passes per seeded start of the float fallback.
+# Alternating scaling passes of the float fallback's one seeded start.
 MAX_SCALING_ITERS = 400
+
+# Float64 floor of the scaling's gap²: converged at m = 3 it hovers near
+# 1e-31 and dips to 4e-33–3e-32 (1500 passes, seeds 0–2, four points).  The
+# fallback is skipped below it: at every m ≥ 4, and at m = 3 from k ≈ 281.
+FLOAT_GAP2_FLOOR = 1e-32
 
 
 def find_point(
@@ -364,44 +370,38 @@ def search_witness(inst: KronInstance, seed: int = 0) -> MembershipCertificate |
     """Find a certificate that passes the exact membership verifier.
 
     Exact route first: one LP per free support (``free_supports``), whose
-    rational solution gives the amplitudes.  Only if none is feasible and
-    accepted does the float route run: alternating marginal-steering
-    iterations from seeded random starts.  Either way a candidate is
-    returned only after truncation to required_bits and acceptance by
-    verify_membership.
+    rational solution gives the amplitudes.  Only if none is accepted does
+    the float route run: up to ``MAX_SCALING_ITERS`` alternating scaling
+    passes from one start drawn from ``seed``, stopped once gap² is at most
+    accept_threshold2/4 (room for truncation), and skipped where that stop
+    is below ``FLOAT_GAP2_FLOOR``.  Every candidate is truncated to
+    required_bits and returned only if verify_membership accepts it.
     """
     check_weight_cap(inst.m)
     cert = _exact_witness(inst)
     if cert is not None:
         return cert
-    # float route: seeded alternating scaling
-    bits = required_bits(inst.m, inst.k)
-    rng = np.random.default_rng(seed)
     m = inst.m
-    targets = [
-        np.array([float(Fraction(v, inst.k)) for v in vec])
-        for vec in inst.padded_rows()
-    ]
-    for _ in range(8):
-        psi = rng.standard_normal((m, m, m)) + 1j * rng.standard_normal((m, m, m))
-        psi = psi / np.linalg.norm(psi)
-        for _ in range(MAX_SCALING_ITERS):
-            psi = _scaling_pass(psi, targets)
-            gap2 = sum(
-                float(
-                    (np.abs(_marginal(psi, axis) - np.diag(targets[axis])) ** 2).sum()
-                )
-                for axis in range(3)
-            )
-            if gap2 < 1e-28:
-                break
-        try:
-            cert = truncate(psi.ravel(), bits)
-        except TruncatedToZero:
-            continue
-        if verify_membership(inst, cert).accepted:
-            return cert
-    return None
+    stop = float(accept_threshold2(m, inst.k) / 4)
+    if stop < FLOAT_GAP2_FLOOR:
+        return None
+    targets = [np.array(row) / inst.k for row in inst.padded_rows()]
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal((m, m, m)) + 1j * rng.standard_normal((m, m, m))
+    psi = psi / np.linalg.norm(psi)
+    for _ in range(MAX_SCALING_ITERS):
+        psi = _scaling_pass(psi, targets)
+        gap2 = sum(
+            float((np.abs(_marginal(psi, axis) - np.diag(t)) ** 2).sum())
+            for axis, t in enumerate(targets)
+        )
+        if gap2 <= stop:
+            break
+    try:
+        cert = truncate(psi.ravel(), required_bits(m, inst.k))
+    except TruncatedToZero:
+        return None
+    return cert if verify_membership(inst, cert).accepted else None
 
 
 def sample_spectra(

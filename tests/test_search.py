@@ -1,7 +1,7 @@
 import json
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 from pathlib import Path
 
@@ -41,6 +41,7 @@ from kronkit.search import (
 from kronkit.weights import HyperplaneCandidate
 
 H_WORKED = HyperplaneCandidate((-1, 1), (-1, 1), (1, -1), -1)
+FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
 
 
 def inst(rows_a, rows_b, rows_c, k, m=None):
@@ -187,19 +188,17 @@ def test_reduce_empty_system_unchanged():
 
 def test_enumerate_rank_three_matches_committed_system(enumerate_once):
     # the committed fixture was written by the Fraction back-substitution
-    fixtures = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
     text = json.dumps(enumerate_once(3).to_json(), indent=2) + "\n"
-    assert text == (fixtures / "facets_m3.json").read_text(encoding="utf-8")
+    assert text == (FIXTURES / "facets_m3.json").read_text(encoding="utf-8")
 
 
 def test_reduce_rank_three_matches_committed_system():
     # the reference was computed by the primal LP over the full 3m coordinates
-    fixtures = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
-    system = json.loads((fixtures / "facets_m3.json").read_text(encoding="utf-8"))
+    system = json.loads((FIXTURES / "facets_m3.json").read_text(encoding="utf-8"))
     reduced = reduce_irredundant(FacetSystem.from_json(system))
     text = json.dumps(reduced.to_json(), indent=2) + "\n"
     assert len(reduced.nontrivial) == 39
-    assert text == (fixtures / "facets_m3_irredundant.json").read_text(encoding="utf-8")
+    assert text == (FIXTURES / "facets_m3_irredundant.json").read_text(encoding="utf-8")
 
 
 def test_reduce_rejects_wrong_multipliers(monkeypatch, capsys):
@@ -290,10 +289,14 @@ def triple_instance(triple):
     return inst(*triple, sum(triple[0]))
 
 
+def triple_id(triple):
+    return "/".join(",".join(map(str, lam)) for lam in triple)
+
+
 @pytest.mark.parametrize(
     "triple",
     FREE_SUPPORT_M3 + [(lam, lam, lam) for lam in FREE_SUPPORT_M4],
-    ids=lambda t: "/".join(",".join(map(str, lam)) for lam in t),
+    ids=triple_id,
 )
 def test_witness_on_free_support(triple):
     target = triple_instance(triple)
@@ -308,12 +311,47 @@ def test_exact_route_misses_are_left_to_the_float_route():
     assert search._exact_witness(inst([2], [2], [1, 1], 2)) is None
 
 
-def test_witness_float_route():
-    # inside, missed by every free support, reached by the float scaling
-    target = inst([5, 3], [5, 3], [5, 2, 1], 8)
+@pytest.mark.parametrize(
+    "triple",
+    [((5, 3), (5, 3), (5, 2, 1)), ((8, 4), (7, 5), (8, 2, 2))],
+    ids=triple_id,
+)
+def test_witness_float_route(triple):
+    # inside, missed by every free support, reached by the float scaling;
+    # k = 12 needs the stop below the old fixed gap² < 1e-28
+    target = triple_instance(triple)
     assert search._exact_witness(target) is None
     cert = search_witness(target, seed=0)
     assert cert is not None and verify_membership(target, cert).accepted
+
+
+def test_float_route_miss_makes_one_start(monkeypatch):
+    calls = 0
+    scaling_pass = search._scaling_pass
+
+    def counted(psi, targets):
+        nonlocal calls
+        calls += 1
+        return scaling_pass(psi, targets)
+
+    monkeypatch.setattr(search, "_scaling_pass", counted)
+    # on a facet, where the scaling stalls and never reaches its stop
+    assert search_witness(triple_instance(FREE_SUPPORT_MISSES[0]), seed=0) is None
+    assert 0 < calls <= search.MAX_SCALING_ITERS
+
+
+@pytest.mark.parametrize(
+    "target",
+    [inst([4, 4, 1], [7, 2], [5, 2, 1, 1], 9), inst([5, 3], [5, 3], [5, 2, 1], 8, m=4)],
+    ids=["m=4 panel miss", "m=4 override"],
+)
+def test_float_route_skipped_below_float64_floor(monkeypatch, target):
+    # threshold²/4 at m = 4, k ≤ 9 is below 3·10⁻⁴², far under FLOAT_GAP2_FLOOR
+    def refuse(psi, targets):
+        raise AssertionError("the float scaling ran")
+
+    monkeypatch.setattr(search, "_scaling_pass", refuse)
+    assert search_witness(target, seed=0) is None
 
 
 def test_free_supports_are_free_and_bounded():
@@ -381,6 +419,58 @@ def test_witness_consistent_with_nonmembership_certificate():
     cert = RessayreCertificate(H_WORKED, (1, 0, 0))
     assert verify_nonmembership(outside, cert).accepted
     assert search_witness(outside) is None
+
+
+# Inside points of the slice below that neither route decides.  Each lies
+# on a nontrivial facet other than a positivity facet, where the float
+# scaling stalls; scaling restricted to the facet should empty the set.
+SLICE_UNDECIDED = {
+    ((4, 2), (4, 1, 1), (3, 3)), ((5, 2), (5, 2), (3, 3, 1)),
+    ((5, 2), (5, 1, 1), (4, 3)), ((6, 2), (6, 2), (4, 3, 1)),
+    ((6, 2), (6, 1, 1), (5, 3)), ((6, 2), (5, 3), (4, 2, 2)),
+    ((6, 2), (5, 2, 1), (4, 4)), ((6, 1, 1), (5, 3), (4, 4)),
+}
+
+
+def rank_three_triples(kmax):
+    """Triples of largest height 3 with k ≤ kmax and λ_A ≥ λ_B ≥ λ_C as tuples."""
+    for k in range(3, kmax + 1):
+        shapes = [p for p in partitions(k) if len(p) <= 3]
+        for triple in product(shapes, repeat=3):
+            if max(map(len, triple)) == 3 and triple[0] >= triple[1] >= triple[2]:
+                yield triple
+
+
+def test_rank_three_slice_is_decided_both_ways():
+    text = (FIXTURES / "facets_m3_irredundant.json").read_text(encoding="utf-8")
+    system = FacetSystem.from_json(json.loads(text))
+
+    def level(h, target):  # H·λ, to compare with k·z
+        pairs = zip(h.blocks, target.padded_rows())
+        return sum(x * y for block, lam in pairs for x, y in zip(block, lam))
+
+    triples = list(rank_three_triples(8))
+    outside, undecided = 0, set()
+    for triple in triples:
+        target = triple_instance(triple)
+        facet = next(
+            (e for e in system.nontrivial if level(e.h, target) < target.k * e.h.z),
+            None,
+        )
+        if facet is not None:
+            assert verify_nonmembership(target, facet).accepted
+            outside += 1
+        elif search_witness(target, seed=0) is None:
+            undecided.add(triple)
+    assert (len(triples), outside) == (390, 132)
+    assert undecided == SLICE_UNDECIDED
+    for triple in undecided:
+        target = triple_instance(triple)
+        assert any(
+            level(e.h, target) == target.k * e.h.z
+            and sorted(e.h.blocks) != [(-1, -1, 2), (0, 0, 0), (0, 0, 0)]
+            for e in system.nontrivial
+        )
 
 
 def test_sample_spectra_shape_and_determinism():

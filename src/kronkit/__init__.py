@@ -47,7 +47,7 @@ from .ressayre import (
     siegel_bound,
     verify_nonmembership,
 )
-from .scalars import GaussianRational, format_rational, parse_rational
+from .scalars import GaussianRational, format_rational
 from .search import (
     FacetSystem,
     enumerate_ressayre,
@@ -102,7 +102,6 @@ __all__ = [
     "verify_nonmembership",
     "GaussianRational",
     "format_rational",
-    "parse_rational",
     "FacetSystem",
     "enumerate_ressayre",
     "find_point",

@@ -55,14 +55,6 @@ def _load_json(path: str, build, what: str):
         raise MalformedInput(f"bad {what} file {path}: {exc}") from exc
 
 
-def _load_instance(path: str) -> KronInstance:
-    return _load_json(path, KronInstance.from_json, "instance")
-
-
-def _load_certificate(path: str, cls):
-    return _load_json(path, cls.from_json, "certificate")
-
-
 def _parse_partition(text: str):
     try:
         return parse_young([int(tok) for tok in text.split(",") if tok.strip()])
@@ -89,6 +81,16 @@ _positive_int = _int_at_least(1, "positive")
 _nonnegative_int = _int_at_least(0, "non-negative")
 
 
+def _write(text: str, out: str | None, summary: str) -> None:
+    """Write text to the file out and print summary, or text to stdout."""
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        print(summary)
+    else:
+        sys.stdout.write(text)
+
+
 def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
     if as_json:
         print(json.dumps(payload, indent=2))
@@ -98,8 +100,8 @@ def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
 
 
 def cmd_verify_nonmembership(args) -> int:
-    inst = _load_instance(args.instance)
-    cert = _load_certificate(args.certificate, RessayreCertificate)
+    inst = _load_json(args.instance, KronInstance.from_json, "instance")
+    cert = _load_json(args.certificate, RessayreCertificate.from_json, "certificate")
     verdict = verify_nonmembership(inst, cert)
     payload = {"instance": inst.to_json(), "verdict": str(verdict)}
     if verdict.accepted:
@@ -120,8 +122,8 @@ def cmd_verify_nonmembership(args) -> int:
 
 
 def cmd_verify_membership(args) -> int:
-    inst = _load_instance(args.instance)
-    cert = _load_certificate(args.certificate, MembershipCertificate)
+    inst = _load_json(args.instance, KronInstance.from_json, "instance")
+    cert = _load_json(args.certificate, MembershipCertificate.from_json, "certificate")
     verdict = verify_membership(inst, cert)
     gap2 = format_rational(verdict.gap2)
     thr2 = format_rational(accept_threshold2(inst.m, inst.k))
@@ -141,15 +143,13 @@ def cmd_verify_membership(args) -> int:
 
 
 def cmd_find_witness(args) -> int:
-    inst = _load_instance(args.instance)
+    inst = _load_json(args.instance, KronInstance.from_json, "instance")
     cert = search_witness(inst, seed=args.seed)
     if cert is None:
         print(f"NotFound: no verified witness for {inst}")
         return EXIT_REJECT
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(cert.to_json(), fh, indent=2)
-        fh.write("\n")
-    print(f"Accept: verified witness written to {args.out}")
+    text = json.dumps(cert.to_json(), indent=2) + "\n"
+    _write(text, args.out, f"Accept: verified witness written to {args.out}")
     return EXIT_ACCEPT
 
 
@@ -157,16 +157,12 @@ def cmd_facets(args) -> int:
     fs = enumerate_ressayre(args.m, seed=args.seed)
     if args.irredundant:
         fs = reduce_irredundant(fs)
-    text = json.dumps(fs.to_json(), indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(
-            f"{len(fs.nontrivial)} nontrivial inequalities at m={args.m} "
-            f"written to {args.out}"
-        )
-    else:
-        sys.stdout.write(text)
+    _write(
+        json.dumps(fs.to_json(), indent=2) + "\n",
+        args.out,
+        f"{len(fs.nontrivial)} nontrivial inequalities at m={args.m} "
+        f"written to {args.out}",
+    )
     return EXIT_ACCEPT
 
 
@@ -181,7 +177,7 @@ def cmd_kron(args) -> int:
 
 
 def cmd_member_bruteforce(args) -> int:
-    inst = _load_instance(args.instance)
+    inst = _load_json(args.instance, KronInstance.from_json, "instance")
     result = semigroup_member(inst, args.lmax, cap=args.cap)
     if result is None:
         print("Unknown")
@@ -192,12 +188,7 @@ def cmd_member_bruteforce(args) -> int:
 
 def cmd_sample(args) -> int:
     text = spectra_csv(sample_spectra(args.m, args.n, args.seed))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"{args.n} spectra at m={args.m} written to {args.out}")
-    else:
-        sys.stdout.write(text)
+    _write(text, args.out, f"{args.n} spectra at m={args.m} written to {args.out}")
     return EXIT_ACCEPT
 
 
@@ -262,9 +253,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: every call of main in one process shares it.
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand; the single place that maps exceptions to exit codes."""
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (KronkitError, OSError) as exc:

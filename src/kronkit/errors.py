@@ -74,10 +74,6 @@ class ZeroVector(KronkitError):
     """The witness vector has no nonzero entry."""
 
 
-class TruncatedToZero(KronkitError):
-    """Truncation wiped out every entry of the vector."""
-
-
 # ---------------------------------------------------------------------------
 # search / oracle resource limits
 

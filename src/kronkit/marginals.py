@@ -27,13 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .diagrams import KronInstance
-from .errors import (
-    IndexOutOfRange,
-    MalformedInput,
-    ShapeMismatch,
-    TruncatedToZero,
-    ZeroVector,
-)
+from .errors import IndexOutOfRange, MalformedInput, ShapeMismatch, ZeroVector
 from .ressayre import Decision, Reason, Verdict
 from .scalars import GaussianRational, json_int
 from .weights import check_weight_cap, weight_index, weights
@@ -240,19 +234,19 @@ def truncate(v, b: int) -> MembershipCertificate:
 
     ``v`` is indexed in the canonical lexicographic order of (a,b,c); its
     length determines m.  Resulting entries are rationals with denominator
-    dividing 2^b.
+    dividing 2^b; entries truncated to zero are dropped by the certificate,
+    which raises ZeroVector when none is left.
     """
     vec = np.asarray(v, dtype=complex).ravel()
     m = round(len(vec) ** (1 / 3))
     if m**3 != len(vec):
         raise ShapeMismatch(f"vector length {len(vec)} is not a cube")
     scale = 1 << b
-    entries: dict[Entry, GaussianRational] = {}
-    for w, value in zip(weights(m), vec):
-        re = Fraction(_trunc_scaled(value.real, b), scale)
-        im = Fraction(_trunc_scaled(value.imag, b), scale)
-        if re or im:
-            entries[w] = GaussianRational(re, im)
-    if not entries:
-        raise TruncatedToZero(f"no entry survived truncation at {b} bits")
+    entries = {
+        w: GaussianRational(
+            Fraction(_trunc_scaled(value.real, b), scale),
+            Fraction(_trunc_scaled(value.imag, b), scale),
+        )
+        for w, value in zip(weights(m), vec)
+    }
     return MembershipCertificate(m, entries)

@@ -5,11 +5,12 @@ This module is deliberately self-contained — it shares no combinatorics with
 the verifier modules, so agreement between the two routes is meaningful
 evidence rather than a tautology.
 
-Characters are computed by the border-strip recursion on beta-numbers (first
-column hook lengths): removing a strip of length t from the diagram means
-lowering one beta-number by t, with a sign given by the number of
-beta-numbers jumped over.  The multiplicity of interest is then the exact
-class-weighted triple product of characters.
+Characters are computed by the border-strip recursion, which runs on
+beta-numbers (first column hook lengths) from start to end: removing a strip
+of length t from the diagram means lowering one beta-number by t, with a sign
+given by the number of beta-numbers jumped over.  A diagram is turned into
+beta-numbers once per character and never back.  The multiplicity of
+interest is then the exact class-weighted triple product of characters.
 """
 
 from __future__ import annotations
@@ -51,29 +52,28 @@ def _beta(lam: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(lam[i] + r - 1 - i for i in range(r))
 
 
-def _beta_to_partition(beta: tuple[int, ...]) -> tuple[int, ...]:
-    r = len(beta)
-    lam = [beta[i] - (r - 1 - i) for i in range(r)]
-    return tuple(x for x in lam if x > 0)
-
-
 @lru_cache(maxsize=None)
-def _char_rec(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
+def _char_rec(beta: tuple[int, ...], mu: tuple[int, ...]) -> int:
+    """χ_λ(μ) for λ given by its beta-numbers, a strictly decreasing tuple.
+
+    The recursion keeps the length of beta: a subdiagram with fewer rows
+    than λ ends in the beta-numbers (…, 2, 1, 0) of its empty rows, and the
+    Murnaghan–Nakayama rule holds for them unchanged.
+    """
     if not mu:
         return 1
     strip, rest = mu[0], mu[1:]
-    beta = _beta(lam)
-    beta_set = set(beta)
     total = 0
-    for b in beta:
+    for i, b in enumerate(beta):
         nb = b - strip
-        if nb < 0 or nb in beta_set:
+        if nb < 0 or nb in beta:
             continue
-        height = sum(1 for x in beta if nb < x < b)
-        # beta is strictly decreasing and the filter keeps that order
-        new_beta = tuple(sorted((*(x for x in beta if x != b), nb), reverse=True))
-        value = _char_rec(_beta_to_partition(new_beta), rest)
-        total += -value if height % 2 else value
+        # beta[i+1:j] are the beta-numbers jumped over; nb goes in at j
+        j = i + 1
+        while j < len(beta) and beta[j] > nb:
+            j += 1
+        value = _char_rec(beta[:i] + beta[i + 1 : j] + (nb,) + beta[j:], rest)
+        total += -value if (j - i - 1) % 2 else value
     return total
 
 
@@ -83,7 +83,7 @@ def mn_character(lam: YoungDiagram, mu: YoungDiagram) -> int:
         raise BoxCountMismatch(
             f"{lam} has {lam.boxes} boxes but cycle type {mu} has {mu.boxes}"
         )
-    return _char_rec(lam.rows, mu.rows)
+    return _char_rec(_beta(lam.rows), mu.rows)
 
 
 def kron_coeff(

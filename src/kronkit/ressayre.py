@@ -156,8 +156,6 @@ def eval_determinant(matrix: PolyMatrix, p: tuple[int, ...]) -> int:
         raise LengthMismatch(
             f"evaluation point has length {len(p)}, expected {matrix.n_slots}"
         )
-    if matrix.n == 0:
-        return 1
     numeric = [
         [0 if slot is None else int(p[slot]) for slot in row]
         for row in matrix.entries

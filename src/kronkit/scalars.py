@@ -54,11 +54,6 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def parse_rational(text: str) -> Fraction:
-    """Inverse of :func:`format_rational`; also accepts bare integers."""
-    return as_fraction(text)
-
-
 @dataclass(frozen=True)
 class GaussianRational:
     """A complex number with exact rational real and imaginary parts."""
@@ -81,5 +76,5 @@ class GaussianRational:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GaussianRational":
-        return cls(parse_rational(obj["re"]), parse_rational(obj.get("im", "0")))
+        return cls(obj["re"], obj.get("im", "0"))
 

@@ -31,7 +31,7 @@ from math import comb, isqrt
 import numpy as np
 
 from .diagrams import KronInstance
-from .errors import BudgetExceeded, CoordinateTooLarge, ShapeMismatch, TruncatedToZero
+from .errors import BudgetExceeded, CoordinateTooLarge, ShapeMismatch, ZeroVector
 from .exactlp import solve_lp
 from .intlinalg import kernel_vector_if_unique
 from .marginals import (
@@ -399,7 +399,7 @@ def search_witness(inst: KronInstance, seed: int = 0) -> MembershipCertificate |
             break
     try:
         cert = truncate(psi.ravel(), required_bits(m, inst.k))
-    except TruncatedToZero:
+    except ZeroVector:
         return None
     return cert if verify_membership(inst, cert).accepted else None
 

@@ -149,6 +149,4 @@ def affine_rank(s: list[tuple[int, int, int]], m: int) -> int:
     Computed by fraction-free elimination on the transpose (rank is the same
     and rows are handier than columns here).
     """
-    if not s:
-        return 0
     return integer_rank([weight_vector(w, m) + [-1] for w in s])

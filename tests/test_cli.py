@@ -140,6 +140,20 @@ def test_find_witness_then_verify(tmp_path, capsys):
     assert "Accept" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["find-witness", "INSIDE"], ["facets", "--m", "2"], ["sample", "--m", "2"]],
+    ids=lambda argv: argv[0],
+)
+def test_empty_out_writes_the_file_text_to_stdout(argv, tmp_path, capsys):
+    argv = [jfile(tmp_path, "inst.json", INSIDE) if a == "INSIDE" else a for a in argv]
+    out_path = tmp_path / "out"
+    assert main([*argv, "--out", str(out_path)]) == 0
+    capsys.readouterr()
+    assert main([*argv, "--out", ""]) == 0
+    assert capsys.readouterr().out == out_path.read_text(encoding="utf-8")
+
+
 def test_find_witness_not_found(tmp_path, capsys):
     inst = jfile(tmp_path, "inst.json", OUTSIDE)
     out_path = tmp_path / "witness.json"
@@ -402,10 +416,10 @@ def test_every_subcommand_has_a_malformed_case():
 
 
 def test_unexpected_exception_exits_three(monkeypatch, capsys):
-    def crash(args):
+    def crash(*diagrams):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "cmd_kron", crash)
+    monkeypatch.setattr(cli, "kron_coeff", crash)
     assert main(["kron", "1", "1", "1"]) == 3
     err = capsys.readouterr().err
     assert "internal error:" in err and "boom" in err

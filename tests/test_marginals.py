@@ -13,7 +13,6 @@ from kronkit.errors import (
     IndexOutOfRange,
     MalformedInput,
     ShapeMismatch,
-    TruncatedToZero,
     ZeroVector,
 )
 from kronkit.marginals import (
@@ -232,7 +231,7 @@ def test_truncate_examples():
     c = truncate([-0.75 + 0.3j], 1)
     assert c.entries == {(1, 1, 1): GR(F(-1, 2))}
 
-    with pytest.raises(TruncatedToZero):
+    with pytest.raises(ZeroVector):
         truncate([1e-9], 8)
     with pytest.raises(ShapeMismatch):
         truncate([0.5, 0.5], 4)

@@ -441,14 +441,19 @@ def rank_three_triples(kmax):
                 yield triple
 
 
-def test_rank_three_slice_is_decided_both_ways():
+def committed_m3_system():
     text = (FIXTURES / "facets_m3_irredundant.json").read_text(encoding="utf-8")
-    system = FacetSystem.from_json(json.loads(text))
+    return FacetSystem.from_json(json.loads(text))
 
-    def level(h, target):  # H·λ, to compare with k·z
-        pairs = zip(h.blocks, target.padded_rows())
-        return sum(x * y for block, lam in pairs for x, y in zip(block, lam))
 
+def level(h, target):
+    """H·λ over the padded rows, to compare with k·z."""
+    pairs = zip(h.blocks, target.padded_rows())
+    return sum(x * y for block, lam in pairs for x, y in zip(block, lam))
+
+
+def test_rank_three_slice_is_decided_both_ways():
+    system = committed_m3_system()
     triples = list(rank_three_triples(8))
     outside, undecided = 0, set()
     for triple in triples:
@@ -471,6 +476,26 @@ def test_rank_three_slice_is_decided_both_ways():
             and sorted(e.h.blocks) != [(-1, -1, 2), (0, 0, 0), (0, 0, 0)]
             for e in system.nontrivial
         )
+
+
+def test_kron_positive_triples_satisfy_committed_m3_facets():
+    # kron > 0 puts the point in the polytope, so no committed facet may cut
+    # it off; this checks the m = 3 system against the character oracle
+    system = committed_m3_system()
+    triples = positive = 0
+    for k in range(1, 13):
+        shapes = [p for p in partitions(k) if len(p) <= 3]
+        for triple in product(shapes, repeat=3):
+            if not triple[0] >= triple[1] >= triple[2]:
+                continue
+            triples += 1
+            if kron_coeff(*(parse_young(lam) for lam in triple)) == 0:
+                continue
+            positive += 1
+            target = inst(*triple, k, m=3)
+            for e in system.nontrivial:
+                assert level(e.h, target) >= k * e.h.z, (triple, e.h)
+    assert (triples, positive) == (3564, 2254)
 
 
 def test_sample_spectra_shape_and_determinism():

@@ -43,8 +43,9 @@ EXIT_MALFORMED = 2
 EXIT_INTERNAL = 3
 
 # What malformed input raises before kronkit's own checks see it
-# (json.JSONDecodeError is a ValueError).
-_FOREIGN = (OSError, KeyError, TypeError, ValueError, ZeroDivisionError)
+# (json.JSONDecodeError is a ValueError; json.load raises RecursionError on
+# arrays or objects nested past the interpreter's recursion limit).
+_FOREIGN = (OSError, KeyError, TypeError, ValueError, ZeroDivisionError, RecursionError)
 
 
 def _load_json(path: str, build, what: str):

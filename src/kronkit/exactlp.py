@@ -29,7 +29,8 @@ The primal minimizes r·H_e; its dual maximizes Σ yᵢzᵢ + Σ μ_X over y ≥
 μ free, with Σ yᵢHᵢ + Σ μ_X·1_X = H_e.  Every H is blockwise traceless, so
 summing block X of that equation gives m·μ_X = 0, and the last coordinate
 of each block is implied by the others.  That leaves: minimize −z·y subject
-to Σ yᵢHᵢ = H_e on 3(m−1) coordinates, y ≥ 0.  By LP duality this is
+to Σ yᵢHᵢ = H_e on the 3(m−1) free coordinates of H (``search._free``, each
+block but its last entry), y ≥ 0.  By LP duality this is
 optimal exactly when the primal is, with value −(primal minimum), so e is
 redundant iff the status is ``"optimal"`` and −value ≥ z_e.
 """

@@ -57,8 +57,6 @@ def row_echelon_ff(mat: IntMatrix) -> tuple[IntMatrix, list[int], int]:
 
 def integer_rank(mat: IntMatrix) -> int:
     """Exact rank over ℚ of an integer matrix."""
-    if not mat or not mat[0]:
-        return 0
     _, pivot_cols, _ = row_echelon_ff(mat)
     return len(pivot_cols)
 

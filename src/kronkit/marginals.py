@@ -28,7 +28,7 @@ import numpy as np
 
 from .diagrams import KronInstance
 from .errors import IndexOutOfRange, MalformedInput, ShapeMismatch, ZeroVector
-from .ressayre import Decision, Reason, Verdict
+from .ressayre import Decision, Reason, Verdict, min_gap
 from .scalars import GaussianRational, json_int
 from .weights import check_weight_cap, weight_index, weights
 
@@ -166,9 +166,8 @@ def reduced_densities(cert: MembershipCertificate) -> DensityTriple:
 
 
 def accept_threshold2(m: int, k: int) -> Fraction:
-    """Exact squared acceptance threshold (1/(2k(4m)^{4m}))²."""
-    denom = 2 * k * (4 * m) ** (4 * m)
-    return Fraction(1, denom * denom)
+    """(min_gap/2)² = (1/(2k(4m)^{4m}))²: within half the gap, never both verdicts."""
+    return (min_gap(m, k) / 2) ** 2
 
 
 def frobenius_gap2(rho: DensityTriple, inst: KronInstance) -> Fraction:
@@ -213,11 +212,11 @@ def verify_membership(inst: KronInstance, cert: MembershipCertificate) -> Verdic
 def required_bits(m: int, k: int) -> int:
     """Bits of truncation precision that guarantee acceptance of exact points.
 
-    Smallest even b with 5·√3·m^{3/4}·2^{−b/2} ≤ 1/(2k(4m)^{4m}); evenness
-    keeps b/2 integral.  The comparison is done exactly by raising both sides
-    to the fourth power: 16^{b/2} ≥ 5625·m³·(2k)⁴·(4m)^{16m}.
+    Smallest even b with 5·√3·m^{3/4}·2^{−b/2} ≤ 1/D, where accept_threshold2
+    is 1/D²; evenness keeps b/2 integral.  Raised to the fourth power, the
+    comparison is exact: 16^{b/2} ≥ 5625·m³·D⁴.
     """
-    target = 5625 * m**3 * (2 * k) ** 4 * (4 * m) ** (16 * m)
+    target = 5625 * m**3 * accept_threshold2(m, k).denominator ** 2
     bits = (target - 1).bit_length()  # smallest e with 2^e ≥ target
     half = -(-bits // 4)  # smallest t with 16^t ≥ target
     return 2 * half

@@ -4,7 +4,8 @@ Four generators live here:
 
 * ``enumerate_ressayre`` — complete hyperplane-certificate discovery for
   small m, by iterating over affinely independent weight subsets and solving
-  the accompanying integer linear system exactly;
+  exactly for the level hyperplane they span, in the 3(m−1) free coordinates
+  of a traceless H (``_free``);
 * ``reduce_irredundant`` — removal of implied inequalities by exact rational
   linear programming: one standard-form LP per element, the 3(m−1)-row dual
   of "is this inequality implied by the others?", whose Farkas multipliers
@@ -175,56 +176,61 @@ def _canonical_sign(vec: list[int]) -> tuple[int, ...]:
     return tuple(vec)
 
 
+def _free(h: HyperplaneCandidate) -> list[int]:
+    """The 3(m−1) free coordinates of a traceless H: each block but its last."""
+    return [v for block in h.blocks for v in block[:-1]]
+
+
+def _traceless(v: tuple[int, ...], m: int) -> HyperplaneCandidate:
+    """Inverse of ``_free``, z appended; unimodular, keeps the first nonzero."""
+    blocks = (v[b * (m - 1) : (b + 1) * (m - 1)] for b in range(3))
+    return HyperplaneCandidate(*(b + (-sum(b),) for b in blocks), v[-1])
+
+
 def enumerate_ressayre(m: int, seed: int = 0) -> FacetSystem:
     """Complete enumeration of hyperplane certificates at rank m.
 
     Every admissible level hyperplane is affinely spanned by 3(m−1) of the
     m³ weights, so iterating over affinely independent subsets and solving
-    the exact linear system (weight incidences plus blockwise tracelessness)
-    finds every candidate (H,z) up to scale.  Both orientations then run the
-    full verification pipeline; survivors are returned with their evaluation
-    points, in order of first discovery.
+    the exact system H·φ = z in the 3(m−1) free coordinates of H and z finds
+    every candidate (H,z) up to scale.  It is checked admissible once (−H has
+    the same on-level weights); both orientations then run the trace and
+    determinant checks.  Survivors come with their evaluation points, in
+    order of first discovery.
     """
     check_weight_cap(m)  # before comb(), which is slow for huge m
-    chamber = chamber_inequalities(m)
-    if m == 1:
-        return FacetSystem(1, (), chamber)
     subset_size = 3 * (m - 1)
     total = comb(m**3, subset_size)
     if total > SUBSET_BUDGET:
         raise BudgetExceeded(
             f"{total} subsets at m={m} exceed the budget of {SUBSET_BUDGET}"
         )
-    weight_rows = [weight_vector(w, m) + [-1] for w in weights(m)]
-    trace_rows = []
-    for block_idx in range(3):
-        row = [0] * (3 * m + 1)
-        for i in range(m):
-            row[block_idx * m + i] = 1
-        trace_rows.append(row)
+    # entry[i] is H_X[i] in free coordinates: a unit vector, all −1 at i = m
+    entry = [[int(i == j) for j in range(1, m)] for i in range(m + 1)]
+    entry[m] = [-1] * (m - 1)
+    weight_rows = [entry[i] + entry[j] + entry[l] + [-1] for i, j, l in weights(m)]
 
     seen: set[tuple[int, ...]] = set()
     elements: list[RessayreCertificate] = []
     for subset in combinations(range(m**3), subset_size):
-        v = kernel_vector_if_unique([weight_rows[i] for i in subset] + trace_rows)
+        v = kernel_vector_if_unique([weight_rows[i] for i in subset])
         if v is None:
             continue
         key = _canonical_sign(v)
         if key in seen:
             continue
         seen.add(key)
-        blocks = (key[:m], key[m : 2 * m], key[2 * m : 3 * m])
-        base = HyperplaneCandidate(*blocks, key[3 * m])
+        base = _traceless(key, m)
+        if not check_admissible(base, m):
+            continue
         for h in (base, base.negated()):
-            if not check_admissible(h, m):
-                continue
             if not check_trace(h, m):
                 continue
             p = find_point(h, m, seed=seed, trials=64)
             if p is None:
                 continue
             elements.append(RessayreCertificate(h, p))
-    return FacetSystem(m, tuple(elements), chamber)
+    return FacetSystem(m, tuple(elements), chamber_inequalities(m))
 
 
 def _check_implied(columns, y, h: HyperplaneCandidate) -> None:
@@ -245,21 +251,16 @@ def reduce_irredundant(fs: FacetSystem) -> FacetSystem:
 
     Elements are tested in order against the ones still kept, by one exact
     LP each: the dual described in :mod:`kronkit.exactlp`, minimize −z·y
-    subject to Σ yᵢHᵢ = H_e on 3(m−1) coordinates, y ≥ 0, with a column per
+    subject to Σ yᵢHᵢ = H_e on the free coordinates, y ≥ 0, with a column per
     other element and then per chamber inequality.  e is dropped iff it is
     optimal with −value ≥ z_e, after its multipliers pass an exact check.
     An unbounded or infeasible dual (infeasible or unbounded primal) keeps e.
     """
-    m = fs.m
-    rows = [i for i in range(3 * m) if i % m != m - 1]
     active = list(fs.nontrivial)
     for element in list(active):
         columns = [e.h for e in active if e is not element] + list(fs.chamber)
-        flats = [_flat(h) for h in columns]
-        target = _flat(element.h)
-        a_eq = [[flat[i] for flat in flats] for i in rows]
-        b_eq = [target[i] for i in rows]
-        result = solve_lp([-h.z for h in columns], a_eq, b_eq)
+        a_eq = list(zip(*(_free(h) for h in columns)))
+        result = solve_lp([-h.z for h in columns], a_eq, _free(element.h))
         if result.status == "optimal" and -result.value >= element.h.z:
             _check_implied(columns, result.x, element.h)
             active.remove(element)
@@ -272,8 +273,6 @@ def reduce_irredundant(fs: FacetSystem) -> FacetSystem:
 
 def _dyadic_sqrt(q: Fraction, bits: int) -> Fraction:
     """Largest multiple of 2^−bits whose square is ≤ q (exact when possible)."""
-    if q == 0:
-        return Fraction(0)
     num, den = q.numerator, q.denominator
     rn, rd = isqrt(num), isqrt(den)
     if rn * rn == num and rd * rd == den:

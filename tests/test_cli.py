@@ -34,6 +34,13 @@ def jfile(tmp_path, name, obj):
     return str(path)
 
 
+def deep_file(tmp_path, name):
+    """Nesting past the recursion limit: json.load raises RecursionError."""
+    path = tmp_path / name
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    return str(path)
+
+
 def test_verify_nonmembership_accept(tmp_path, capsys):
     code = main([
         "verify-nonmembership",
@@ -345,6 +352,18 @@ MALFORMED = {
         "verify-membership",
         jfile(t, "i.json", INSIDE),
         jfile(t, "c.json", REPEATED_INDEX_CERT),
+    ],
+    "verify-nonmembership deeply nested certificate": lambda t: [
+        "verify-nonmembership", jfile(t, "i.json", OUTSIDE), deep_file(t, "c.json"),
+    ],
+    "verify-membership deeply nested instance": lambda t: [
+        "verify-membership", deep_file(t, "i.json"), jfile(t, "c.json", GHZ_CERT),
+    ],
+    "find-witness deeply nested instance": lambda t: [
+        "find-witness", deep_file(t, "i.json"), "--out", str(t / "w.json"),
+    ],
+    "member-bruteforce deeply nested instance": lambda t: [
+        "member-bruteforce", deep_file(t, "i.json"),
     ],
     "verify-membership certificate is a list": lambda t: [
         "verify-membership", jfile(t, "i.json", INSIDE), jfile(t, "c.json", [1]),

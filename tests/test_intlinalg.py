@@ -149,18 +149,19 @@ def test_kernel_matches_fraction_reference_exactly():
 
 
 def test_kernel_matches_fraction_reference_on_rank_three_systems():
-    # the systems enumeration solves: six weight incidences plus tracelessness
+    # the systems enumeration solves: six weight incidences H·φ − z in the
+    # free coordinates of a traceless H, where H_X[m] = −Σ_{i<m} H_X[i]
     m = 3
-    weight_rows = [weight_vector(w, m) + [-1] for w in weights(m)]
-    trace_rows = [
-        [1 if b * m <= j < (b + 1) * m else 0 for j in range(3 * m + 1)]
-        for b in range(3)
-    ]
+    weight_rows = []
+    for w in weights(m):
+        e = weight_vector(w, m)
+        free = [e[b * m + i] - e[b * m + m - 1] for b in range(3) for i in range(m - 1)]
+        weight_rows.append(free + [-1])
     rng = random.Random(43)
     hits = 0
     for _ in range(400):
         subset = rng.sample(range(m**3), 3 * (m - 1))
-        mat = [weight_rows[i] for i in subset] + trace_rows
+        mat = [weight_rows[i] for i in subset]
         v = kernel_vector_if_unique(mat)
         assert v == fraction_kernel(mat)
         hits += v is not None

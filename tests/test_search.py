@@ -18,6 +18,7 @@ from kronkit.errors import (
     ShapeMismatch,
 )
 from kronkit.exactlp import LPResult
+from kronkit.intlinalg import kernel_vector_if_unique
 from kronkit.marginals import frobenius_gap2, reduced_densities, verify_membership
 from kronkit.oracle import kron_coeff, partitions
 from kronkit.ressayre import (
@@ -38,7 +39,7 @@ from kronkit.search import (
     search_witness,
     spectra_csv,
 )
-from kronkit.weights import HyperplaneCandidate
+from kronkit.weights import HyperplaneCandidate, weight_vector, weights
 
 H_WORKED = HyperplaneCandidate((-1, 1), (-1, 1), (1, -1), -1)
 FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
@@ -139,6 +140,30 @@ def test_enumerate_rank_two():
         assert check_admissible(h, 2) and check_trace(h, 2)
         assert eval_determinant(build_det_matrix(h, 2), elem.witness_point) != 0
         assert gcd(*(v for block in h.blocks for v in block), h.z) == 1
+
+
+def test_enumerate_rank_two_matches_full_coordinate_system():
+    # reference: all 3m entries of H and z unknown, three rows for tracelessness
+    m = 2
+    rows = [weight_vector(w, m) + [-1] for w in weights(m)]
+    rows_trace = [[int(i // m == b) for i in range(3 * m)] + [0] for b in range(3)]
+    seen, expected = set(), []
+    for subset in combinations(range(m**3), 3 * (m - 1)):
+        v = kernel_vector_if_unique([rows[i] for i in subset] + rows_trace)
+        if v is None:
+            continue
+        key = tuple(v) if next(x for x in v if x) > 0 else tuple(-x for x in v)
+        if key in seen:
+            continue
+        seen.add(key)
+        base = HyperplaneCandidate(key[:m], key[m : 2 * m], key[2 * m : 3 * m], key[-1])
+        for h in (base, base.negated()):
+            if check_admissible(h, m) and check_trace(h, m):
+                p = find_point(h, m, trials=64)
+                if p is not None:
+                    expected.append(RessayreCertificate(h, p))
+    assert len(expected) == 9
+    assert list(enumerate_ressayre(m).nontrivial) == expected
 
 
 def test_enumerate_orientations_are_exclusive():

@@ -59,7 +59,7 @@ class LengthMismatch(KronkitError):
 
 
 class ShapeMismatch(KronkitError):
-    """Certificate dimensions disagree with the instance."""
+    """Certificate dimensions disagree with each other or with the instance."""
 
 
 class CoordinateTooLarge(KronkitError):

@@ -92,7 +92,7 @@ def kernel_vector_if_unique(mat: IntMatrix) -> list[int] | None:
     rank = len(pivot_cols)
     if n_cols - rank != 1:
         return None
-    free_col = next(c for c in range(n_cols) if c not in set(pivot_cols))
+    (free_col,) = set(range(n_cols)).difference(pivot_cols)
     x = [0] * n_cols
     x[free_col] = abs(ech[rank - 1][pivot_cols[-1]]) if rank else 1
     for t in range(rank - 1, -1, -1):

@@ -1,7 +1,8 @@
 """Hyperplane certificates of non-membership and their exact verifier.
 
 A certificate is a triple ``(H, z, p)``: a blockwise-traceless integer vector
-``H``, an integer level ``z``, and an integer evaluation point ``p`` (the
+``H`` and an integer level ``z`` (a ``HyperplaneCandidate``, checked traceless
+when built or read), and an integer evaluation point ``p`` (the
 ``witness_point`` field, ``"p"`` in JSON).  The verifier accepts only if
 
 1. the weights lying exactly on the hyperplane φ·H = z affinely span a
@@ -91,25 +92,19 @@ class RessayreCertificate:
     witness_point: tuple[int, ...]
 
     def to_json(self) -> dict:
-        return {
-            "H": [list(b) for b in self.h.blocks],
-            "z": self.h.z,
-            "p": list(self.witness_point),
-        }
+        return {**self.h.to_json(), "p": list(self.witness_point)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "RessayreCertificate":
-        h_blocks = obj["H"]
-        if len(h_blocks) != 3:
-            raise ShapeMismatch("H must have exactly three components")
-        h_a, h_b, h_c = (tuple(json_int(v) for v in block) for block in h_blocks)
-        h = HyperplaneCandidate(h_a, h_b, h_c, json_int(obj["z"]))
+        h = HyperplaneCandidate.from_json(obj)
         return cls(h, tuple(json_int(v) for v in obj["p"]))
 
 
 def check_admissible(h: HyperplaneCandidate, m: int) -> bool:
-    """True iff the on-level weights affinely span a hyperplane: rank 3(m−1)."""
-    h.validate_traceless()
+    """True iff the on-level weights affinely span a hyperplane: rank 3(m−1).
+
+    H is traceless by construction, so the rank is all that is left to check.
+    """
     on, _, _ = split_weights(h, m)
     return affine_rank(on, m) == 3 * (m - 1)
 

@@ -106,14 +106,12 @@ def _flat(h: HyperplaneCandidate) -> list[int]:
 
 def chamber_inequalities(m: int) -> tuple[HyperplaneCandidate, ...]:
     """The trivial inequalities r_{X,i} ≥ r_{X,i+1}, as r·H ≥ 0 candidates."""
+    zero = (0,) * m
     out = []
     for block_idx in range(3):
         for i in range(m - 1):
-            vec = [0] * m
-            vec[i] = 1
-            vec[i + 1] = -1
-            blocks = [(0,) * m, (0,) * m, (0,) * m]
-            blocks[block_idx] = tuple(vec)
+            blocks = [zero, zero, zero]
+            blocks[block_idx] = zero[:i] + (1, -1) + zero[i + 2 :]
             out.append(HyperplaneCandidate(*blocks, 0))
     return tuple(out)
 
@@ -123,9 +121,9 @@ class FacetSystem:
     """Verified hyperplane certificates of rank m, plus the chamber.
 
     Every hyperplane, element or chamber inequality, is checked where the
-    system is built: it has rank m, each block sums to 0 (the dual LP of
-    ``reduce_irredundant`` relies on it) and ∥H∥∞ and |z| are at most
-    ``siegel_bound(m)``.
+    system is built: it has rank m, and ∥H∥∞ and |z| are at most
+    ``siegel_bound(m)``.  Tracelessness, which the dual LP of
+    ``reduce_irredundant`` relies on, holds for any ``HyperplaneCandidate``.
     """
 
     m: int
@@ -139,7 +137,6 @@ class FacetSystem:
                 raise ShapeMismatch(
                     f"hyperplane of rank {h.m} in a facet system of rank {self.m}"
                 )
-            h.validate_traceless()
             if max(abs(v) for v in (*_flat(h), h.z)) > bound:
                 raise CoordinateTooLarge(
                     f"element exceeds the search-space bound {bound}"
@@ -150,10 +147,7 @@ class FacetSystem:
             "m": self.m,
             "nontrivial": [e.to_json() for e in self.nontrivial],
             "chamber": {
-                "inequalities": [
-                    {"H": [list(b) for b in h.blocks], "z": h.z}
-                    for h in self.chamber
-                ],
+                "inequalities": [h.to_json() for h in self.chamber],
                 "equalities": [
                     {"block": tag, "sum": 1} for tag in SUBSYSTEMS
                 ],

@@ -18,8 +18,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import CapExceeded, ComponentNotTraceless, IndexOutOfRange
+from .errors import CapExceeded, ComponentNotTraceless, IndexOutOfRange, ShapeMismatch
 from .intlinalg import integer_rank
+from .scalars import json_int
 
 # Materializing Φ(m) costs m³ memory; the cap keeps accidental
 # mega-instances from exhausting the machine.
@@ -30,7 +31,12 @@ SUBSYSTEMS = ("A", "B", "C")
 
 @dataclass(frozen=True)
 class HyperplaneCandidate:
-    """Blockwise-traceless integer test vector H plus integer level z."""
+    """Blockwise-traceless integer test vector H plus integer level z.
+
+    Construction refuses all but three blocks of one length m, each summing
+    to 0, so no consumer checks them again.  ``to_json`` and ``from_json``
+    alone write and read the ``{"H": …, "z": …}`` form.
+    """
 
     h_a: tuple[int, ...]
     h_b: tuple[int, ...]
@@ -45,10 +51,10 @@ class HyperplaneCandidate:
     def blocks(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
         return (self.h_a, self.h_b, self.h_c)
 
-    def validate_traceless(self) -> None:
+    def __post_init__(self) -> None:
         for tag, block in zip(SUBSYSTEMS, self.blocks):
             if len(block) != self.m:
-                raise ComponentNotTraceless(
+                raise ShapeMismatch(
                     f"component {tag} has length {len(block)}, expected {self.m}"
                 )
             if sum(block) != 0:
@@ -56,20 +62,24 @@ class HyperplaneCandidate:
                     f"component {tag} of H sums to {sum(block)}, not 0"
                 )
 
+    def to_json(self) -> dict:
+        return {"H": [list(b) for b in self.blocks], "z": self.z}
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "HyperplaneCandidate":
+        if len(obj["H"]) != 3:
+            raise ShapeMismatch("H must have exactly three components")
+        blocks = (tuple(json_int(v) for v in block) for block in obj["H"])
+        return cls(*blocks, json_int(obj["z"]))
+
     def negated(self) -> "HyperplaneCandidate":
-        return HyperplaneCandidate(
-            tuple(-v for v in self.h_a),
-            tuple(-v for v in self.h_b),
-            tuple(-v for v in self.h_c),
-            -self.z,
-        )
+        blocks = (tuple(-v for v in block) for block in self.blocks)
+        return HyperplaneCandidate(*blocks, -self.z)
 
     def pair_instance(self, padded_rows) -> int:
         """H·(λ_A,λ_B,λ_C) for padded integer row vectors."""
-        total = 0
-        for block, lam in zip(self.blocks, padded_rows):
-            total += sum(h * x for h, x in zip(block, lam))
-        return total
+        pairs = zip(self.blocks, padded_rows)
+        return sum(h * x for block, lam in pairs for h, x in zip(block, lam))
 
 
 def check_weight_cap(m: int) -> None:

@@ -322,11 +322,31 @@ FRACTIONAL_INSTANCE = {
 FRACTIONAL_CERT = {"H": [[-1.9, 1.9], [-1, 1], [1, -1]], "z": -1.5, "p": [1.7, 0, 0]}
 
 
+NOT_TRACELESS_CERT = {**WORKED_CERT, "H": [[0, 1], [-1, 1], [1, -1]]}
+TWO_COMPONENT_CERT = {**WORKED_CERT, "H": [[-1, 1], [-1, 1]]}
+LONG_B_CERT = {**WORKED_CERT, "H": [[-1, 1], [-1, 0, 1], [1, -1]]}
+
+
 MALFORMED = {
     "verify-nonmembership certificate without p": lambda t: [
         "verify-nonmembership",
         jfile(t, "i.json", OUTSIDE),
         jfile(t, "c.json", {"H": WORKED_CERT["H"], "z": -1}),
+    ],
+    "verify-nonmembership H not traceless": lambda t: [
+        "verify-nonmembership",
+        jfile(t, "i.json", OUTSIDE),
+        jfile(t, "c.json", NOT_TRACELESS_CERT),
+    ],
+    "verify-nonmembership H with two components": lambda t: [
+        "verify-nonmembership",
+        jfile(t, "i.json", OUTSIDE),
+        jfile(t, "c.json", TWO_COMPONENT_CERT),
+    ],
+    "verify-nonmembership B block of length 3": lambda t: [
+        "verify-nonmembership",
+        jfile(t, "i.json", OUTSIDE),
+        jfile(t, "c.json", LONG_B_CERT),
     ],
     "verify-nonmembership fractional instance": lambda t: [
         "verify-nonmembership",
@@ -393,6 +413,7 @@ MALFORMED = {
         "--out", str(t / "w.json"),
     ],
     "facets --m 0": lambda t: ["facets", "--m", "0"],
+    "facets --m abc": lambda t: ["facets", "--m", "abc"],
     "facets unwritable --out": lambda t: [
         "facets", "--m", "1", "--out", str(t / "no-such-dir" / "f.json"),
     ],
@@ -424,6 +445,15 @@ def test_malformed_input_exits_two(case, tmp_path, capsys):
     assert code == 2
     assert "error:" in err
     assert "Traceback" not in err
+
+
+def test_not_traceless_certificate_is_refused_when_read(tmp_path, capsys):
+    cert = jfile(tmp_path, "c.json", NOT_TRACELESS_CERT)
+    code = main(["verify-nonmembership", jfile(tmp_path, "i.json", OUTSIDE), cert])
+    err = capsys.readouterr().err
+    assert code == 2
+    reason = "component A of H sums to 1, not 0"
+    assert err == f"error: bad certificate file {cert}: {reason}\n"
 
 
 def test_every_subcommand_has_a_malformed_case():

@@ -55,6 +55,8 @@ def test_make_instance_override_padding():
     assert inst.m == 2 and inst.m_overridden
     assert inst.padded_rows() == ((1, 0), (1, 0), (1, 0))
     with pytest.raises(RankTooSmall):
+        parse_young([2, 1]).padded(1)
+    with pytest.raises(RankTooSmall):
         make_instance(
             parse_young([1, 1]), parse_young([2]), parse_young([2]), 2, m_override=1
         )

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 
+import pytest
+
 from kronkit.intlinalg import (
     det_bareiss,
     integer_rank,
@@ -81,6 +83,8 @@ def test_det_empty_and_singular():
     assert det_bareiss([]) == 1
     assert det_bareiss([[2, 4], [1, 2]]) == 0
     assert det_bareiss([[0, 1], [1, 0]]) == -1
+    with pytest.raises(ValueError):
+        det_bareiss([[1, 2, 3], [4, 5, 6]])
 
 
 def test_det_big_entries_exact():

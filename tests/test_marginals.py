@@ -172,6 +172,10 @@ def test_gap2_frozen_values():
     corner = inst([2], [2], [2], 2, m=2)
     assert frobenius_gap2(reduced_densities(bell_e1()), corner) == 1
 
+    # rank-2 densities against a rank-3 instance
+    with pytest.raises(ShapeMismatch):
+        frobenius_gap2(reduced_densities(ghz()), inst([1, 1], [1, 1], [1, 1], 2, m=3))
+
 
 def test_verify_membership_verdicts():
     v = verify_membership(inst([1, 1], [1, 1], [1, 1], 2), ghz())

@@ -5,6 +5,7 @@ from itertools import combinations, product
 from math import gcd
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kronkit import search
@@ -87,9 +88,8 @@ def test_element_rejects_oversized_coordinates():
 def test_element_rejects_block_that_is_not_traceless():
     # the A block sums to 1; reduce_irredundant relies on every H being traceless
     obj = {"H": [[1, 0], [0, 0], [0, 0]], "z": 0, "p": []}
-    cert = RessayreCertificate.from_json(obj)  # a bare certificate is not checked
     with pytest.raises(ComponentNotTraceless):
-        FacetSystem(2, (cert,), chamber_inequalities(2))
+        RessayreCertificate.from_json(obj)
     with pytest.raises(ComponentNotTraceless):
         FacetSystem.from_json({"m": 2, "nontrivial": [obj]})
 
@@ -521,6 +521,21 @@ def test_kron_positive_triples_satisfy_committed_m3_facets():
             for e in system.nontrivial:
                 assert level(e.h, target) >= k * e.h.z, (triple, e.h)
     assert (triples, positive) == (3564, 2254)
+
+
+def test_sampled_spectra_satisfy_committed_m3_facets():
+    # spectra of random states lie in the polytope, so no committed facet may
+    # cut one off; the m = 3 counterpart of acceptance criterion 4
+    system = committed_m3_system()
+    coeffs = np.array([[v for b in e.h.blocks for v in b] for e in system.nontrivial])
+    levels = np.array([e.h.z for e in system.nontrivial])
+    points = np.array([
+        [x for spectrum in triple for x in spectrum]
+        for triple in sample_spectra(3, 10_000, seed=0)
+    ])
+    slack = points @ coeffs.T - levels
+    assert slack.shape == (10_000, 39)
+    assert slack.min() >= -1e-9
 
 
 def test_sample_spectra_shape_and_determinism():

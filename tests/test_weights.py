@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from kronkit.errors import CapExceeded, ComponentNotTraceless
+from kronkit.errors import CapExceeded, ComponentNotTraceless, ShapeMismatch
 from kronkit.weights import (
     HyperplaneCandidate,
     affine_rank,
@@ -153,7 +153,23 @@ def test_affine_rank_permutation_and_duplication_invariant():
 
 
 def test_traceless_validation():
-    bad = HyperplaneCandidate((1, 0), (0, 0), (0, 0), 0)
     with pytest.raises(ComponentNotTraceless):
-        bad.validate_traceless()
-    H_WORKED.validate_traceless()  # fine
+        HyperplaneCandidate((1, 0), (0, 0), (0, 0), 0)
+
+
+def test_blocks_of_another_length_are_refused():
+    with pytest.raises(ShapeMismatch):
+        HyperplaneCandidate((-1, 1), (-1, 0, 1), (1, -1), 0)
+    with pytest.raises(ShapeMismatch):
+        HyperplaneCandidate((-1, 1), (-1, 1), (0,), 0)
+
+
+def test_hyperplane_json_round_trip():
+    obj = H_WORKED.to_json()
+    assert obj == {"H": [[-1, 1], [-1, 1], [1, -1]], "z": -1}
+    assert list(obj) == ["H", "z"]
+    assert HyperplaneCandidate.from_json(obj) == H_WORKED
+    with pytest.raises(ShapeMismatch):
+        HyperplaneCandidate.from_json({"H": [[-1, 1], [-1, 1]], "z": -1})
+    with pytest.raises(ComponentNotTraceless):
+        HyperplaneCandidate.from_json({"H": [[1, 1], [-1, 1], [1, -1]], "z": -1})

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 from .diagrams import KronInstance, parse_young
 from .errors import CapExceeded, KronkitError, MalformedInput
@@ -92,6 +93,23 @@ def _write(text: str, out: str | None, summary: str) -> None:
         sys.stdout.write(text)
 
 
+@contextmanager
+def _all_digits():
+    """Print exact integers in full, past CPython's int→str digit limit.
+
+    The limit (4300 digits by default) stays in force while input is read,
+    where it bounds the work a file can ask for.  Pythons before 3.10.7 have
+    no limit and no setter.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    setter = getattr(sys, "set_int_max_str_digits", lambda n: None)
+    setter(0)
+    try:
+        yield
+    finally:
+        setter(limit)
+
+
 def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
     if as_json:
         print(json.dumps(payload, indent=2))
@@ -109,14 +127,11 @@ def cmd_verify_nonmembership(args) -> int:
         lhs = cert.h.pair_instance(inst.padded_rows())
         rhs = inst.k * cert.h.z
         payload["violated_inequality"] = {"H.lambda": lhs, "k.z": rhs}
-        _emit(
-            payload,
-            args.json,
-            [
+        with _all_digits():
+            _emit(payload, args.json, [
                 f"Accept: certified non-membership for {inst}",
                 f"  violated inequality: H·lambda = {lhs} < k·z = {rhs}",
-            ],
-        )
+            ])
         return EXIT_ACCEPT
     _emit(payload, args.json, [f"Reject ({verdict.reason.value}) for {inst}"])
     return EXIT_REJECT
@@ -126,8 +141,9 @@ def cmd_verify_membership(args) -> int:
     inst = _load_json(args.instance, KronInstance.from_json, "instance")
     cert = _load_json(args.certificate, MembershipCertificate.from_json, "certificate")
     verdict = verify_membership(inst, cert)
-    gap2 = format_rational(verdict.gap2)
-    thr2 = format_rational(accept_threshold2(inst.m, inst.k))
+    with _all_digits():
+        gap2 = format_rational(verdict.gap2)
+        thr2 = format_rational(accept_threshold2(inst.m, inst.k))
     payload = {
         "instance": inst.to_json(),
         "verdict": str(verdict),

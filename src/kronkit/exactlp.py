@@ -5,11 +5,11 @@ so that redundancy of inequalities and exact membership witnesses can be
 decided at desk scale — no floating-point tolerances, no external solver.  Problem sizes here are tiny
 (a few rows, a few dozen columns), so the dense tableau is perfectly adequate.
 
-Coefficients must be integers (an integral ``Fraction`` is accepted, any
-other value raises ``ValueError``).  The tableau holds ints over one common
-denominator d = |det B| of the basis B (Edmonds' integer pivoting), so each
-pivot divides exactly by Sylvester's identity.  Only the returned
-:class:`LPResult` is built from ``Fraction``.
+Coefficients must be integers (a rational of integral value is accepted,
+any other value raises ``ValueError``).  The tableau holds ints over one
+common denominator d = |det B| of the basis B (Edmonds' integer pivoting),
+so each pivot divides exactly by Sylvester's identity.  The returned
+:class:`LPResult` keeps that form: integer numerators x over d.
 
 Solves::
 
@@ -31,14 +31,14 @@ summing block X of that equation gives m·μ_X = 0, and the last coordinate
 of each block is implied by the others.  That leaves: minimize −z·y subject
 to Σ yᵢHᵢ = H_e on the 3(m−1) free coordinates of H (``search._free``, each
 block but its last entry), y ≥ 0.  By LP duality this is
-optimal exactly when the primal is, with value −(primal minimum), so e is
-redundant iff the status is ``"optimal"`` and −value ≥ z_e.
+optimal exactly when the primal is, and its optimum at the returned y/d is
+−Σ yᵢzᵢ/d = −(primal minimum), so e is redundant iff the status is
+``"optimal"`` and Σ yᵢzᵢ ≥ d·z_e.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 Row = Sequence[int]
@@ -48,8 +48,8 @@ Tableau = list[list[int]]
 @dataclass(frozen=True)
 class LPResult:
     status: str  # "optimal" | "unbounded" | "infeasible"
-    value: Fraction | None
-    x: tuple[Fraction, ...] | None
+    x: tuple[int, ...] | None  # numerators of the basic solution x/d
+    d: int  # |det B|, the tableau's denominator
 
 
 def _integer(v) -> int:
@@ -115,7 +115,7 @@ def solve_lp(c: Row, a_eq: Sequence[Row], b_eq: Row) -> LPResult:
     tab.append(phase1)
     status, d = _simplex(tab, basis, width, 1)
     if status != "optimal" or tab[-1][-1] != 0:
-        return LPResult("infeasible", None, None)
+        return LPResult("infeasible", None, d)
     tab.pop()
 
     # drive any residual artificial variables out of the basis; a row where
@@ -137,8 +137,8 @@ def solve_lp(c: Row, a_eq: Sequence[Row], b_eq: Row) -> LPResult:
     tab.append(obj)
     status, d = _simplex(tab, basis, n, d)
     if status == "unbounded":
-        return LPResult("unbounded", None, None)
-    x = [Fraction(0)] * n
+        return LPResult("unbounded", None, d)
+    x = [0] * n
     for row, var in zip(tab, basis):
-        x[var] = Fraction(row[-1], d)
-    return LPResult("optimal", Fraction(-tab[-1][-1], d), tuple(x))
+        x[var] = row[-1]
+    return LPResult("optimal", tuple(x), d)

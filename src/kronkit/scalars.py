@@ -14,6 +14,7 @@ a rational is written ``"num/den"`` in lowest terms, a Gaussian rational as
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -22,19 +23,25 @@ from .errors import MalformedInput
 
 RationalLike = Union[Fraction, int, str]
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
 
 def as_fraction(value: RationalLike) -> Fraction:
-    """Coerce ints, ``"p/q"`` strings, or Fractions to Fraction.
+    """Coerce ints, ``"p/q"`` or ``"p"`` strings, or Fractions to Fraction.
 
     A ``bool`` is an ``int`` in Python, but JSON ``true`` is no amplitude,
-    so it is refused like any other junk.
+    so it is refused like any other junk.  A string must match
+    ``-?[0-9]+(/[0-9]+)?``: ``Fraction`` alone would also read ``"0.5"``,
+    ``"1_0"`` and ``"1e1000000"``, a nine-character 3.3-million-bit integer.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        if not _RATIONAL.fullmatch(value):
+            raise ValueError(f"expected num/den or an integer, got {value!r}")
+        return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 

@@ -6,10 +6,10 @@ Four generators live here:
   small m, by iterating over affinely independent weight subsets and solving
   exactly for the level hyperplane they span, in the 3(m−1) free coordinates
   of a traceless H (``_free``);
-* ``reduce_irredundant`` — removal of implied inequalities by exact rational
+* ``reduce_irredundant`` — removal of implied inequalities by exact
   linear programming: one standard-form LP per element, the 3(m−1)-row dual
-  of "is this inequality implied by the others?", whose Farkas multipliers
-  are re-checked exactly before an element is dropped;
+  of "is this inequality implied by the others?", whose integer Farkas
+  multipliers alone decide, by one exact check, whether it is dropped;
 * ``search_witness`` — construction of membership witnesses, exactly first
   (one rational LP per free support: the diagonal, then cyclic Latin
   supports) and, only when that fails, by one seeded float scaling that
@@ -227,17 +227,17 @@ def enumerate_ressayre(m: int, seed: int = 0) -> FacetSystem:
     return FacetSystem(m, tuple(elements), chamber_inequalities(m))
 
 
-def _check_implied(columns, y, h: HyperplaneCandidate) -> None:
-    """Exact Farkas check: y ≥ 0, Σ yᵢHᵢ = H on all 3m coordinates, Σ yᵢzᵢ ≥ z.
+def _implied(columns, y, d: int, h: HyperplaneCandidate) -> bool:
+    """Whether y/d proves r·H ≥ z: Σ yᵢzᵢ ≥ d·z, given y ≥ 0 and Σ yᵢHᵢ = d·H.
 
-    A failure is a fault of the LP solver, not of the input, so it raises an
-    exception that is not a KronkitError.
+    The givens are checked on all 3m coordinates.  A failure is the LP
+    solver's fault, not the input's, so it raises a non-KronkitError.
     """
     flats = [_flat(c) for c in columns]
     combined = [sum(yi * f[i] for yi, f in zip(y, flats)) for i in range(3 * h.m)]
-    level = sum(yi * c.z for yi, c in zip(y, columns))
-    if min(y, default=0) < 0 or combined != _flat(h) or level < h.z:
-        raise RuntimeError(f"LP multipliers do not certify that {h} is implied")
+    if min(y, default=0) < 0 or combined != [d * v for v in _flat(h)]:
+        raise RuntimeError(f"LP multipliers do not solve Σ yᵢHᵢ = d·H for {h}")
+    return sum(yi * c.z for yi, c in zip(y, columns)) >= d * h.z
 
 
 def reduce_irredundant(fs: FacetSystem) -> FacetSystem:
@@ -246,17 +246,16 @@ def reduce_irredundant(fs: FacetSystem) -> FacetSystem:
     Elements are tested in order against the ones still kept, by one exact
     LP each: the dual described in :mod:`kronkit.exactlp`, minimize −z·y
     subject to Σ yᵢHᵢ = H_e on the free coordinates, y ≥ 0, with a column per
-    other element and then per chamber inequality.  e is dropped iff it is
-    optimal with −value ≥ z_e, after its multipliers pass an exact check.
-    An unbounded or infeasible dual (infeasible or unbounded primal) keeps e.
+    other element and then per chamber inequality.  e is dropped iff the LP
+    is optimal and its integer multipliers pass ``_implied``.  An unbounded
+    or infeasible dual (infeasible or unbounded primal) keeps e.
     """
     active = list(fs.nontrivial)
     for element in list(active):
         columns = [e.h for e in active if e is not element] + list(fs.chamber)
         a_eq = list(zip(*(_free(h) for h in columns)))
-        result = solve_lp([-h.z for h in columns], a_eq, _free(element.h))
-        if result.status == "optimal" and -result.value >= element.h.z:
-            _check_implied(columns, result.x, element.h)
+        lp = solve_lp([-h.z for h in columns], a_eq, _free(element.h))
+        if lp.status == "optimal" and _implied(columns, lp.x, lp.d, element.h):
             active.remove(element)
     return FacetSystem(fs.m, tuple(active), fs.chamber)
 
@@ -265,14 +264,12 @@ def reduce_irredundant(fs: FacetSystem) -> FacetSystem:
 # membership witnesses
 
 
-def _dyadic_sqrt(q: Fraction, bits: int) -> Fraction:
-    """Largest multiple of 2^−bits whose square is ≤ q (exact when possible)."""
-    num, den = q.numerator, q.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    scale = 1 << bits
-    return Fraction(isqrt(num * scale * scale // den), scale)
+def _dyadic_sqrt(num: int, den: int, bits: int) -> Fraction:
+    """Largest multiple of 2^−bits whose square is ≤ num/den (exact when possible)."""
+    root = isqrt(num * den)  # √(num/den) is rational iff num·den is a square
+    if root * root == num * den:
+        return Fraction(root, den)
+    return Fraction(isqrt((num << 2 * bits) // den), 1 << bits)
 
 
 def free_supports(m: int) -> Iterator[tuple[Entry, ...]]:
@@ -326,7 +323,7 @@ def _exact_witness(inst: KronInstance) -> MembershipCertificate | None:
         if result.status != "optimal":
             continue
         cert = MembershipCertificate(inst.m, {
-            s: GaussianRational(_dyadic_sqrt(x / inst.k, bits))
+            s: GaussianRational(_dyadic_sqrt(x, inst.k * result.d, bits))
             for s, x in zip(support, result.x)
         })
         if verify_membership(inst, cert).accepted:

@@ -5,6 +5,9 @@ import pytest
 
 from kronkit import cli, oracle
 from kronkit.cli import build_parser, main
+from kronkit.diagrams import KronInstance
+from kronkit.marginals import MembershipCertificate, verify_membership
+from kronkit.scalars import format_rational
 
 OUTSIDE = {"lambda_A": [2], "lambda_B": [2], "lambda_C": [1, 1], "k": 2}
 INSIDE = {"lambda_A": [1, 1], "lambda_B": [1, 1], "lambda_C": [1, 1], "k": 2}
@@ -278,6 +281,63 @@ def test_sample_stdout_and_determinism(tmp_path, capsys):
     capsys.readouterr()
 
 
+# exact values past CPython's 4300-digit int→str limit are printed in full
+HUGE = 10**4299  # 4300 digits, the most a JSON integer may have
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_verify_membership_prints_a_gap_past_4300_digits(tmp_path, capsys, flags):
+    big = 10**3000
+    cert = {"m": 2, "entries": [
+        {"idx": [1, 1, 1], "re": f"1/{big + 1}"},
+        {"idx": [2, 2, 2], "re": f"1/{big + 3}"},
+    ]}
+    code = main([
+        "verify-membership",
+        jfile(tmp_path, "inst.json", INSIDE),
+        jfile(tmp_path, "cert.json", cert),
+        *flags,
+    ])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    verdict = verify_membership(
+        KronInstance.from_json(INSIDE), MembershipCertificate.from_json(cert)
+    )
+    with cli._all_digits():
+        gap2 = format_rational(verdict.gap2)
+    assert len(gap2) > 4300 and gap2 in out
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_verify_nonmembership_prints_levels_past_4300_digits(tmp_path, capsys, flags):
+    # the worked certificate scaled by 10^4299 is still a proof
+    inst = {"lambda_A": [10], "lambda_B": [10], "lambda_C": [5, 5], "k": 10}
+    cert = {"H": [[-HUGE, HUGE], [-HUGE, HUGE], [HUGE, -HUGE]], "z": -HUGE,
+            "p": [1, 0, 0]}
+    code = main([
+        "verify-nonmembership",
+        jfile(tmp_path, "inst.json", inst),
+        jfile(tmp_path, "cert.json", cert),
+        *flags,
+    ])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    lhs, rhs = "-2" + "0" * 4300, "-1" + "0" * 4300  # -20·HUGE, 10·(-HUGE)
+    if flags:
+        assert f'"H.lambda": {lhs},' in out and f'"k.z": {rhs}\n' in out
+    else:
+        assert f"H·lambda = {lhs} < k·z = {rhs}" in out
+
+
+def test_verify_nonmembership_refuses_a_4301_digit_integer(tmp_path, capsys):
+    cert = tmp_path / "cert.json"  # z = -10^4300, written out by hand
+    cert.write_text(json.dumps(WORKED_CERT).replace('"z": -1', '"z": -1' + "0" * 4300))
+    code = main(["verify-nonmembership", jfile(tmp_path, "i.json", OUTSIDE), str(cert)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: bad certificate file {cert}:")
+
+
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -294,6 +354,11 @@ RANK_200_CERT = {"m": 200, "entries": [{"idx": [1, 1, 1], "re": "1/1", "im": "0/
 ONE_OVER_ZERO_CERT = {
     "m": 2,
     "entries": [{"idx": [1, 1, 1], "re": "1/0", "im": "0/1"}],
+}
+# Fraction("0.5") is 1/2, but a rational is written num/den
+DECIMAL_CERT = {
+    "m": 2,
+    "entries": [{"idx": [1, 1, 1], "re": "0.5"}, {"idx": [2, 2, 2], "re": "1/2"}],
 }
 # JSON true is a Python int: read as 1, it would make this the GHZ witness
 BOOL_CERT = {
@@ -362,6 +427,11 @@ MALFORMED = {
         "verify-membership",
         jfile(t, "i.json", INSIDE),
         jfile(t, "c.json", ONE_OVER_ZERO_CERT),
+    ],
+    "verify-membership decimal amplitude": lambda t: [
+        "verify-membership",
+        jfile(t, "i.json", INSIDE),
+        jfile(t, "c.json", DECIMAL_CERT),
     ],
     "verify-membership bool amplitude": lambda t: [
         "verify-membership",

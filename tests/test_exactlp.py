@@ -45,6 +45,16 @@ def vertex_enum_min(c, a_ub, b_ub):
     return best
 
 
+def optimum(c, res):
+    """c·x at the solution x/d of an optimal result."""
+    return Fraction(sum(ci * xi for ci, xi in zip(c, res.x)), res.d)
+
+
+def point(res):
+    """The solution x/d of an optimal result."""
+    return tuple(Fraction(xi, res.d) for xi in res.x)
+
+
 def slack_form(c, a_ub, b_ub):
     """Standard form of min c·x, a_ub x ≤ b_ub, x ≥ 0: one slack per row."""
     rows = [
@@ -60,22 +70,23 @@ def test_known_bounded_lp():
     a_eq = [[1, 0, 1, 0, 0], [0, 1, 0, 1, 0], [1, 1, 0, 0, 1]]
     res = solve_lp(c, a_eq, [3, 2, 4])
     assert res.status == "optimal"
-    assert res.value == -4
-    assert sum(res.x[:2]) == 4
+    assert optimum(c, res) == -4
+    assert sum(point(res)[:2]) == 4
 
 
 def test_equality_constrained_lp():
     # min x subject to x + y = 1 → 0 at (0,1)
-    res = solve_lp([Fraction(1), Fraction(0)], [[1, 1]], [1])
-    assert res.status == "optimal" and res.value == 0
-    assert res.x == (0, 1)
+    c = [Fraction(1), Fraction(0)]
+    res = solve_lp(c, [[1, 1]], [1])
+    assert res.status == "optimal" and optimum(c, res) == 0
+    assert point(res) == (0, 1)
 
 
 def test_redundant_equation_is_dropped():
     # the second row is twice the first; its artificial cannot leave the basis
     res = solve_lp([1, 2], [[1, 1], [2, 2]], [1, 2])
-    assert res.status == "optimal" and res.value == 1
-    assert res.x == (1, 0)
+    assert res.status == "optimal" and optimum([1, 2], res) == 1
+    assert point(res) == (1, 0)
 
 
 def test_negative_drive_out_pivot(monkeypatch):
@@ -92,8 +103,8 @@ def test_negative_drive_out_pivot(monkeypatch):
     monkeypatch.setattr(exactlp, "_pivot", spy)
     res = solve_lp([3, -2], [[-2, -1], [2, 0], [0, -1]], [-1, 1, 0])
     assert min(pivots) < -1
-    assert res.status == "optimal" and res.value == Fraction(3, 2)
-    assert res.x == (Fraction(1, 2), 0)
+    assert res.status == "optimal" and optimum([3, -2], res) == Fraction(3, 2)
+    assert point(res) == (Fraction(1, 2), 0)
 
 
 def test_non_integral_coefficient_is_rejected():
@@ -121,7 +132,8 @@ def test_infeasible_lp():
 def test_exact_rational_answer():
     # min x subject to 3x − s = 1 → exactly 1/3, no float drift
     res = solve_lp([Fraction(1), 0], [[3, -1]], [1])
-    assert res.status == "optimal" and res.value == Fraction(1, 3)
+    assert res.status == "optimal" and optimum([1, 0], res) == Fraction(1, 3)
+    assert res.x == (1, 0) and res.d == 3  # integer numerators over d
 
 
 def test_random_lps_match_vertex_enumeration():
@@ -145,4 +157,4 @@ def test_random_lps_match_vertex_enumeration():
             assert res.status == "infeasible"
         else:
             assert res.status == "optimal"
-            assert res.value == expected
+            assert optimum(c, res) == expected

@@ -49,6 +49,13 @@ def test_as_fraction_rejects_junk():
         as_fraction(0.5)
 
 
+def test_as_fraction_reads_only_num_den_strings():
+    # Fraction alone reads all of these; the last is a 3.3-million-bit integer
+    for text in ("0.5", "+1/2", "1_0/1", " 1/2", "1/-2", "1e1000000"):
+        with pytest.raises(ValueError):
+            as_fraction(text)
+
+
 def test_as_fraction_rejects_bool():
     # bool is an int subclass; JSON true must not read as the amplitude 1
     for value in (True, False):

@@ -15,10 +15,11 @@ from kronkit.errors import (
     BudgetExceeded,
     ComponentNotTraceless,
     CoordinateTooLarge,
+    KronkitError,
     MalformedInput,
     ShapeMismatch,
 )
-from kronkit.exactlp import LPResult
+from kronkit.exactlp import LPResult, solve_lp
 from kronkit.intlinalg import kernel_vector_if_unique
 from kronkit.marginals import frobenius_gap2, reduced_densities, verify_membership
 from kronkit.oracle import kron_coeff, partitions
@@ -227,14 +228,66 @@ def test_reduce_rank_three_matches_committed_system():
 
 
 def test_reduce_rejects_wrong_multipliers(monkeypatch, capsys):
-    # an LP answer that claims redundancy with multipliers that prove nothing
+    # an optimal LP answer whose multipliers prove nothing
     def wrong(c, a_eq, b_eq):
-        return LPResult("optimal", Fraction(-100), (Fraction(0),) * len(c))
+        return LPResult("optimal", (0,) * len(c), 1)
 
     monkeypatch.setattr(search, "solve_lp", wrong)
     assert main(["facets", "--m", "2", "--irredundant"]) == 3
     err = capsys.readouterr().err
     assert "internal error:" in err and "multipliers" in err
+
+
+@pytest.fixture(scope="module")
+def m3_system():
+    text = (FIXTURES / "facets_m3.json").read_text(encoding="utf-8")
+    return FacetSystem.from_json(json.loads(text))
+
+
+def first_turn_lp(system, element):
+    """The LP reduce_irredundant solves for element before any drop."""
+    columns = [e.h for e in system.nontrivial if e is not element]
+    columns += system.chamber
+    a_eq = list(zip(*(search._free(h) for h in columns)))
+    return columns, solve_lp([-h.z for h in columns], a_eq, search._free(element.h))
+
+
+def assert_refused(columns, y, d, h):
+    with pytest.raises(RuntimeError, match="multipliers") as exc:
+        search._implied(columns, y, d, h)
+    assert not isinstance(exc.value, KronkitError)
+
+
+def test_drop_check_proves_the_first_m3_drop_and_refuses_mutations(m3_system):
+    kept = set(committed_m3_system().nontrivial)
+    dropped = next(e for e in m3_system.nontrivial if e not in kept)
+    columns, lp = first_turn_lp(m3_system, dropped)
+    assert lp.status == "optimal"
+    assert search._implied(columns, lp.x, lp.d, dropped.h)
+    i = next(i for i, v in enumerate(lp.x) if v)
+    for bad in (lp.x[i] + 1, -lp.x[i]):
+        assert_refused(columns, lp.x[:i] + (bad,) + lp.x[i + 1 :], lp.d, dropped.h)
+    # add a kernel vector of seven unused columns: Σ yᵢHᵢ = d·H still holds,
+    # so only the sign check can refuse the negative entries it brings
+    unused = [j for j, v in enumerate(lp.x) if v == 0]
+    for subset in combinations(unused, 7):
+        rows = zip(*(search._free(columns[j]) for j in subset))
+        v = kernel_vector_if_unique([list(r) for r in rows])
+        if v is not None:
+            break
+    y = list(lp.x)
+    for j, vj in zip(subset, v if min(v) < 0 else [-vj for vj in v]):
+        y[j] += vj
+    assert min(y) < 0
+    assert_refused(columns, y, lp.d, dropped.h)
+
+
+def test_drop_check_keeps_a_facet_on_its_own_optimum(m3_system):
+    facet = m3_system.nontrivial[0]
+    assert facet in committed_m3_system().nontrivial
+    columns, lp = first_turn_lp(m3_system, facet)
+    assert lp.status == "optimal"
+    assert not search._implied(columns, lp.x, lp.d, facet.h)
 
 
 def test_facet_system_json_round_trip():
@@ -377,6 +430,28 @@ def test_float_route_skipped_below_float64_floor(monkeypatch, target):
 
     monkeypatch.setattr(search, "_scaling_pass", refuse)
     assert search_witness(target, seed=0) is None
+
+
+def test_dyadic_sqrt_is_exact_in_any_terms():
+    assert search._dyadic_sqrt(2, 8, 10) == Fraction(1, 2)
+    assert search._dyadic_sqrt(0, 5, 10) == 0
+    assert search._dyadic_sqrt(4 * 9, 9 * 49, 10) == Fraction(2, 7)
+
+
+def test_dyadic_sqrt_is_the_largest_dyadic_below():
+    rng = random.Random(3)
+    for _ in range(500):
+        num, den = rng.randint(0, 10**12), rng.randint(1, 10**12)
+        if rng.random() < 0.3:  # a rational square in non-lowest terms
+            t = rng.randint(1, 10**4)
+            num, den = num**2 * t, den**2 * t
+        bits = rng.randint(0, 80)
+        q, step = Fraction(num, den), Fraction(1, 2**bits)
+        r = search._dyadic_sqrt(num, den, bits)
+        exact = r * r == q
+        assert exact or (r / step).denominator == 1
+        assert r * r <= q
+        assert exact or (r + step) ** 2 > q
 
 
 def test_free_supports_are_free_and_bounded():

@@ -11,12 +11,8 @@ verification pipeline are then thinned to an irredundant set by exact
 rational linear programming.
 """
 
-from kronkit import (
-    enumerate_ressayre,
-    reduce_irredundant,
-    sample_spectra,
-    spectra_csv,
-)
+from kronkit import enumerate_ressayre, reduce_irredundant
+from kronkit.floats import sample_spectra, spectra_csv  # the numpy side
 
 # %%
 # Complete enumeration at m = 2: 56 weight subsets collapse to 9 verified
@@ -35,7 +31,8 @@ for elem in facets.nontrivial:
 # %%
 # Monte-Carlo containment: spectra of random pure states must satisfy
 # every facet inequality.  The margin min(r·H - z) over 2000 samples
-# stays nonnegative (up to eigensolver noise).
+# stays nonnegative (up to eigensolver noise).  The sampler computes in
+# floats, so it lives in kronkit.floats, the one module that loads numpy.
 
 samples = sample_spectra(2, 2000, seed=0)
 worst = min(

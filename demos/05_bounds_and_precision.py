@@ -52,7 +52,9 @@ print(f"\ntruncate(1/sqrt2, b=2) -> {cert.entries[(1, 1, 1)].re}")
 # And the truncation error obeys the bound that justifies required_bits:
 # a b-bit truncation of a unit vector moves each reduced density by at
 # most 5 * m^(3/4) * 2^(-b/2) in Frobenius norm.  The empirical worst
-# case sits far below it.
+# case sits far below it.  kronkit keeps no float view of its exact
+# densities, so the demo divides each integer Gram by the common
+# denominator itself (int / int rounds correctly).
 
 rng = np.random.default_rng(1)
 m, b = 3, 16
@@ -62,7 +64,12 @@ for _ in range(50):
     v = rng.normal(size=m**3) + 1j * rng.normal(size=m**3)
     v /= np.linalg.norm(v)
     t = v.reshape(m, m, m)
-    exact = reduced_densities(truncate(v, b)).to_numpy()
+    rho = reduced_densities(truncate(v, b))
+    exact = [
+        np.array([[complex(re / rho.den, im / rho.den) for re, im in row]
+                  for row in gram])
+        for gram in rho.grams
+    ]
     floats = (
         np.einsum("abc,dbc->ad", t, t.conj()),
         np.einsum("abc,adc->bd", t, t.conj()),

@@ -53,9 +53,7 @@ from .search import (
     enumerate_ressayre,
     find_point,
     reduce_irredundant,
-    sample_spectra,
     search_witness,
-    spectra_csv,
 )
 from .weights import (
     HyperplaneCandidate,
@@ -106,9 +104,7 @@ __all__ = [
     "enumerate_ressayre",
     "find_point",
     "reduce_irredundant",
-    "sample_spectra",
     "search_witness",
-    "spectra_csv",
     "HyperplaneCandidate",
     "affine_rank",
     "negative_roots",

@@ -30,13 +30,7 @@ from .marginals import MembershipCertificate, accept_threshold2, verify_membersh
 from .oracle import DEFAULT_ORACLE_CAP, kron_coeff, semigroup_member
 from .ressayre import RessayreCertificate, verify_nonmembership
 from .scalars import format_rational
-from .search import (
-    enumerate_ressayre,
-    reduce_irredundant,
-    sample_spectra,
-    search_witness,
-    spectra_csv,
-)
+from .search import enumerate_ressayre, reduce_irredundant, search_witness
 
 EXIT_ACCEPT = 0
 EXIT_REJECT = 1
@@ -204,6 +198,7 @@ def cmd_member_bruteforce(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    from .floats import sample_spectra, spectra_csv  # loads numpy, so only here
     text = spectra_csv(sample_spectra(args.m, args.n, args.seed))
     _write(text, args.out, f"{args.n} spectra at m={args.m} written to {args.out}")
     return EXIT_ACCEPT

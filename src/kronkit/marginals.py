@@ -12,10 +12,9 @@ and the one Fraction built on the way to a verdict is the gap² itself.  A
 Gram matrix is positive semidefinite by construction, so no numeric check is
 needed.
 
-Floating point appears here only in diagnostics (``to_complex_array``,
-``DensityTriple.to_numpy``) and in the truncation helper that converts
-numerically found vectors into exact certificates.  The accept/reject
-decision itself never touches floats.
+Floating point appears here only as the input of ``truncate``, which turns
+a numerically found vector into an exact certificate; no float leaves it.
+The accept/reject decision itself never touches floats.
 """
 
 from __future__ import annotations
@@ -24,13 +23,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .diagrams import KronInstance
 from .errors import IndexOutOfRange, MalformedInput, ShapeMismatch, ZeroVector
 from .ressayre import Decision, Reason, Verdict, min_gap
 from .scalars import GaussianRational, json_int
-from .weights import check_weight_cap, weight_index, weights
+from .weights import check_weight_cap, weights
 
 Entry = tuple[int, int, int]
 # a Gram matrix: rows of (re, im) integer pairs
@@ -56,12 +53,6 @@ class MembershipCertificate:
         if not cleaned:
             raise ZeroVector("certificate has no nonzero entry")
         object.__setattr__(self, "entries", cleaned)
-
-    def to_complex_array(self) -> np.ndarray:
-        vec = np.zeros(self.m**3, dtype=complex)
-        for idx, v in self.entries.items():
-            vec[weight_index(self.m, idx)] = v.to_complex()
-        return vec
 
     def to_json(self) -> dict:
         ordered = sorted(self.entries.items())
@@ -100,14 +91,6 @@ class DensityTriple:
     @property
     def m(self) -> int:
         return len(self.grams[0])
-
-    def to_numpy(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # int / int rounds correctly even where the ints exceed the float range
-        den = self.den
-        return tuple(
-            np.array([[complex(re / den, im / den) for re, im in row] for row in gram])
-            for gram in self.grams
-        )
 
 
 def _common_denominator(values) -> int:
@@ -231,12 +214,13 @@ def _trunc_scaled(x: float, b: int) -> int:
 def truncate(v, b: int) -> MembershipCertificate:
     """Exact b-bit truncation (toward zero) of a float complex vector.
 
-    ``v`` is indexed in the canonical lexicographic order of (a,b,c); its
-    length determines m.  Resulting entries are rationals with denominator
-    dividing 2^b; entries truncated to zero are dropped by the certificate,
-    which raises ZeroVector when none is left.
+    ``v`` is a flat sequence of numbers that ``complex()`` reads, indexed in
+    the canonical lexicographic order of (a,b,c); its length determines m.
+    Resulting entries are rationals with denominator dividing 2^b; entries
+    truncated to zero are dropped by the certificate, which raises
+    ZeroVector when none is left.
     """
-    vec = np.asarray(v, dtype=complex).ravel()
+    vec = [complex(x) for x in v]
     m = round(len(vec) ** (1 / 3))
     if m**3 != len(vec):
         raise ShapeMismatch(f"vector length {len(vec)} is not a cube")

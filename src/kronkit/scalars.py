@@ -4,8 +4,8 @@ Rational numbers are plain :class:`fractions.Fraction` instances (arbitrary
 precision, always in lowest terms, positive denominator).  On top of that this
 module provides a Gaussian-rational type — a complex number with rational
 real and imaginary parts — as the value type of a witness amplitude.  It
-carries no arithmetic: the exact verifier scales amplitudes to integers over
-their common denominator and computes there.
+carries no arithmetic and no float view: the exact verifier scales amplitudes
+to integers over their common denominator and computes there.
 
 Serialization is string-based so that certificates survive JSON without loss:
 a rational is written ``"num/den"`` in lowest terms, a Gaussian rational as
@@ -74,9 +74,6 @@ class GaussianRational:
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
-
-    def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
 
     def to_json(self) -> dict:
         return {"re": format_rational(self.re), "im": format_rational(self.im)}

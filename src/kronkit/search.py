@@ -1,6 +1,6 @@
 """Desk-scale certificate generation.
 
-Four generators live here:
+Three generators live here:
 
 * ``enumerate_ressayre`` — complete hyperplane-certificate discovery for
   small m, by iterating over affinely independent weight subsets and solving
@@ -13,11 +13,11 @@ Four generators live here:
 * ``search_witness`` — construction of membership witnesses, exactly first
   (one rational LP per free support: the diagonal, then cyclic Latin
   supports) and, only when that fails, by one seeded float scaling that
-  stops at the verifier's threshold; gated by the exact verifier;
-* ``sample_spectra`` — seeded Monte-Carlo spectra for containment checks.
+  stops at the verifier's threshold; gated by the exact verifier.
 
-Floats appear only in the float fallback of the witness search and in the
-sampler; everything feeding a verifier decision is exact.
+The float scaling lives in :mod:`kronkit.floats`, which this module loads
+only when it runs; everything here, and everything feeding a verifier
+decision, is exact.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, isqrt
-
-import numpy as np
 
 from .diagrams import KronInstance
 from .errors import BudgetExceeded, CoordinateTooLarge, ShapeMismatch, ZeroVector
@@ -69,9 +67,6 @@ SUBSET_BUDGET = 400_000
 # Above m = 4 they are the first relabellings in order; BENCH_witness.json
 # records what they decide on seeded kron > 0 panels at m = 5 and 6.
 MAX_FREE_SUPPORTS = 145
-
-# Alternating scaling passes of the float fallback's one seeded start.
-MAX_SCALING_ITERS = 400
 
 # Float64 floor of the scaling's gap²: converged at m = 3 it hovers near
 # 1e-31 and dips to 4e-33–3e-32 (1500 passes, seeds 0–2, four points).  The
@@ -331,95 +326,35 @@ def _exact_witness(inst: KronInstance) -> MembershipCertificate | None:
     return None
 
 
-def _marginal(psi: np.ndarray, axis: int) -> np.ndarray:
-    specs = [("abc,dbc->ad"), ("abc,adc->bd"), ("abc,abd->cd")]
-    return np.einsum(specs[axis], psi, psi.conj())
-
-
-def _apply_leg(psi: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
-    return np.moveaxis(
-        np.tensordot(mat, psi, axes=([1], [axis])), 0, axis
-    )
-
-
-def _scaling_pass(psi: np.ndarray, targets: list[np.ndarray]) -> np.ndarray:
-    """One alternating pass steering each marginal toward its target."""
-    for axis in range(3):
-        rho = _marginal(psi, axis)
-        vals, vecs = np.linalg.eigh(rho)
-        vals, vecs = vals[::-1], vecs[:, ::-1]  # non-increasing, aligned
-        factors = np.sqrt(targets[axis] / np.maximum(vals, 1e-30))
-        # rotate the eigenbasis onto the standard basis, then rescale there
-        mat = np.diag(factors) @ vecs.conj().T
-        psi = _apply_leg(psi, mat, axis)
-        psi = psi / np.linalg.norm(psi)
-    return psi
-
-
 def search_witness(inst: KronInstance, seed: int = 0) -> MembershipCertificate | None:
     """Find a certificate that passes the exact membership verifier.
 
     Exact route first: one LP per free support (``free_supports``), whose
     rational solution gives the amplitudes.  Only if none is accepted does
-    the float route run: up to ``MAX_SCALING_ITERS`` alternating scaling
-    passes from one start drawn from ``seed``, stopped once gap² is at most
-    accept_threshold2/4 (room for truncation), and skipped where that stop
-    is below ``FLOAT_GAP2_FLOOR``.  Every candidate is truncated to
-    required_bits and returned only if verify_membership accepts it.
+    the float route run: ``floats.scale`` from one start drawn from ``seed``,
+    stopped once gap² is at most accept_threshold2/4 (room for truncation),
+    and skipped where that stop is below ``FLOAT_GAP2_FLOOR``.  Every
+    candidate is truncated to required_bits and returned only if
+    verify_membership accepts it.
     """
     check_weight_cap(inst.m)
+    low, mid, r = sorted(d.height for d in inst.diagrams)
+    if r > low * mid:  # rank ρ_X = rank ρ_YZ ≤ rank ρ_Y · rank ρ_Z: no state
+        return None
     cert = _exact_witness(inst)
     if cert is not None:
         return cert
-    m = inst.m
-    stop = float(accept_threshold2(m, inst.k) / 4)
+    # At r ≤ 2 the block sums fix x on the support {111, 122, 212, 221}, and
+    # x ≥ 0 exactly under the Higuchi–Sudbery–Szulc inequalities that cut out
+    # the qubit polytope, so the exact route has decided every member.
+    if r <= 2:
+        return None
+    stop = float(accept_threshold2(inst.m, inst.k) / 4)
     if stop < FLOAT_GAP2_FLOOR:
         return None
-    targets = [np.array(row) / inst.k for row in inst.padded_rows()]
-    rng = np.random.default_rng(seed)
-    psi = rng.standard_normal((m, m, m)) + 1j * rng.standard_normal((m, m, m))
-    psi = psi / np.linalg.norm(psi)
-    for _ in range(MAX_SCALING_ITERS):
-        psi = _scaling_pass(psi, targets)
-        gap2 = sum(
-            float((np.abs(_marginal(psi, axis) - np.diag(t)) ** 2).sum())
-            for axis, t in enumerate(targets)
-        )
-        if gap2 <= stop:
-            break
+    from . import floats  # numpy loads only when a scaling runs
     try:
-        cert = truncate(psi.ravel(), required_bits(m, inst.k))
+        cert = truncate(floats.scale(inst, seed, stop), required_bits(inst.m, inst.k))
     except ZeroVector:
         return None
     return cert if verify_membership(inst, cert).accepted else None
-
-
-def sample_spectra(
-    m: int, n: int, seed: int = 0
-) -> list[tuple[tuple[float, ...], ...]]:
-    """n spectra triples of seeded Gaussian random vectors, non-increasing.
-
-    Each sample is a dense m³ vector, so ranks above the weight cap raise
-    CapExceeded.
-    """
-    check_weight_cap(m)
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n):
-        psi = rng.standard_normal((m, m, m)) + 1j * rng.standard_normal((m, m, m))
-        psi = psi / np.linalg.norm(psi)
-        triple = tuple(
-            tuple(np.linalg.eigvalsh(_marginal(psi, axis))[::-1].tolist())
-            for axis in range(3)
-        )
-        out.append(triple)
-    return out
-
-
-def spectra_csv(samples: list[tuple[tuple[float, ...], ...]]) -> str:
-    """CSV serialization: one row of 3m floats per sample."""
-    lines = []
-    for triple in samples:
-        flat = [x for spectrum in triple for x in spectrum]
-        lines.append(",".join(repr(x) for x in flat))
-    return "\n".join(lines) + "\n"

@@ -14,6 +14,7 @@ from itertools import permutations
 import numpy as np
 
 from kronkit.diagrams import make_instance, parse_young
+from kronkit.floats import sample_spectra
 from kronkit.marginals import (
     MembershipCertificate,
     accept_threshold2,
@@ -35,10 +36,9 @@ from kronkit.search import (
     enumerate_ressayre,
     find_point,
     reduce_irredundant,
-    sample_spectra,
     search_witness,
 )
-from kronkit.weights import HyperplaneCandidate
+from kronkit.weights import HyperplaneCandidate, weights
 
 F = Fraction
 
@@ -296,10 +296,20 @@ def test_criterion_7_bound_suite():
                 v = gen.normal(size=dim) + 1j * gen.normal(size=dim)
                 v /= np.linalg.norm(v)
                 cert = truncate(v, b)
+                zero = GaussianRational()
+                as_floats = [
+                    complex(float(q.re), float(q.im))
+                    for q in (cert.entries.get(w, zero) for w in weights(m))
+                ]
                 trunc_ok = trunc_ok and (
-                    np.linalg.norm(cert.to_complex_array() - v) <= vec_bound
+                    np.linalg.norm(np.array(as_floats) - v) <= vec_bound
                 )
-                exact = reduced_densities(cert).to_numpy()
+                rho = reduced_densities(cert)
+                exact = [
+                    np.array([[complex(re / rho.den, im / rho.den) for re, im in row]
+                              for row in gram])
+                    for gram in rho.grams
+                ]
                 t = v.reshape(m, m, m)
                 floats = (
                     np.einsum("abc,dbc->ad", t, t.conj()),

@@ -1,0 +1,98 @@
+"""The numpy boundary: only ``kronkit.floats`` imports numpy.
+
+Each command runs through ``cli.main`` in a fresh interpreter, which then
+reports whether numpy was loaded.  The exact commands must leave it unloaded,
+and the float witness route and ``sample`` must load it, so the check can
+tell the two apart.
+"""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "kronkit"
+
+RUN = """
+import contextlib, io, json, sys
+from kronkit import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def run_fresh(argvs):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", RUN, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+def write(path, obj):
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return str(path)
+
+
+def instance(tmp_path, name, a, b, c):
+    return write(tmp_path / f"{name}.json",
+                 {"lambda_A": a, "lambda_B": b, "lambda_C": c, "k": sum(a)})
+
+
+def test_exact_commands_leave_numpy_unloaded(tmp_path):
+    outside = instance(tmp_path, "outside", [2], [2], [1, 1])
+    mixed = instance(tmp_path, "mixed", [1, 1], [1, 1], [1, 1])
+    hyperplane = write(tmp_path / "h.json",
+                       {"H": [[-1, 1], [-1, 1], [1, -1]], "z": -1, "p": [1, 0, 0]})
+    one = {"re": "1/1", "im": "0/1"}
+    ghz = write(tmp_path / "ghz.json", {"m": 2, "entries": [
+        {"idx": [1, 1, 1], **one}, {"idx": [2, 2, 2], **one},
+    ]})
+    exact_m3 = instance(tmp_path, "exact_m3", [4, 1], [2, 2, 1], [3, 2])
+    miss_m4 = instance(tmp_path, "miss_m4", [4, 4, 1], [7, 2], [5, 2, 1, 1])
+    out = str(tmp_path / "w.json")
+    report = run_fresh([
+        ["verify-nonmembership", outside, hyperplane],
+        ["verify-membership", mixed, ghz],
+        ["kron", "4,2", "3,3", "2,2,2"],
+        ["member-bruteforce", mixed, "--lmax", "1"],
+        ["facets", "--m", "2", "--irredundant"],
+        ["find-witness", exact_m3, "--seed", "0", "--out", out],
+        ["find-witness", miss_m4, "--seed", "0", "--out", out],
+    ])
+    assert report == {"codes": [0, 0, 1, 1, 0, 0, 1], "numpy": False}
+
+
+def test_float_route_loads_numpy(tmp_path):
+    float_m3 = instance(tmp_path, "float_m3", [8, 4], [7, 5], [8, 2, 2])
+    out = str(tmp_path / "w.json")
+    report = run_fresh([["find-witness", float_m3, "--seed", "0", "--out", out]])
+    assert report == {"codes": [0], "numpy": True}
+
+
+def test_sample_loads_numpy():
+    assert run_fresh([["sample", "--m", "2", "--n", "3"]]) == {"codes": [0], "numpy": True}
+
+
+def imports_numpy(path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "numpy" for name in names):
+            return True
+    return False
+
+
+def test_only_floats_imports_numpy():
+    importers = [p.name for p in sorted(PACKAGE.glob("*.py")) if imports_numpy(p)]
+    assert importers == ["floats.py"]

@@ -26,6 +26,7 @@ from kronkit.marginals import (
 )
 from kronkit.ressayre import Decision, Reason
 from kronkit.scalars import GaussianRational
+from kronkit.weights import weights
 
 F = Fraction
 
@@ -63,6 +64,23 @@ def float_densities(vec, m):
         np.einsum("abc,adc->bd", t, t.conj()),
         np.einsum("abc,abd->cd", t, t.conj()),
     )
+
+
+def float_view(rho):
+    """The exact densities as float matrices (int / int rounds correctly)."""
+    return tuple(
+        np.array([[complex(re / rho.den, im / rho.den) for re, im in row] for row in gram])
+        for gram in rho.grams
+    )
+
+
+def float_vector(cert):
+    """The certificate vector as floats, in the canonical order of weights."""
+    zero = GaussianRational()
+    return [
+        complex(float(v.re), float(v.im))
+        for v in (cert.entries.get(w, zero) for w in weights(cert.m))
+    ]
 
 
 def test_certificate_validation():
@@ -155,8 +173,8 @@ def test_exact_densities_match_float_route():
             cert = cert_from(m, entries)
         except ZeroVector:
             continue
-        exact = reduced_densities(cert).to_numpy()
-        floats = float_densities(cert.to_complex_array(), m)
+        exact = float_view(reduced_densities(cert))
+        floats = float_densities(float_vector(cert), m)
         for e_mat, f_mat in zip(exact, floats):
             assert np.abs(e_mat - f_mat).max() < 1e-12
 
@@ -285,7 +303,7 @@ def test_truncation_perturbs_densities_within_bound():
                 v = rng.normal(size=m**3) + 1j * rng.normal(size=m**3)
                 v /= np.linalg.norm(v)
                 cert = truncate(v, b)
-                exact = reduced_densities(cert).to_numpy()
+                exact = float_view(reduced_densities(cert))
                 floats = float_densities(v, m)
                 for e_mat, f_mat in zip(exact, floats):
                     assert np.linalg.norm(e_mat - f_mat) <= bound
@@ -309,7 +327,7 @@ def test_spectra_match_gap_via_hoffman_wielandt():
         rho = reduced_densities(cert)
         gap2 = float(frobenius_gap2(rho, target))
         per_subsystem = 0.0
-        for mat, rows in zip(rho.to_numpy(), target.padded_rows()):
+        for mat, rows in zip(float_view(rho), target.padded_rows()):
             spec = np.linalg.eigvalsh(mat)[::-1]
             goal = np.array([r / target.k for r in rows])
             per_subsystem += float(np.sum((spec - goal) ** 2))

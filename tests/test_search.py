@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kronkit import search
+from kronkit import floats, search
 from kronkit.cli import main
 from kronkit.diagrams import make_instance, parse_young
 from kronkit.errors import (
@@ -20,8 +20,14 @@ from kronkit.errors import (
     ShapeMismatch,
 )
 from kronkit.exactlp import LPResult, solve_lp
+from kronkit.floats import sample_spectra, spectra_csv
 from kronkit.intlinalg import kernel_vector_if_unique
-from kronkit.marginals import frobenius_gap2, reduced_densities, verify_membership
+from kronkit.marginals import (
+    accept_threshold2,
+    frobenius_gap2,
+    reduced_densities,
+    verify_membership,
+)
 from kronkit.oracle import kron_coeff, partitions
 from kronkit.ressayre import (
     RessayreCertificate,
@@ -37,9 +43,7 @@ from kronkit.search import (
     enumerate_ressayre,
     find_point,
     reduce_irredundant,
-    sample_spectra,
     search_witness,
-    spectra_csv,
 )
 from kronkit.weights import HyperplaneCandidate, weight_vector, weights
 
@@ -405,17 +409,21 @@ def test_witness_float_route(triple):
 
 def test_float_route_miss_makes_one_start(monkeypatch):
     calls = 0
-    scaling_pass = search._scaling_pass
+    scaling_pass = floats._scaling_pass
 
     def counted(psi, targets):
         nonlocal calls
         calls += 1
         return scaling_pass(psi, targets)
 
-    monkeypatch.setattr(search, "_scaling_pass", counted)
+    monkeypatch.setattr(floats, "_scaling_pass", counted)
     # on a facet, where the scaling stalls and never reaches its stop
     assert search_witness(triple_instance(FREE_SUPPORT_MISSES[0]), seed=0) is None
-    assert 0 < calls <= search.MAX_SCALING_ITERS
+    assert 0 < calls <= floats.MAX_SCALING_ITERS
+
+
+def refuse_scaling(psi, targets):
+    raise AssertionError("the float scaling ran")
 
 
 @pytest.mark.parametrize(
@@ -425,11 +433,63 @@ def test_float_route_miss_makes_one_start(monkeypatch):
 )
 def test_float_route_skipped_below_float64_floor(monkeypatch, target):
     # threshold²/4 at m = 4, k ≤ 9 is below 3·10⁻⁴², far under FLOAT_GAP2_FLOOR
-    def refuse(psi, targets):
-        raise AssertionError("the float scaling ran")
-
-    monkeypatch.setattr(search, "_scaling_pass", refuse)
+    monkeypatch.setattr(floats, "_scaling_pass", refuse_scaling)
     assert search_witness(target, seed=0) is None
+
+
+@pytest.mark.parametrize(
+    "target",
+    [inst([2], [1, 1], [2], 2), inst([5, 1], [5, 1], [3, 3], 6, m=3)],
+    ids=["height rule", "outside HSS"],
+)
+def test_float_route_skipped_at_rank_two(monkeypatch, target):
+    # the float floor admits a scaling here; at r ≤ 2 the exact route decides
+    assert float(accept_threshold2(target.m, target.k) / 4) > search.FLOAT_GAP2_FLOOR
+    monkeypatch.setattr(floats, "_scaling_pass", refuse_scaling)
+    assert search_witness(target, seed=0) is None
+
+
+def qubit_triples(kmax):
+    """Every triple of diagrams with at most 2 rows and k ≤ kmax, in every order."""
+    for k in range(1, kmax + 1):
+        shapes = [p for p in partitions(k) if len(p) <= 2]
+        for triple in product(shapes, repeat=3):
+            yield triple, k
+
+
+def hss(triple):
+    """Higuchi–Sudbery–Szulc: each smaller eigenvalue at most the other two's sum."""
+    low = [lam[1] if len(lam) == 2 else 0 for lam in triple]
+    return all(2 * x <= sum(low) for x in low)
+
+
+def test_exact_route_decides_a_qubit_triple_iff_hss():
+    triples = list(qubit_triples(10))
+    assert len(triples) == 665
+    for triple, k in triples:
+        decided = search._exact_witness(inst(*triple, k)) is not None
+        assert decided == hss(triple), triple
+
+
+def test_height_rule_returns_before_any_lp(monkeypatch):
+    # λ_B pure forces equal A and C spectra; 145 infeasible LPs before this
+    def refuse(*args):
+        raise AssertionError("an LP ran")
+
+    monkeypatch.setattr(search, "solve_lp", refuse)
+    assert search_witness(inst([1] * 12, [12], [11, 1], 12), seed=0) is None
+
+
+def test_height_rule_fires_only_where_kron_vanishes():
+    fired = 0
+    for k in range(1, 9):
+        shapes = [p for p in partitions(k) if len(p) <= 3]
+        for triple in product(shapes, repeat=3):
+            low, mid, high = sorted(map(len, triple))
+            if high > low * mid:
+                fired += 1
+                assert kron_coeff(*(parse_young(lam) for lam in triple)) == 0
+    assert fired > 0
 
 
 def test_dyadic_sqrt_is_exact_in_any_terms():

@@ -12,12 +12,16 @@ Three generators live here:
   multipliers alone decide, by one exact check, whether it is dropped;
 * ``search_witness`` — construction of membership witnesses, exactly first
   (one rational LP per free support: the diagonal, then cyclic Latin
-  supports) and, only when that fails, by one seeded float scaling that
-  stops at the verifier's threshold; gated by the exact verifier.
+  supports) and, only when that fails, by seeded float scalings that stop
+  at the verifier's threshold: within the face of each committed facet
+  tight at the point (the face route), then on all of [m]³; gated by the
+  exact verifier.
 
 The float scaling lives in :mod:`kronkit.floats`, which this module loads
-only when it runs; everything here, and everything feeding a verifier
-decision, is exact.
+only when it runs, and the committed m = 3 facet system that the face
+route reads ships beside this module as ``facets_m3.json`` (the output of
+``kronkit facets --m 3 --irredundant``); everything here, and everything
+feeding a verifier decision, is exact.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, isqrt
 
-from .diagrams import KronInstance
+from .diagrams import KronInstance, YoungDiagram
 from .errors import BudgetExceeded, CoordinateTooLarge, ShapeMismatch, ZeroVector
 from .exactlp import solve_lp
 from .intlinalg import kernel_vector_if_unique
@@ -326,21 +330,68 @@ def _exact_witness(inst: KronInstance) -> MembershipCertificate | None:
     return None
 
 
+def _uniform(d: YoungDiagram) -> bool:
+    """Whether a diagram is a rectangle, its spectrum uniform on its support."""
+    return len(set(d.rows)) == 1
+
+
+def _tight_faces(inst: KronInstance) -> list[HyperplaneCandidate]:
+    """The hyperplanes of the face route, in committed order.
+
+    They are the elements of the committed system of rank ``inst.m``, which
+    ships for m = 3 only, that are tight at the point, H·λ = k·z on the
+    padded rows, and have at least two nonzero blocks.  A positivity element such
+    as λ_A[3] ≥ 0 is skipped: its level set only drops a row whose target is
+    0, which the plain scaling's first step already zeroes.  The system is
+    read from the package on each call.
+    """
+    if inst.m != 3:
+        return []
+    import json  # imported here, like floats, so that import kronkit stays lean
+    from importlib.resources import files
+
+    text = files(__package__).joinpath("facets_m3.json").read_text(encoding="utf-8")
+    system = FacetSystem.from_json(json.loads(text))
+    rows = inst.padded_rows()
+    return [
+        e.h for e in system.nontrivial
+        if sum(any(block) for block in e.h.blocks) >= 2
+        and e.h.pair_instance(rows) == inst.k * e.h.z
+    ]
+
+
+def _accepted(inst: KronInstance, vector) -> MembershipCertificate | None:
+    """The vector truncated to required_bits, if verify_membership accepts it."""
+    try:
+        cert = truncate(vector, required_bits(inst.m, inst.k))
+    except ZeroVector:
+        return None
+    return cert if verify_membership(inst, cert).accepted else None
+
+
 def search_witness(inst: KronInstance, seed: int = 0) -> MembershipCertificate | None:
     """Find a certificate that passes the exact membership verifier.
 
     Exact route first: one LP per free support (``free_supports``), whose
-    rational solution gives the amplitudes.  Only if none is accepted does
-    the float route run: ``floats.scale`` from one start drawn from ``seed``,
-    stopped once gap² is at most accept_threshold2/4 (room for truncation),
-    and skipped where that stop is below ``FLOAT_GAP2_FLOOR``.  Every
-    candidate is truncated to required_bits and returned only if
+    rational solution gives the amplitudes.  Only if none is accepted do the
+    float routes run, skipped where their stop, accept_threshold2/4 (room for
+    truncation), is below ``FLOAT_GAP2_FLOOR``.  The face route scales within
+    the face of each committed element tight at the point (``_tight_faces``),
+    where the plain scaling stalls; then the plain route scales on all of
+    [m]³.  Each is one ``floats.scale`` from one start drawn from ``seed``.
+    Every candidate is truncated to required_bits and returned only if
     verify_membership accepts it.
     """
     check_weight_cap(inst.m)
     low, mid, r = sorted(d.height for d in inst.diagrams)
     if r > low * mid:  # rank ρ_X = rank ρ_YZ ≤ rank ρ_Y · rank ρ_Z: no state
         return None
+    a, b, c = inst.diagrams
+    for x, y, z in ((a, b, c), (b, a, c), (c, a, b)):
+        # ρ_X uniform of rank h_Y·h_Z forces ρ_YZ = I/(h_Y·h_Z): uniform ρ_Y, ρ_Z
+        if x.height == y.height * z.height and _uniform(x):
+            if not (_uniform(y) and _uniform(z)):
+                return None
     cert = _exact_witness(inst)
     if cert is not None:
         return cert
@@ -353,8 +404,8 @@ def search_witness(inst: KronInstance, seed: int = 0) -> MembershipCertificate |
     if stop < FLOAT_GAP2_FLOOR:
         return None
     from . import floats  # numpy loads only when a scaling runs
-    try:
-        cert = truncate(floats.scale(inst, seed, stop), required_bits(inst.m, inst.k))
-    except ZeroVector:
-        return None
-    return cert if verify_membership(inst, cert).accepted else None
+    for h in [*_tight_faces(inst), None]:
+        cert = _accepted(inst, floats.scale(inst, seed, stop, h))
+        if cert is not None:
+            return cert
+    return None

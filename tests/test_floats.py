@@ -1,9 +1,10 @@
 """The numpy boundary: only ``kronkit.floats`` imports numpy.
 
 Each command runs through ``cli.main`` in a fresh interpreter, which then
-reports whether numpy was loaded.  The exact commands must leave it unloaded,
-and the float witness route and ``sample`` must load it, so the check can
-tell the two apart.
+reports whether numpy was loaded and whether the packaged facet system
+``facets_m3.json`` was opened.  The exact commands must do neither, and the
+float witness route must do both (it reads the system for the face route),
+so the check can tell them apart.
 """
 
 import ast
@@ -18,10 +19,16 @@ PACKAGE = ROOT / "src" / "kronkit"
 
 RUN = """
 import contextlib, io, json, sys
+opened = []
+sys.addaudithook(lambda event, args: event == "open" and opened.append(str(args[0])))
 from kronkit import cli
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+print(json.dumps({
+    "codes": codes,
+    "numpy": "numpy" in sys.modules,
+    "facets": any(path.endswith("facets_m3.json") for path in opened),
+}))
 """
 
 
@@ -66,18 +73,24 @@ def test_exact_commands_leave_numpy_unloaded(tmp_path):
         ["find-witness", exact_m3, "--seed", "0", "--out", out],
         ["find-witness", miss_m4, "--seed", "0", "--out", out],
     ])
-    assert report == {"codes": [0, 0, 1, 1, 0, 0, 1], "numpy": False}
+    assert report == {"codes": [0, 0, 1, 1, 0, 0, 1], "numpy": False, "facets": False}
 
 
 def test_float_route_loads_numpy(tmp_path):
     float_m3 = instance(tmp_path, "float_m3", [8, 4], [7, 5], [8, 2, 2])
     out = str(tmp_path / "w.json")
     report = run_fresh([["find-witness", float_m3, "--seed", "0", "--out", out]])
-    assert report == {"codes": [0], "numpy": True}
+    assert report == {"codes": [0], "numpy": True, "facets": True}
 
 
 def test_sample_loads_numpy():
-    assert run_fresh([["sample", "--m", "2", "--n", "3"]]) == {"codes": [0], "numpy": True}
+    report = run_fresh([["sample", "--m", "2", "--n", "3"]])
+    assert report == {"codes": [0], "numpy": True, "facets": False}
+
+
+def test_packaged_system_is_the_committed_one():
+    committed = ROOT / "perfbench" / "fixtures" / "facets_m3_irredundant.json"
+    assert (PACKAGE / "facets_m3.json").read_bytes() == committed.read_bytes()
 
 
 def imports_numpy(path):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -45,7 +46,7 @@ from kronkit.search import (
     reduce_irredundant,
     search_witness,
 )
-from kronkit.weights import HyperplaneCandidate, weight_vector, weights
+from kronkit.weights import HyperplaneCandidate, split_weights, weight_vector, weights
 
 H_WORKED = HyperplaneCandidate((-1, 1), (-1, 1), (1, -1), -1)
 FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
@@ -411,18 +412,67 @@ def test_float_route_miss_makes_one_start(monkeypatch):
     calls = 0
     scaling_pass = floats._scaling_pass
 
-    def counted(psi, targets):
+    def counted(psi, targets, blocks):
         nonlocal calls
         calls += 1
-        return scaling_pass(psi, targets)
+        return scaling_pass(psi, targets, blocks)
 
     monkeypatch.setattr(floats, "_scaling_pass", counted)
-    # on a facet, where the scaling stalls and never reaches its stop
-    assert search_witness(triple_instance(FREE_SUPPORT_MISSES[0]), seed=0) is None
+    # tight on no face, so only the plain route runs; this seed's start
+    # reaches no stop (seeds 0–6, 8 and 9 decide the point)
+    target = inst([7, 3, 1], [6, 5], [6, 5], 11)
+    assert search._tight_faces(target) == []
+    assert search_witness(target, seed=7) is None
     assert 0 < calls <= floats.MAX_SCALING_ITERS
 
 
-def refuse_scaling(psi, targets):
+def on_level_set(cert, h):
+    on, _, _ = split_weights(h, cert.m)
+    return set(cert.entries) <= set(on)
+
+
+def test_face_route_decides_a_facet_point():
+    # the certify instance that the plain scaling leaves undecided
+    target = triple_instance(FREE_SUPPORT_MISSES[0])
+    face = HyperplaneCandidate((-2, 1, 1), (2, -1, -1), (-2, 1, 1), -2)
+    assert search._tight_faces(target) == [face]
+    cert = search_witness(target, seed=0)
+    assert cert is not None and verify_membership(target, cert).accepted
+    assert on_level_set(cert, face)
+
+
+def test_plain_route_witness_is_unchanged(tmp_path):
+    # the bytes of find-witness --seed 0 before the face route existed
+    target = triple_instance(FREE_SUPPORT_MISSES[1])
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(target.to_json()), encoding="utf-8")
+    out = tmp_path / "w.json"
+    assert main(["find-witness", str(path), "--seed", "0", "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "b1877582dc3c77061b446b7d187a50b2dd1d5f3f5d347524d8e73f9142fe000e"
+
+
+def test_positivity_elements_open_no_face(monkeypatch):
+    # λ_A[3] = λ_B[3] = 0 is tight on two positivity elements only
+    target = triple_instance(FREE_SUPPORT_MISSES[1])
+    system = committed_m3_system()
+    tight = [e.h for e in system.nontrivial
+             if level(e.h, target) == target.k * e.h.z]
+    assert len(tight) == 2
+    assert all(sum(map(any, h.blocks)) == 1 for h in tight)
+    hyperplanes = []
+    scale = floats.scale
+
+    def recorded(inst, seed, stop, h=None):
+        hyperplanes.append(h)
+        return scale(inst, seed, stop, h)
+
+    monkeypatch.setattr(floats, "scale", recorded)
+    assert search_witness(target, seed=0) is not None
+    assert hyperplanes == [None]
+
+
+def refuse_scaling(*args):
     raise AssertionError("the float scaling ran")
 
 
@@ -432,7 +482,9 @@ def refuse_scaling(psi, targets):
     ids=["m=4 panel miss", "m=4 override"],
 )
 def test_float_route_skipped_below_float64_floor(monkeypatch, target):
-    # threshold²/4 at m = 4, k ≤ 9 is below 3·10⁻⁴², far under FLOAT_GAP2_FLOOR
+    # threshold²/4 at m = 4, k ≤ 9 is below 3·10⁻⁴², far under
+    # FLOAT_GAP2_FLOOR; neither the face route nor the plain route may scale
+    monkeypatch.setattr(floats, "scale", refuse_scaling)
     monkeypatch.setattr(floats, "_scaling_pass", refuse_scaling)
     assert search_witness(target, seed=0) is None
 
@@ -445,6 +497,7 @@ def test_float_route_skipped_below_float64_floor(monkeypatch, target):
 def test_float_route_skipped_at_rank_two(monkeypatch, target):
     # the float floor admits a scaling here; at r ≤ 2 the exact route decides
     assert float(accept_threshold2(target.m, target.k) / 4) > search.FLOAT_GAP2_FLOOR
+    monkeypatch.setattr(floats, "scale", refuse_scaling)
     monkeypatch.setattr(floats, "_scaling_pass", refuse_scaling)
     assert search_witness(target, seed=0) is None
 
@@ -489,6 +542,38 @@ def test_height_rule_fires_only_where_kron_vanishes():
             if high > low * mid:
                 fired += 1
                 assert kron_coeff(*(parse_young(lam) for lam in triple)) == 0
+    assert fired > 0
+
+
+def test_uniform_rule_returns_before_any_lp(monkeypatch):
+    # λ_A uniform of rank 12 = 3·4 forces uniform λ_B and λ_C; 145
+    # infeasible LPs before this
+    def refuse(*args):
+        raise AssertionError("an LP ran")
+
+    monkeypatch.setattr(search, "solve_lp", refuse)
+    assert search_witness(inst([1] * 12, [4, 4, 4], [9, 1, 1, 1], 12), seed=0) is None
+
+
+def uniform_rule_fires(triple):
+    uniform = [len(set(lam)) == 1 for lam in triple]
+    heights = [len(lam) for lam in triple]
+    return any(
+        heights[x] == heights[y] * heights[z] and uniform[x]
+        and not (uniform[y] and uniform[z])
+        for x, y, z in ((0, 1, 2), (1, 0, 2), (2, 0, 1))
+    )
+
+
+def test_uniform_rule_fires_only_where_kron_vanishes():
+    fired = 0
+    for k in range(1, 9):
+        shapes = partitions(k)
+        for triple in product(shapes, repeat=3):
+            if uniform_rule_fires(triple):
+                fired += 1
+                assert kron_coeff(*(parse_young(lam) for lam in triple)) == 0
+                assert search_witness(inst(*triple, k)) is None
     assert fired > 0
 
 
@@ -581,10 +666,10 @@ def test_witness_consistent_with_nonmembership_certificate():
     assert search_witness(outside) is None
 
 
-# Inside points of the slice below that neither route decides.  Each lies
-# on a nontrivial facet other than a positivity facet, where the float
-# scaling stalls; scaling restricted to the facet should empty the set.
-SLICE_UNDECIDED = {
+# Inside points of the slice below that the plain scaling leaves undecided.
+# Each lies on a nontrivial facet other than a positivity facet, where the
+# plain scaling stalls; the face route decides them on such a facet.
+SLICE_FACE_POINTS = {
     ((4, 2), (4, 1, 1), (3, 3)), ((5, 2), (5, 2), (3, 3, 1)),
     ((5, 2), (5, 1, 1), (4, 3)), ((6, 2), (6, 2), (4, 3, 1)),
     ((6, 2), (6, 1, 1), (5, 3)), ((6, 2), (5, 3), (4, 2, 2)),
@@ -615,7 +700,7 @@ def level(h, target):
 def test_rank_three_slice_is_decided_both_ways():
     system = committed_m3_system()
     triples = list(rank_three_triples(8))
-    outside, undecided = 0, set()
+    outside, undecided, on_face = 0, set(), set()
     for triple in triples:
         target = triple_instance(triple)
         facet = next(
@@ -625,17 +710,17 @@ def test_rank_three_slice_is_decided_both_ways():
         if facet is not None:
             assert verify_nonmembership(target, facet).accepted
             outside += 1
-        elif search_witness(target, seed=0) is None:
+            continue
+        cert = search_witness(target, seed=0)
+        if cert is None:
             undecided.add(triple)
+        elif search._exact_witness(target) is None and any(
+            on_level_set(cert, h) for h in search._tight_faces(target)
+        ):
+            on_face.add(triple)
     assert (len(triples), outside) == (390, 132)
-    assert undecided == SLICE_UNDECIDED
-    for triple in undecided:
-        target = triple_instance(triple)
-        assert any(
-            level(e.h, target) == target.k * e.h.z
-            and sorted(e.h.blocks) != [(-1, -1, 2), (0, 0, 0), (0, 0, 0)]
-            for e in system.nontrivial
-        )
+    assert undecided == set()
+    assert on_face == SLICE_FACE_POINTS
 
 
 def test_kron_positive_triples_satisfy_committed_m3_facets():

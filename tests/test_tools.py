@@ -1,7 +1,8 @@
 """The scripts in tools/ run against the source tree.
 
-``tools/bench_witness.py`` reaches into ``search._exact_witness``, so a
-refactor of the witness search can break it without any other test noticing.
+``tools/bench_witness.py`` reaches into ``search._exact_witness`` and
+``search._tight_faces``, so a refactor of the witness search can break it
+without any other test noticing.
 """
 
 import json
@@ -12,14 +13,27 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_bench_witness_rank_two_panel():
+def bench_witness(*args):
     result = subprocess.run(
-        [sys.executable, "tools/bench_witness.py", "--panel", "2", "--repeat", "1"],
+        [sys.executable, "tools/bench_witness.py", *args, "--repeat", "1"],
         cwd=ROOT,
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    row = json.loads(result.stdout)["exact m=2"]
+    return json.loads(result.stdout)
+
+
+def test_bench_witness_rank_two_panel():
+    row = bench_witness("--panel", "2")["exact m=2"]
     assert (row["instances"], row["decided"]) == (40, 40)
+
+
+def test_bench_witness_rank_three_sweep():
+    report = bench_witness("--sweep", "3", "--kmax", "6")
+    assert report["sweep"] == {
+        "R": 3, "kmax": 6,
+        "outside": 36, "exact": 67, "face": 1, "float": 1, "undecided": 0,
+    }
+    assert report["face m=3"]["decided"] == 1

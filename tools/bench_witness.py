@@ -4,21 +4,28 @@ Run from the repository root:
 
     python3 tools/bench_witness.py [--repeat 3]
     python3 tools/bench_witness.py --panel R [--seed S] [--repeat 1]
+    python3 tools/bench_witness.py --sweep R [--kmax K] [--repeat 1]
 
-Without ``--panel`` the instances are those of the perfbench certify panel
-that reach ``find-witness`` (they violate no committed facet): the panel is
-imported from ``perfbench/workloads.py`` and not changed.  With ``--panel R``
-they are 40 distinct seeded triples with at most R rows, one of exactly R,
-k from R to 12 and ``oracle.kron_coeff`` > 0, drawn like the rank-four panel
-of ``tests/test_search.py``.
+Without ``--panel`` or ``--sweep`` the instances are those of the perfbench
+certify panel that reach ``find-witness`` (they violate no committed facet):
+the panel is imported from ``perfbench/workloads.py`` and not changed.  With
+``--panel R`` they are 40 distinct seeded triples with at most R rows, one
+of exactly R, k from R to 12 and ``oracle.kron_coeff`` > 0, drawn like the
+rank-four panel of ``tests/test_search.py``.  With ``--sweep R`` they are
+every triple with largest height R, k ≤ K (default 12) and λ_A ≥ λ_B ≥ λ_C
+as tuples; those that violate an element of the committed facet system of
+rank R (m = 2 and 3) are counted as outside and not searched.
 
 Each instance is decided ``--repeat`` times by ``search_witness(inst,
 seed=0)``, the call behind ``kronkit find-witness --seed 0``, and its median
 time is kept.  The route is "exact" when ``search._exact_witness`` returns a
-witness and "float" otherwise; an exact witness whose entries all lie on
-the diagonal {(i,i,i)} is also counted under ``on_diagonal``.  Prints one
+witness; "face" when it does not and the witness lies on the level set of
+an element that ``search._tight_faces`` returns; "float" otherwise, decided
+by the plain scaling or not at all.  An exact witness whose entries all lie
+on the diagonal {(i,i,i)} is also counted under ``on_diagonal``.  Prints one
 JSON object: per route and rank, the count, how many were decided (and on
-the diagonal), the total and the median time per instance.
+the diagonal), the total and the median time per instance; a sweep adds the
+counts of outside, exact, face, float and undecided points.
 """
 
 from __future__ import annotations
@@ -29,26 +36,50 @@ import random
 import statistics
 import sys
 import time
+from itertools import product
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from kronkit import search  # noqa: E402
+from kronkit import floats, search  # noqa: E402, F401  (numpy loads before any timing)
 from kronkit.diagrams import make_instance, parse_young  # noqa: E402
 from kronkit.oracle import kron_coeff, partitions  # noqa: E402
+from kronkit.weights import split_weights  # noqa: E402
 from workloads import certify_panel, load_facets, violated  # noqa: E402
 
 
-def find_witness_instances():
-    systems = {
+def committed_systems():
+    return {
         2: load_facets("facets_m2_irredundant.json"),
         3: load_facets("facets_m3_irredundant.json"),
     }
+
+
+def find_witness_instances():
+    systems = committed_systems()
     for triple, _ in certify_panel(systems[3]):
         inst = make_instance(*(parse_young(lam) for lam in triple), sum(triple[0]))
         if violated(systems.get(inst.m), inst.padded_rows(), inst.k) is None:
             yield inst
+
+
+def sweep_instances(rank: int, kmax: int, counts: dict):
+    """Every triple of the sweep that violates no committed facet.
+
+    Points cut off by a facet are counted under ``counts["outside"]``.
+    """
+    system = committed_systems().get(rank)
+    for k in range(rank, kmax + 1):
+        shapes = [p for p in partitions(k) if len(p) <= rank]
+        for triple in product(shapes, repeat=3):
+            if max(map(len, triple)) != rank or not triple[0] >= triple[1] >= triple[2]:
+                continue
+            inst = make_instance(*(parse_young(lam) for lam in triple), k)
+            if violated(system, inst.padded_rows(), k) is not None:
+                counts["outside"] += 1
+            else:
+                yield inst
 
 
 def kron_panel_instances(rank: int, seed: int, size: int = 40, kmax: int = 12):
@@ -68,25 +99,44 @@ def kron_panel_instances(rank: int, seed: int, size: int = 40, kmax: int = 12):
         yield make_instance(*(parse_young(lam) for lam in triple), sum(triple[0]))
 
 
+def on_tight_face(inst, cert) -> bool:
+    entries = set(cert.entries)
+    return any(
+        entries <= set(split_weights(h, inst.m)[0]) for h in search._tight_faces(inst)
+    )
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=3)
-    parser.add_argument("--panel", type=int, metavar="R")
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--panel", type=int, metavar="R")
+    group.add_argument("--sweep", type=int, metavar="R")
+    parser.add_argument("--kmax", type=int, default=12, metavar="K")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
-    if args.panel is None:
-        instances = find_witness_instances()
-    else:
+    counts = dict.fromkeys(("outside", "exact", "face", "float", "undecided"), 0)
+    if args.sweep is not None:
+        instances = sweep_instances(args.sweep, args.kmax, counts)
+    elif args.panel is not None:
         instances = kron_panel_instances(args.panel, args.seed)
+    else:
+        instances = find_witness_instances()
     rows: dict[str, dict] = {}
     for inst in instances:
         exact = search._exact_witness(inst)
-        route = "exact" if exact is not None else "float"
         times = []
         for _ in range(args.repeat):
             start = time.perf_counter()
             cert = search.search_witness(inst, seed=0)
             times.append(time.perf_counter() - start)
+        if exact is not None:
+            route = "exact"
+        elif cert is not None and on_tight_face(inst, cert):
+            route = "face"
+        else:
+            route = "float"
+        counts[route if cert is not None else "undecided"] += 1
         row = rows.setdefault(
             f"{route} m={inst.m}", {"times": [], "decided": 0, "on_diagonal": 0}
         )
@@ -105,6 +155,8 @@ def main() -> None:
         }
         for key, row in sorted(rows.items())
     }
+    if args.sweep is not None:
+        report["sweep"] = {"R": args.sweep, "kmax": args.kmax, **counts}
     print(json.dumps(report, indent=2))
 
 

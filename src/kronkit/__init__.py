@@ -11,7 +11,8 @@ both directions:
 * membership via Gaussian-rational witness vectors checked by
   :func:`verify_membership`,
 
-with desk-scale generators for both certificate kinds and an independent
+with desk-scale generators for both certificate kinds, :func:`decide` to
+return one or the other for a point, and an independent
 character-theoretic oracle for cross-validation.
 """
 
@@ -50,6 +51,7 @@ from .ressayre import (
 from .scalars import GaussianRational, format_rational
 from .search import (
     FacetSystem,
+    decide,
     enumerate_ressayre,
     find_point,
     reduce_irredundant,
@@ -101,6 +103,7 @@ __all__ = [
     "GaussianRational",
     "format_rational",
     "FacetSystem",
+    "decide",
     "enumerate_ressayre",
     "find_point",
     "reduce_irredundant",

@@ -2,11 +2,12 @@
 
 The only module that imports numpy, loaded only where a float runs: by
 ``search.search_witness`` once its exact route misses and the float64 floor
-admits a scaling, and by ``kronkit sample``.  One scaling pass serves both
-float routes: the plain route steers each marginal on all of [m]³, and the
-face route steers it within the blocks of a hyperplane's level set.  A
-scaled vector counts only once ``marginals.truncate`` and the exact
-``verify_membership`` have passed it.
+admits a scaling, and by ``kronkit sample``.  One scaling serves both
+float routes: the face route steers each marginal within the blocks of a
+hyperplane's level set, and the plain route is the same scaling for the
+zero hyperplane, whose level set is all of [m]³.  A scaled vector counts
+only once ``marginals.truncate`` and the exact ``verify_membership`` have
+passed it.
 """
 
 from __future__ import annotations
@@ -47,53 +48,49 @@ def _step(rho: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 
 def _scaling_pass(
-    psi: np.ndarray, targets: list[np.ndarray], blocks: list[list[np.ndarray]]
+    psi: np.ndarray, targets: list[np.ndarray], blocks: list[list[tuple]]
 ) -> np.ndarray:
     """One alternating pass steering each marginal toward its target.
 
-    ``blocks[axis]`` partitions the leg's indices.  Each block I of ρ_X is
-    scaled by itself, its eigenvalues mapped onto λ_X[I], so the step is
-    block-diagonal; a leg of one block takes the full-matrix step.
+    ``blocks[axis]`` partitions the leg's indices, each block I given as
+    (I, np.ix_(I, I)).  Each block of ρ_X is scaled by itself, its
+    eigenvalues mapped onto λ_X[I], so the step is block-diagonal.
     """
     for axis in range(3):
         rho = _marginal(psi, axis)
-        if len(blocks[axis]) == 1:
-            mat = _step(rho, targets[axis])
-        else:
-            mat = np.zeros_like(rho)
-            for idx in blocks[axis]:
-                mat[np.ix_(idx, idx)] = _step(rho[np.ix_(idx, idx)], targets[axis][idx])
+        mat = np.zeros_like(rho)
+        for idx, grid in blocks[axis]:
+            mat[grid] = _step(rho[grid], targets[axis][idx])
         psi = _apply_leg(psi, mat, axis)
         psi = psi / np.linalg.norm(psi)
     return psi
 
 
 def scale(
-    inst: KronInstance, seed: int, stop: float, h: HyperplaneCandidate | None = None
+    inst: KronInstance, seed: int, stop: float, h: HyperplaneCandidate
 ) -> np.ndarray:
-    """The flat m³ vector of one seeded scaling toward the instance's spectra.
+    """The flat m³ vector of one seeded scaling within the face of (H, z).
 
     Alternating passes run from one start drawn from ``seed`` until the
     float gap² is at most ``stop``, or for ``MAX_SCALING_ITERS`` passes.
-    Given a hyperplane (H, z), the start is zeroed off the level set
-    {(i,j,l) : H_A[i] + H_B[j] + H_C[l] = z} and each leg is scaled within
-    the blocks of equal entries of H_X.  Two level-set indices that share the
-    other two legs have equal h_X, so every marginal is block-diagonal, each
-    step is too, and the support stays on the level set: the scaling runs in
-    the face that (H, z) cuts out.
+    The start is zeroed off the level set {(i,j,l) : H_A[i] + H_B[j] +
+    H_C[l] = z} and each leg is scaled within the blocks of equal entries of
+    H_X.  Two level-set indices that share the other two legs have equal
+    h_X, so every marginal is block-diagonal, each step is too, and the
+    support stays on the level set: the scaling runs in the face that (H, z)
+    cuts out.  The zero hyperplane's level set is all of [m]³, with one
+    block per leg: that is the plain scaling.
     """
-    m = inst.m
     targets = [np.array(row) / inst.k for row in inst.padded_rows()]
-    psi = _random_state(np.random.default_rng(seed), m)
-    blocks = [[np.arange(m)]] * 3
-    if h is not None:
-        ha, hb, hc = (np.array(block) for block in h.blocks)
-        psi = psi * (ha[:, None, None] + hb[None, :, None] + hc[None, None, :] == h.z)
+    psi = _random_state(np.random.default_rng(seed), inst.m)
+    ha, hb, hc = (np.array(block) for block in h.blocks)
+    psi = psi * (ha[:, None, None] + hb[None, :, None] + hc[None, None, :] == h.z)
+    blocks = []
+    for hx, block in zip((ha, hb, hc), h.blocks):
         # not np.unique, which loads numpy.ma (about 1.7 MiB)
-        blocks = [
-            [np.flatnonzero(hx == v) for v in sorted(set(block))]
-            for hx, block in zip((ha, hb, hc), h.blocks)
-        ]
+        indices = [np.flatnonzero(hx == v) for v in sorted(set(block))]
+        # each grid built once: np.ix_ costs about a marginal's time per call
+        blocks.append([(idx, np.ix_(idx, idx)) for idx in indices])
     for _ in range(MAX_SCALING_ITERS):
         psi = _scaling_pass(psi, targets, blocks)
         gap2 = sum(

@@ -1,4 +1,4 @@
-"""Desk-scale certificate generation.
+"""Desk-scale certificate generation, and the one place a point is decided.
 
 Three generators live here:
 
@@ -17,11 +17,15 @@ Three generators live here:
   tight at the point (the face route), then on all of [m]³; gated by the
   exact verifier.
 
-The float scaling lives in :mod:`kronkit.floats`, which this module loads
-only when it runs, and the committed m = 3 facet system that the face
-route reads ships beside this module as ``facets_m3.json`` (the output of
-``kronkit facets --m 3 --irredundant``); everything here, and everything
-feeding a verifier decision, is exact.
+``decide`` answers either way: a committed element the point violates, as
+a nonmembership certificate, or else ``search_witness``'s witness.  The
+committed irredundant systems of ranks 2 and 3 ship beside this module as
+``facets_m2.json`` and ``facets_m3.json`` (the output of ``kronkit facets
+--m 2|3 --irredundant``); ``committed_system`` is their one reader, used by
+``decide`` and the face route alike.  The float scaling lives in
+:mod:`kronkit.floats`, which this module loads only when it runs; neither it
+nor a facet file is loaded by ``import kronkit``.  Everything feeding a
+verifier decision is exact.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ from .ressayre import (
     check_trace,
     eval_determinant,
     siegel_bound,
+    verify_nonmembership,
 )
 from .scalars import GaussianRational, json_int
 from .weights import (
@@ -335,23 +340,33 @@ def _uniform(d: YoungDiagram) -> bool:
     return len(set(d.rows)) == 1
 
 
-def _tight_faces(inst: KronInstance) -> list[HyperplaneCandidate]:
-    """The hyperplanes of the face route, in committed order.
+def committed_system(m: int) -> FacetSystem | None:
+    """The committed irredundant facet system of rank m, or None.
 
-    They are the elements of the committed system of rank ``inst.m``, which
-    ships for m = 3 only, that are tight at the point, H·λ = k·z on the
-    padded rows, and have at least two nonzero blocks.  A positivity element such
-    as λ_A[3] ≥ 0 is skipped: its level set only drops a row whose target is
-    0, which the plain scaling's first step already zeroes.  The system is
-    read from the package on each call.
+    It ships for m = 2 and 3 as ``facets_m{m}.json`` and is read from the
+    package on each call; every other rank has none.
     """
-    if inst.m != 3:
-        return []
+    if m not in (2, 3):
+        return None
     import json  # imported here, like floats, so that import kronkit stays lean
     from importlib.resources import files
 
-    text = files(__package__).joinpath("facets_m3.json").read_text(encoding="utf-8")
-    system = FacetSystem.from_json(json.loads(text))
+    text = files(__package__).joinpath(f"facets_m{m}.json").read_text(encoding="utf-8")
+    return FacetSystem.from_json(json.loads(text))
+
+
+def _tight_faces(inst: KronInstance) -> list[HyperplaneCandidate]:
+    """The hyperplanes of the face route, in committed order.
+
+    They are the elements of ``committed_system(inst.m)`` that are tight at
+    the point, H·λ = k·z on the padded rows, and have at least two nonzero
+    blocks.  A positivity element such as λ_A[3] ≥ 0 is skipped: its level
+    set only drops a row whose target is 0, which the plain scaling's first
+    step already zeroes.
+    """
+    system = committed_system(inst.m)
+    if system is None:
+        return []
     rows = inst.padded_rows()
     return [
         e.h for e in system.nontrivial
@@ -377,8 +392,9 @@ def search_witness(inst: KronInstance, seed: int = 0) -> MembershipCertificate |
     float routes run, skipped where their stop, accept_threshold2/4 (room for
     truncation), is below ``FLOAT_GAP2_FLOOR``.  The face route scales within
     the face of each committed element tight at the point (``_tight_faces``),
-    where the plain scaling stalls; then the plain route scales on all of
-    [m]³.  Each is one ``floats.scale`` from one start drawn from ``seed``.
+    where the plain scaling stalls; then the plain route scales in the face
+    of the zero hyperplane, whose level set is all of [m]³.  Each is one
+    ``floats.scale`` from one start drawn from ``seed``.
     Every candidate is truncated to required_bits and returned only if
     verify_membership accepts it.
     """
@@ -404,8 +420,33 @@ def search_witness(inst: KronInstance, seed: int = 0) -> MembershipCertificate |
     if stop < FLOAT_GAP2_FLOOR:
         return None
     from . import floats  # numpy loads only when a scaling runs
-    for h in [*_tight_faces(inst), None]:
+    zero = (0,) * inst.m
+    for h in [*_tight_faces(inst), HyperplaneCandidate(zero, zero, zero, 0)]:
         cert = _accepted(inst, floats.scale(inst, seed, stop, h))
         if cert is not None:
             return cert
     return None
+
+
+def decide(
+    inst: KronInstance, seed: int = 0
+) -> RessayreCertificate | MembershipCertificate | None:
+    """A certificate for the point on whichever side of the polytope it lies.
+
+    The first element of ``committed_system(inst.m)`` that the point
+    violates, H·λ < k·z on the padded rows, is returned if
+    verify_nonmembership accepts it; otherwise ``search_witness(inst,
+    seed)``, whose witness verify_membership has accepted.  None means
+    neither side was certified: at m ≥ 4 no system is committed, and the
+    witness search can miss.
+    """
+    system = committed_system(inst.m)
+    if system is not None:
+        rows = inst.padded_rows()
+        violated = next(
+            (e for e in system.nontrivial if e.h.pair_instance(rows) < inst.k * e.h.z),
+            None,
+        )
+        if violated is not None and verify_nonmembership(inst, violated).accepted:
+            return violated
+    return search_witness(inst, seed)

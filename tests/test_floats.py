@@ -1,10 +1,10 @@
 """The numpy boundary: only ``kronkit.floats`` imports numpy.
 
 Each command runs through ``cli.main`` in a fresh interpreter, which then
-reports whether numpy was loaded and whether the packaged facet system
-``facets_m3.json`` was opened.  The exact commands must do neither, and the
-float witness route must do both (it reads the system for the face route),
-so the check can tell them apart.
+reports whether numpy was loaded and whether a packaged facet system,
+``facets_m2.json`` or ``facets_m3.json``, was opened.  The exact commands
+must do neither, and the float witness route must do both (it reads the
+system for the face route), so the check can tell them apart.
 """
 
 import ast
@@ -27,7 +27,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps({
     "codes": codes,
     "numpy": "numpy" in sys.modules,
-    "facets": any(path.endswith("facets_m3.json") for path in opened),
+    "facets": any(path.endswith(("facets_m2.json", "facets_m3.json")) for path in opened),
 }))
 """
 
@@ -89,8 +89,9 @@ def test_sample_loads_numpy():
 
 
 def test_packaged_system_is_the_committed_one():
-    committed = ROOT / "perfbench" / "fixtures" / "facets_m3_irredundant.json"
-    assert (PACKAGE / "facets_m3.json").read_bytes() == committed.read_bytes()
+    for m in (2, 3):
+        committed = ROOT / "perfbench" / "fixtures" / f"facets_m{m}_irredundant.json"
+        assert (PACKAGE / f"facets_m{m}.json").read_bytes() == committed.read_bytes()
 
 
 def imports_numpy(path):

@@ -31,7 +31,10 @@ from kronkit.marginals import (
 )
 from kronkit.oracle import kron_coeff, partitions
 from kronkit.ressayre import (
+    Decision,
+    Reason,
     RessayreCertificate,
+    Verdict,
     build_det_matrix,
     check_admissible,
     check_trace,
@@ -41,6 +44,8 @@ from kronkit.ressayre import (
 from kronkit.search import (
     FacetSystem,
     chamber_inequalities,
+    committed_system,
+    decide,
     enumerate_ressayre,
     find_point,
     reduce_irredundant,
@@ -217,6 +222,12 @@ def test_reduce_empty_system_unchanged():
     assert reduce_irredundant(fs) == fs
 
 
+def test_committed_systems_ship_for_ranks_two_and_three():
+    assert committed_system(2) == reduce_irredundant(enumerate_ressayre(2))
+    assert len(committed_system(3).nontrivial) == 39
+    assert [committed_system(m) for m in (1, 4, 5)] == [None, None, None]
+
+
 def test_enumerate_rank_three_matches_committed_system(enumerate_once):
     # the committed fixture was written by the Fraction back-substitution
     text = json.dumps(enumerate_once(3).to_json(), indent=2) + "\n"
@@ -264,7 +275,7 @@ def assert_refused(columns, y, d, h):
 
 
 def test_drop_check_proves_the_first_m3_drop_and_refuses_mutations(m3_system):
-    kept = set(committed_m3_system().nontrivial)
+    kept = set(committed_system(3).nontrivial)
     dropped = next(e for e in m3_system.nontrivial if e not in kept)
     columns, lp = first_turn_lp(m3_system, dropped)
     assert lp.status == "optimal"
@@ -289,7 +300,7 @@ def test_drop_check_proves_the_first_m3_drop_and_refuses_mutations(m3_system):
 
 def test_drop_check_keeps_a_facet_on_its_own_optimum(m3_system):
     facet = m3_system.nontrivial[0]
-    assert facet in committed_m3_system().nontrivial
+    assert facet in committed_system(3).nontrivial
     columns, lp = first_turn_lp(m3_system, facet)
     assert lp.status == "optimal"
     assert not search._implied(columns, lp.x, lp.d, facet.h)
@@ -455,21 +466,22 @@ def test_plain_route_witness_is_unchanged(tmp_path):
 def test_positivity_elements_open_no_face(monkeypatch):
     # λ_A[3] = λ_B[3] = 0 is tight on two positivity elements only
     target = triple_instance(FREE_SUPPORT_MISSES[1])
-    system = committed_m3_system()
-    tight = [e.h for e in system.nontrivial
-             if level(e.h, target) == target.k * e.h.z]
+    rows = target.padded_rows()
+    tight = [e.h for e in committed_system(3).nontrivial
+             if e.h.pair_instance(rows) == target.k * e.h.z]
     assert len(tight) == 2
     assert all(sum(map(any, h.blocks)) == 1 for h in tight)
     hyperplanes = []
     scale = floats.scale
 
-    def recorded(inst, seed, stop, h=None):
+    def recorded(inst, seed, stop, h):
         hyperplanes.append(h)
         return scale(inst, seed, stop, h)
 
     monkeypatch.setattr(floats, "scale", recorded)
     assert search_witness(target, seed=0) is not None
-    assert hyperplanes == [None]
+    # only the plain route ran: the zero hyperplane, whose level set is [3]³
+    assert hyperplanes == [HyperplaneCandidate((0, 0, 0), (0, 0, 0), (0, 0, 0), 0)]
 
 
 def refuse_scaling(*args):
@@ -677,56 +689,67 @@ SLICE_FACE_POINTS = {
 }
 
 
-def rank_three_triples(kmax):
-    """Triples of largest height 3 with k ≤ kmax and λ_A ≥ λ_B ≥ λ_C as tuples."""
-    for k in range(3, kmax + 1):
-        shapes = [p for p in partitions(k) if len(p) <= 3]
+def rank_triples(rank, kmax):
+    """Triples of largest height rank with k ≤ kmax and λ_A ≥ λ_B ≥ λ_C as tuples."""
+    for k in range(rank, kmax + 1):
+        shapes = [p for p in partitions(k) if len(p) <= rank]
         for triple in product(shapes, repeat=3):
-            if max(map(len, triple)) == 3 and triple[0] >= triple[1] >= triple[2]:
+            if max(map(len, triple)) == rank and triple[0] >= triple[1] >= triple[2]:
                 yield triple
 
 
-def committed_m3_system():
-    text = (FIXTURES / "facets_m3_irredundant.json").read_text(encoding="utf-8")
-    return FacetSystem.from_json(json.loads(text))
+def decided_both_ways(triples):
+    """decide on each triple: (nonmember, member, undecided), each certificate verified."""
+    nonmember, member, undecided = [], [], []
+    for triple in triples:
+        target = triple_instance(triple)
+        cert = decide(target, seed=0)
+        if isinstance(cert, RessayreCertificate):
+            assert verify_nonmembership(target, cert).accepted, triple
+            nonmember.append(triple)
+        elif cert is None:
+            undecided.append(triple)
+        else:
+            assert verify_membership(target, cert).accepted, triple
+            member.append((triple, cert))
+    return nonmember, member, undecided
 
 
-def level(h, target):
-    """H·λ over the padded rows, to compare with k·z."""
-    pairs = zip(h.blocks, target.padded_rows())
-    return sum(x * y for block, lam in pairs for x, y in zip(block, lam))
+def test_rank_two_points_are_decided_both_ways():
+    # at r ≤ 2 the three committed facets and the exact route decide every point
+    nonmember, member, undecided = decided_both_ways(rank_triples(2, 12))
+    assert (len(nonmember), len(member), undecided) == (126, 197, [])
 
 
 def test_rank_three_slice_is_decided_both_ways():
-    system = committed_m3_system()
-    triples = list(rank_three_triples(8))
-    outside, undecided, on_face = 0, set(), set()
-    for triple in triples:
+    triples = list(rank_triples(3, 8))
+    nonmember, member, undecided = decided_both_ways(triples)
+    on_face = set()
+    for triple, cert in member:
         target = triple_instance(triple)
-        facet = next(
-            (e for e in system.nontrivial if level(e.h, target) < target.k * e.h.z),
-            None,
-        )
-        if facet is not None:
-            assert verify_nonmembership(target, facet).accepted
-            outside += 1
-            continue
-        cert = search_witness(target, seed=0)
-        if cert is None:
-            undecided.add(triple)
-        elif search._exact_witness(target) is None and any(
+        if search._exact_witness(target) is None and any(
             on_level_set(cert, h) for h in search._tight_faces(target)
         ):
             on_face.add(triple)
-    assert (len(triples), outside) == (390, 132)
-    assert undecided == set()
+    assert (len(triples), len(nonmember), len(member)) == (390, 132, 258)
+    assert undecided == []
     assert on_face == SLICE_FACE_POINTS
+
+
+def test_decide_searches_when_the_violated_element_is_refused(monkeypatch):
+    # an outside point: its violated element is the answer unless the
+    # verifier refuses it, and then only the witness search may answer
+    outside = inst([2], [2], [1, 1], 2)
+    assert isinstance(decide(outside), RessayreCertificate)
+    refused = Verdict(Decision.REJECT, Reason.DETERMINANT_VANISHES)
+    monkeypatch.setattr(search, "verify_nonmembership", lambda *args: refused)
+    assert decide(outside) is None
 
 
 def test_kron_positive_triples_satisfy_committed_m3_facets():
     # kron > 0 puts the point in the polytope, so no committed facet may cut
     # it off; this checks the m = 3 system against the character oracle
-    system = committed_m3_system()
+    system = committed_system(3)
     triples = positive = 0
     for k in range(1, 13):
         shapes = [p for p in partitions(k) if len(p) <= 3]
@@ -737,16 +760,16 @@ def test_kron_positive_triples_satisfy_committed_m3_facets():
             if kron_coeff(*(parse_young(lam) for lam in triple)) == 0:
                 continue
             positive += 1
-            target = inst(*triple, k, m=3)
+            rows = inst(*triple, k, m=3).padded_rows()
             for e in system.nontrivial:
-                assert level(e.h, target) >= k * e.h.z, (triple, e.h)
+                assert e.h.pair_instance(rows) >= k * e.h.z, (triple, e.h)
     assert (triples, positive) == (3564, 2254)
 
 
 def test_sampled_spectra_satisfy_committed_m3_facets():
     # spectra of random states lie in the polytope, so no committed facet may
     # cut one off; the m = 3 counterpart of acceptance criterion 4
-    system = committed_m3_system()
+    system = committed_system(3)
     coeffs = np.array([[v for b in e.h.blocks for v in b] for e in system.nontrivial])
     levels = np.array([e.h.z for e in system.nontrivial])
     points = np.array([

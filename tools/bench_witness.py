@@ -7,17 +7,18 @@ Run from the repository root:
     python3 tools/bench_witness.py --sweep R [--kmax K] [--repeat 1]
 
 Without ``--panel`` or ``--sweep`` the instances are those of the perfbench
-certify panel that reach ``find-witness`` (they violate no committed facet):
-the panel is imported from ``perfbench/workloads.py`` and not changed.  With
-``--panel R`` they are 40 distinct seeded triples with at most R rows, one
-of exactly R, k from R to 12 and ``oracle.kron_coeff`` > 0, drawn like the
-rank-four panel of ``tests/test_search.py``.  With ``--sweep R`` they are
-every triple with largest height R, k ≤ K (default 12) and λ_A ≥ λ_B ≥ λ_C
-as tuples; those that violate an element of the committed facet system of
-rank R (m = 2 and 3) are counted as outside and not searched.
+certify panel: the panel is imported from ``perfbench/workloads.py`` and not
+changed.  With ``--panel R`` they are 40 distinct seeded triples with at
+most R rows, one of exactly R, k from R to 12 and ``oracle.kron_coeff`` > 0,
+drawn like the rank-four panel of ``tests/test_search.py``.  With ``--sweep
+R`` they are every triple with largest height R, k ≤ K (default 12) and
+λ_A ≥ λ_B ≥ λ_C as tuples.
 
-Each instance is decided ``--repeat`` times by ``search_witness(inst,
-seed=0)``, the call behind ``kronkit find-witness --seed 0``, and its median
+Each instance is first decided by ``search.decide(inst, seed=0)``.  Those it
+answers with a committed facet (m = 2 and 3) are counted as outside and not
+timed.  Each other instance is decided ``--repeat`` times by
+``search_witness(inst, seed=0)``, the call behind ``kronkit find-witness
+--seed 0`` and behind ``decide`` once no facet is violated, and its median
 time is kept.  The route is "exact" when ``search._exact_witness`` returns a
 witness; "face" when it does not and the witness lies on the level set of
 an element that ``search._tight_faces`` returns; "float" otherwise, decided
@@ -45,41 +46,22 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 from kronkit import floats, search  # noqa: E402, F401  (numpy loads before any timing)
 from kronkit.diagrams import make_instance, parse_young  # noqa: E402
 from kronkit.oracle import kron_coeff, partitions  # noqa: E402
+from kronkit.ressayre import RessayreCertificate  # noqa: E402
 from kronkit.weights import split_weights  # noqa: E402
-from workloads import certify_panel, load_facets, violated  # noqa: E402
+from workloads import certify_panel  # noqa: E402
 
 
-def committed_systems():
-    return {
-        2: load_facets("facets_m2_irredundant.json"),
-        3: load_facets("facets_m3_irredundant.json"),
-    }
+def certify_instances():
+    for triple, _ in certify_panel(search.committed_system(3)):
+        yield make_instance(*(parse_young(lam) for lam in triple), sum(triple[0]))
 
 
-def find_witness_instances():
-    systems = committed_systems()
-    for triple, _ in certify_panel(systems[3]):
-        inst = make_instance(*(parse_young(lam) for lam in triple), sum(triple[0]))
-        if violated(systems.get(inst.m), inst.padded_rows(), inst.k) is None:
-            yield inst
-
-
-def sweep_instances(rank: int, kmax: int, counts: dict):
-    """Every triple of the sweep that violates no committed facet.
-
-    Points cut off by a facet are counted under ``counts["outside"]``.
-    """
-    system = committed_systems().get(rank)
+def sweep_instances(rank: int, kmax: int):
     for k in range(rank, kmax + 1):
         shapes = [p for p in partitions(k) if len(p) <= rank]
         for triple in product(shapes, repeat=3):
-            if max(map(len, triple)) != rank or not triple[0] >= triple[1] >= triple[2]:
-                continue
-            inst = make_instance(*(parse_young(lam) for lam in triple), k)
-            if violated(system, inst.padded_rows(), k) is not None:
-                counts["outside"] += 1
-            else:
-                yield inst
+            if max(map(len, triple)) == rank and triple[0] >= triple[1] >= triple[2]:
+                yield make_instance(*(parse_young(lam) for lam in triple), k)
 
 
 def kron_panel_instances(rank: int, seed: int, size: int = 40, kmax: int = 12):
@@ -117,18 +99,22 @@ def main() -> None:
     args = parser.parse_args()
     counts = dict.fromkeys(("outside", "exact", "face", "float", "undecided"), 0)
     if args.sweep is not None:
-        instances = sweep_instances(args.sweep, args.kmax, counts)
+        instances = sweep_instances(args.sweep, args.kmax)
     elif args.panel is not None:
         instances = kron_panel_instances(args.panel, args.seed)
     else:
-        instances = find_witness_instances()
+        instances = certify_instances()
     rows: dict[str, dict] = {}
     for inst in instances:
+        cert = search.decide(inst, seed=0)
+        if isinstance(cert, RessayreCertificate):
+            counts["outside"] += 1
+            continue
         exact = search._exact_witness(inst)
         times = []
         for _ in range(args.repeat):
             start = time.perf_counter()
-            cert = search.search_witness(inst, seed=0)
+            search.search_witness(inst, seed=0)
             times.append(time.perf_counter() - start)
         if exact is not None:
             route = "exact"

@@ -25,7 +25,7 @@ import sys
 from contextlib import contextmanager
 
 from .diagrams import KronInstance, parse_young
-from .errors import CapExceeded, KronkitError, MalformedInput
+from .errors import KronkitError
 from .marginals import MembershipCertificate, accept_threshold2, verify_membership
 from .oracle import DEFAULT_ORACLE_CAP, kron_coeff, semigroup_member
 from .ressayre import RessayreCertificate, verify_nonmembership
@@ -48,14 +48,14 @@ def _load_json(path: str, build, what: str):
         with open(path, "r", encoding="utf-8") as fh:
             return build(json.load(fh))
     except (KronkitError, *_FOREIGN) as exc:
-        raise MalformedInput(f"bad {what} file {path}: {exc}") from exc
+        raise KronkitError(f"bad {what} file {path}: {exc}") from exc
 
 
 def _parse_partition(text: str):
     try:
         return parse_young([int(tok) for tok in text.split(",") if tok.strip()])
     except (KronkitError, *_FOREIGN) as exc:
-        raise MalformedInput(f"bad partition {text!r}: {exc}") from exc
+        raise KronkitError(f"bad partition {text!r}: {exc}") from exc
 
 
 def _int_at_least(low: int, what: str):
@@ -181,7 +181,7 @@ def cmd_kron(args) -> int:
     diagrams = [_parse_partition(t) for t in (args.lam_a, args.lam_b, args.lam_c)]
     k = diagrams[0].boxes
     if k > args.cap:
-        raise CapExceeded(f"k={k} exceeds the oracle cap {args.cap}")
+        raise KronkitError(f"k={k} exceeds the oracle cap {args.cap}")
     g = kron_coeff(*diagrams)
     print(g)
     return EXIT_ACCEPT if g > 0 else EXIT_REJECT

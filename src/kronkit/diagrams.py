@@ -13,13 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import (
-    BoxCountMismatch,
-    EmptyDiagram,
-    NonPositiveRow,
-    NotWeaklyDecreasing,
-    RankTooSmall,
-)
+from .errors import KronkitError
 from .scalars import json_int
 
 
@@ -40,7 +34,7 @@ class YoungDiagram:
     def padded(self, m: int) -> tuple[int, ...]:
         """Row vector in ℤ^m with trailing zeros."""
         if m < self.height:
-            raise RankTooSmall(f"cannot pad height-{self.height} diagram to length {m}")
+            raise KronkitError(f"cannot pad height-{self.height} diagram to length {m}")
         return self.rows + (0,) * (m - self.height)
 
     def serialize(self) -> list[int]:
@@ -54,13 +48,13 @@ def parse_young(rows: Iterable[int]) -> YoungDiagram:
     """Validate a list of row lengths as a Young diagram."""
     rows = tuple(int(r) for r in rows)
     if not rows:
-        raise EmptyDiagram("a diagram needs at least one row")
+        raise KronkitError("a diagram needs at least one row")
     for r in rows:
         if r <= 0:
-            raise NonPositiveRow(f"row length {r} is not strictly positive")
+            raise KronkitError(f"row length {r} is not strictly positive")
     for a, b in zip(rows, rows[1:]):
         if a < b:
-            raise NotWeaklyDecreasing(f"rows {rows} are not weakly decreasing")
+            raise KronkitError(f"rows {rows} are not weakly decreasing")
     return YoungDiagram(rows)
 
 
@@ -132,10 +126,10 @@ def make_instance(
     """Build a validated instance; m defaults to the maximum height."""
     for lam in (lam_a, lam_b, lam_c):
         if lam.boxes != k:
-            raise BoxCountMismatch(f"diagram {lam} has {lam.boxes} boxes, expected {k}")
+            raise KronkitError(f"diagram {lam} has {lam.boxes} boxes, expected {k}")
     max_height = max(lam_a.height, lam_b.height, lam_c.height)
     if m_override is None:
         return KronInstance(lam_a, lam_b, lam_c, k, max_height)
     if m_override < max_height:
-        raise RankTooSmall(f"m={m_override} is below the maximum height {max_height}")
+        raise KronkitError(f"m={m_override} is below the maximum height {max_height}")
     return KronInstance(lam_a, lam_b, lam_c, k, m_override)

@@ -108,7 +108,7 @@ def sample_spectra(
     """n spectra triples of seeded Gaussian random vectors, non-increasing.
 
     Each sample is a dense m³ vector, so ranks above the weight cap raise
-    CapExceeded.
+    KronkitError.
     """
     check_weight_cap(m)
     rng = np.random.default_rng(seed)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .diagrams import KronInstance
-from .errors import IndexOutOfRange, MalformedInput, ShapeMismatch, ZeroVector
+from .errors import KronkitError, ZeroVector
 from .ressayre import Decision, Reason, Verdict, min_gap
 from .scalars import GaussianRational, json_int
 from .weights import check_weight_cap, weights
@@ -47,7 +47,7 @@ class MembershipCertificate:
             a, b, c = idx
             for component in (a, b, c):
                 if not 1 <= component <= self.m:
-                    raise IndexOutOfRange(f"index {idx} outside 1..{self.m}")
+                    raise KronkitError(f"index {idx} outside 1..{self.m}")
             if not value.is_zero():
                 cleaned[(a, b, c)] = value
         if not cleaned:
@@ -70,7 +70,7 @@ class MembershipCertificate:
         for item in obj["entries"]:
             idx = tuple(json_int(v) for v in item["idx"])
             if idx in entries:
-                raise MalformedInput(f"index {list(idx)} appears twice")
+                raise KronkitError(f"index {list(idx)} appears twice")
             entries[idx] = GaussianRational.from_json(item)
         return cls(json_int(obj["m"]), entries)
 
@@ -161,7 +161,7 @@ def frobenius_gap2(rho: DensityTriple, inst: KronInstance) -> Fraction:
     the one Fraction.
     """
     if rho.m != inst.m:
-        raise ShapeMismatch(f"density rank {rho.m} vs instance m={inst.m}")
+        raise KronkitError(f"density rank {rho.m} vs instance m={inst.m}")
     k, den = inst.k, rho.den
     total = 0
     for gram, lam in zip(rho.grams, inst.padded_rows()):
@@ -179,11 +179,11 @@ def verify_membership(inst: KronInstance, cert: MembershipCertificate) -> Verdic
     """Exact accept/reject: squared gap against squared threshold.
 
     The verdict carries the measured gap² in ``Verdict.gap2``.  Ranks above
-    the weight cap raise CapExceeded: the densities are dense in m.
+    the weight cap raise KronkitError: the densities are dense in m.
     """
     check_weight_cap(inst.m)
     if cert.m != inst.m:
-        raise ShapeMismatch(
+        raise KronkitError(
             f"certificate rank {cert.m} does not match instance m={inst.m}"
         )
     gap2 = frobenius_gap2(reduced_densities(cert), inst)
@@ -223,7 +223,7 @@ def truncate(v, b: int) -> MembershipCertificate:
     vec = [complex(x) for x in v]
     m = round(len(vec) ** (1 / 3))
     if m**3 != len(vec):
-        raise ShapeMismatch(f"vector length {len(vec)} is not a cube")
+        raise KronkitError(f"vector length {len(vec)} is not a cube")
     scale = 1 << b
     entries = {
         w: GaussianRational(

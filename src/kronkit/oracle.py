@@ -19,7 +19,7 @@ import math
 from functools import lru_cache
 
 from .diagrams import KronInstance, YoungDiagram, parse_young
-from .errors import BoxCountMismatch, CapExceeded, InternalNonInteger
+from .errors import InternalNonInteger, KronkitError
 
 # Brute-force stretching beyond 12 boxes explodes; raise deliberately.
 DEFAULT_ORACLE_CAP = 12
@@ -80,7 +80,7 @@ def _char_rec(beta: tuple[int, ...], mu: tuple[int, ...]) -> int:
 def mn_character(lam: YoungDiagram, mu: YoungDiagram) -> int:
     """Irreducible character value χ_λ(μ) in S_k."""
     if lam.boxes != mu.boxes:
-        raise BoxCountMismatch(
+        raise KronkitError(
             f"{lam} has {lam.boxes} boxes but cycle type {mu} has {mu.boxes}"
         )
     return _char_rec(_beta(lam.rows), mu.rows)
@@ -95,7 +95,7 @@ def kron_coeff(
     """
     k = lam_a.boxes
     if lam_b.boxes != k or lam_c.boxes != k:
-        raise BoxCountMismatch("the three diagrams must have equal box counts")
+        raise KronkitError("the three diagrams must have equal box counts")
     factorial_k = math.factorial(k)
     total = 0
     for rows in partitions(k):
@@ -123,7 +123,7 @@ def semigroup_member(
     multiplicity, or None (Unknown — absence of a small stretching proves
     nothing)."""
     if l_max * inst.k > cap:
-        raise CapExceeded(
+        raise KronkitError(
             f"stretching up to l={l_max} needs {l_max * inst.k} boxes, cap is {cap}"
         )
     for l in range(1, l_max + 1):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .diagrams import KronInstance
-from .errors import LengthMismatch, NotSquare, ShapeMismatch
+from .errors import KronkitError
 from .intlinalg import det_bareiss
 from .scalars import json_int
 from .weights import HyperplaneCandidate, affine_rank, negative_roots_on, split_weights
@@ -133,7 +133,7 @@ def build_det_matrix(h: HyperplaneCandidate, m: int) -> PolyMatrix:
     on, below, _ = split_weights(h, m)
     roots = negative_roots_on(h, m)
     if len(below) != len(roots):
-        raise NotSquare(
+        raise KronkitError(
             f"{len(below)} below-level weights vs {len(roots)} negative roots"
         )
     slot_of = {w: idx for idx, w in enumerate(on)}
@@ -148,7 +148,7 @@ def build_det_matrix(h: HyperplaneCandidate, m: int) -> PolyMatrix:
 def eval_determinant(matrix: PolyMatrix, p: tuple[int, ...]) -> int:
     """Exact determinant with slot i set to p[i]; empty matrix gives 1."""
     if len(p) != matrix.n_slots:
-        raise LengthMismatch(
+        raise KronkitError(
             f"evaluation point has length {len(p)}, expected {matrix.n_slots}"
         )
     numeric = [
@@ -161,7 +161,7 @@ def eval_determinant(matrix: PolyMatrix, p: tuple[int, ...]) -> int:
 def verify_nonmembership(inst: KronInstance, cert: RessayreCertificate) -> Verdict:
     """The full exact verifier; Accept proves the point is outside."""
     if cert.h.m != inst.m:
-        raise ShapeMismatch(
+        raise KronkitError(
             f"certificate rank {cert.h.m} does not match instance m={inst.m}"
         )
     m = inst.m

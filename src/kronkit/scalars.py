@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import MalformedInput
+from .errors import KronkitError
 
 RationalLike = Union[Fraction, int, str]
 
@@ -46,14 +46,14 @@ def as_fraction(value: RationalLike) -> Fraction:
 
 
 def json_int(value) -> int:
-    """A JSON integer field as an int; anything else raises MalformedInput.
+    """A JSON integer field as an int; anything else raises KronkitError.
 
     ``int()`` would truncate 2.9 to 2 and read ``true`` as 1, so floats and
     bools are refused rather than converted.
     """
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    raise MalformedInput(f"expected an integer, got {value!r}")
+    raise KronkitError(f"expected an integer, got {value!r}")
 
 
 def format_rational(q: Fraction) -> str:

@@ -38,7 +38,7 @@ from itertools import combinations, permutations
 from math import comb, isqrt
 
 from .diagrams import KronInstance, YoungDiagram
-from .errors import BudgetExceeded, CoordinateTooLarge, ShapeMismatch, ZeroVector
+from .errors import KronkitError, ZeroVector
 from .exactlp import solve_lp
 from .intlinalg import kernel_vector_if_unique
 from .marginals import (
@@ -92,7 +92,7 @@ def find_point(
     density bound makes each trial succeed with probability ≥ 1 − n/(m³+1).
     Returns None (NotFound) after ``trials`` failures.
     """
-    matrix = build_det_matrix(h, m)  # NotSquare if the count condition fails
+    matrix = build_det_matrix(h, m)  # KronkitError if the count condition fails
     if matrix.n == 0:
         return (0,) * matrix.n_slots  # determinant is identically 1
     rng = random.Random(seed)
@@ -138,13 +138,11 @@ class FacetSystem:
         bound = siegel_bound(self.m)
         for h in (*(e.h for e in self.nontrivial), *self.chamber):
             if h.m != self.m:
-                raise ShapeMismatch(
+                raise KronkitError(
                     f"hyperplane of rank {h.m} in a facet system of rank {self.m}"
                 )
             if max(abs(v) for v in (*_flat(h), h.z)) > bound:
-                raise CoordinateTooLarge(
-                    f"element exceeds the search-space bound {bound}"
-                )
+                raise KronkitError(f"element exceeds the search-space bound {bound}")
 
     def to_json(self) -> dict:
         return {
@@ -200,7 +198,7 @@ def enumerate_ressayre(m: int, seed: int = 0) -> FacetSystem:
     subset_size = 3 * (m - 1)
     total = comb(m**3, subset_size)
     if total > SUBSET_BUDGET:
-        raise BudgetExceeded(
+        raise KronkitError(
             f"{total} subsets at m={m} exceed the budget of {SUBSET_BUDGET}"
         )
     # entry[i] is H_X[i] in free coordinates: a unit vector, all −1 at i = m

@@ -18,7 +18,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import CapExceeded, ComponentNotTraceless, IndexOutOfRange, ShapeMismatch
+from .errors import KronkitError
 from .intlinalg import integer_rank
 from .scalars import json_int
 
@@ -54,13 +54,11 @@ class HyperplaneCandidate:
     def __post_init__(self) -> None:
         for tag, block in zip(SUBSYSTEMS, self.blocks):
             if len(block) != self.m:
-                raise ShapeMismatch(
+                raise KronkitError(
                     f"component {tag} has length {len(block)}, expected {self.m}"
                 )
             if sum(block) != 0:
-                raise ComponentNotTraceless(
-                    f"component {tag} of H sums to {sum(block)}, not 0"
-                )
+                raise KronkitError(f"component {tag} of H sums to {sum(block)}, not 0")
 
     def to_json(self) -> dict:
         return {"H": [list(b) for b in self.blocks], "z": self.z}
@@ -68,7 +66,7 @@ class HyperplaneCandidate:
     @classmethod
     def from_json(cls, obj: dict) -> "HyperplaneCandidate":
         if len(obj["H"]) != 3:
-            raise ShapeMismatch("H must have exactly three components")
+            raise KronkitError("H must have exactly three components")
         blocks = (tuple(json_int(v) for v in block) for block in obj["H"])
         return cls(*blocks, json_int(obj["z"]))
 
@@ -83,11 +81,9 @@ class HyperplaneCandidate:
 
 
 def check_weight_cap(m: int) -> None:
-    """Raise CapExceeded when work dense in m³ would exceed the rank cap."""
+    """Raise KronkitError when work dense in m³ would exceed the rank cap."""
     if m > WEIGHT_CAP:
-        raise CapExceeded(
-            f"m={m} exceeds the weight materialization cap {WEIGHT_CAP}"
-        )
+        raise KronkitError(f"m={m} exceeds the weight materialization cap {WEIGHT_CAP}")
 
 
 def weights(m: int) -> list[tuple[int, int, int]]:
@@ -102,7 +98,7 @@ def weight_index(m: int, w: Sequence[int]) -> int:
     i, j, l = w
     for idx in (i, j, l):
         if not 1 <= idx <= m:
-            raise IndexOutOfRange(f"index {idx} outside 1..{m}")
+            raise KronkitError(f"index {idx} outside 1..{m}")
     return (i - 1) * m * m + (j - 1) * m + (l - 1)
 
 

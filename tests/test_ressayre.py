@@ -4,12 +4,7 @@ from fractions import Fraction
 import pytest
 
 from kronkit.diagrams import make_instance, parse_young
-from kronkit.errors import (
-    ComponentNotTraceless,
-    LengthMismatch,
-    NotSquare,
-    ShapeMismatch,
-)
+from kronkit.errors import KronkitError
 from kronkit.ressayre import (
     Decision,
     Reason,
@@ -68,7 +63,7 @@ def test_check_admissible_examples():
 
 
 def test_check_admissible_requires_traceless():
-    with pytest.raises(ComponentNotTraceless):
+    with pytest.raises(KronkitError, match="component A of H sums to 1, not 0"):
         check_admissible(HyperplaneCandidate((1, 0), (0, 0), (0, 0), 0), 2)
 
 
@@ -99,7 +94,7 @@ def test_build_det_matrix_not_square():
     # the orientation flip of the worked element is lopsided: one weight
     # below the level but two negatively-pairing roots
     flipped = HyperplaneCandidate((1, -1), (1, -1), (-1, 1), -1)
-    with pytest.raises(NotSquare):
+    with pytest.raises(KronkitError, match="1 below-level weights vs 2 negative roots"):
         build_det_matrix(flipped, 2)
 
 
@@ -138,7 +133,7 @@ def test_eval_determinant_examples():
     mat = build_det_matrix(H_WORKED, 2)
     assert eval_determinant(mat, (1, 0, 0)) == 1
     assert eval_determinant(mat, (0, 5, 7)) == 0
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(KronkitError, match="evaluation point has length 2, expected 3"):
         eval_determinant(mat, (1, 0))
 
 
@@ -149,7 +144,7 @@ def test_eval_determinant_matches_cofactor_oracle():
         h = random_candidate(rng, 2)
         try:
             mat = build_det_matrix(h, 2)
-        except NotSquare:
+        except KronkitError:
             continue
         if not 1 <= mat.n <= 4:
             continue
@@ -182,7 +177,7 @@ def test_determinant_degree_bound():
         h = random_candidate(rng, 2)
         try:
             mat = build_det_matrix(h, 2)
-        except NotSquare:
+        except KronkitError:
             continue
         if mat.n == 0:
             continue
@@ -228,13 +223,13 @@ def test_verify_nonmembership_shape_mismatch():
     lam = parse_young([1, 1, 1])
     inst3 = make_instance(lam, lam, lam, 3)
     cert = RessayreCertificate(H_WORKED, (1, 0, 0))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(KronkitError, match="certificate rank 2 does not match"):
         verify_nonmembership(inst3, cert)
 
 
 def test_verify_nonmembership_wrong_p_length_is_malformed():
     cert = RessayreCertificate(H_WORKED, (1, 0))
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(KronkitError, match="evaluation point has length 2, expected 3"):
         verify_nonmembership(inst_2211(), cert)
 
 

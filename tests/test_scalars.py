@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from kronkit.errors import MalformedInput
+from kronkit.errors import KronkitError
 from kronkit.scalars import (
     GaussianRational,
     as_fraction,
@@ -79,5 +79,5 @@ def test_json_int_takes_only_integers():
     assert json_int(7) == 7
     assert json_int(-(2**70)) == -(2**70)
     for bad in (2.9, 2.0, True, False, "3", None, [1]):
-        with pytest.raises(MalformedInput):
+        with pytest.raises(KronkitError, match="expected an integer"):
             json_int(bad)

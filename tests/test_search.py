@@ -12,14 +12,7 @@ import pytest
 from kronkit import floats, search
 from kronkit.cli import main
 from kronkit.diagrams import make_instance, parse_young
-from kronkit.errors import (
-    BudgetExceeded,
-    ComponentNotTraceless,
-    CoordinateTooLarge,
-    KronkitError,
-    MalformedInput,
-    ShapeMismatch,
-)
+from kronkit.errors import KronkitError
 from kronkit.exactlp import LPResult, solve_lp
 from kronkit.floats import sample_spectra, spectra_csv
 from kronkit.intlinalg import kernel_vector_if_unique
@@ -89,19 +82,19 @@ def test_element_rejects_oversized_coordinates():
     huge = RessayreCertificate(
         HyperplaneCandidate((300000, -300000), (0, 0), (0, 0), 0), ()
     )
-    with pytest.raises(CoordinateTooLarge) as exc:
+    with pytest.raises(KronkitError, match="search-space bound 262144") as exc:
         FacetSystem(2, (huge,), chamber_inequalities(2))
-    assert exc.type is CoordinateTooLarge
-    with pytest.raises(CoordinateTooLarge):
+    assert exc.type is KronkitError
+    with pytest.raises(KronkitError, match="search-space bound 262144"):
         FacetSystem.from_json({"m": 2, "nontrivial": [huge.to_json()]})
 
 
 def test_element_rejects_block_that_is_not_traceless():
     # the A block sums to 1; reduce_irredundant relies on every H being traceless
     obj = {"H": [[1, 0], [0, 0], [0, 0]], "z": 0, "p": []}
-    with pytest.raises(ComponentNotTraceless):
+    with pytest.raises(KronkitError, match="component A of H sums to 1, not 0"):
         RessayreCertificate.from_json(obj)
-    with pytest.raises(ComponentNotTraceless):
+    with pytest.raises(KronkitError, match="component A of H sums to 1, not 0"):
         FacetSystem.from_json({"m": 2, "nontrivial": [obj]})
 
 
@@ -109,16 +102,16 @@ def test_facet_system_rejects_elements_of_another_rank():
     # the three m = 2 facets in an m = 3 system: reduce_irredundant would
     # index past their blocks
     m2 = reduce_irredundant(enumerate_ressayre(2))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(KronkitError, match="rank 2 in a facet system of rank 3"):
         FacetSystem(3, m2.nontrivial, chamber_inequalities(3))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(KronkitError, match="rank 2 in a facet system of rank 3"):
         FacetSystem.from_json(dict(m2.to_json(), m=3))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(KronkitError, match="rank 3 in a facet system of rank 2"):
         FacetSystem(2, m2.nontrivial, chamber_inequalities(3))
 
 
 def test_facet_system_rejects_fractional_rank():
-    with pytest.raises(MalformedInput):
+    with pytest.raises(KronkitError, match="expected an integer, got 2.5"):
         FacetSystem.from_json({"m": 2.5, "nontrivial": []})
 
 
@@ -187,7 +180,7 @@ def test_enumerate_orientations_are_exclusive():
 
 def test_enumerate_budget():
     # C(64, 9) ≈ 2.75·10¹⁰ subsets at m = 4, against 296,010 at m = 3
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(KronkitError, match="subsets at m=4 exceed the budget of"):
         enumerate_ressayre(4)
 
 
@@ -534,6 +527,26 @@ def test_exact_route_decides_a_qubit_triple_iff_hss():
     for triple, k in triples:
         decided = search._exact_witness(inst(*triple, k)) is not None
         assert decided == hss(triple), triple
+
+
+def test_committed_m2_system_is_hss():
+    # With λ_X = (k − x, x) and h_X = H_X[0] = −H_X[1], H·λ ≥ k·z reads
+    # Σ −2·h_X·x ≥ k·(z − Σ h_X) in the smaller rows x = a, b, c.
+    # ((−1,1),(−1,1),(1,−1)) with z = −1, for one, gives 2a + 2b − 2c ≥ 0.
+    system = committed_system(2)
+    forms = set()
+    for e in system.nontrivial:
+        h = [block[0] for block in e.h.blocks]
+        assert e.h.z == sum(h)  # no k term: the inequality is homogeneous
+        coeffs = [-2 * v for v in h]
+        forms.add(tuple(v // gcd(*coeffs) for v in coeffs))
+    assert len(system.nontrivial) == 3
+    # c ≤ a + b, b ≤ a + c, a ≤ b + c
+    assert forms == {(1, 1, -1), (1, -1, 1), (-1, 1, 1)}
+    for triple, k in qubit_triples(10):
+        rows = inst(*triple, k, m=2).padded_rows()
+        inside = all(e.h.pair_instance(rows) >= k * e.h.z for e in system.nontrivial)
+        assert inside == hss(triple), triple
 
 
 def test_height_rule_returns_before_any_lp(monkeypatch):

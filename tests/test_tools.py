@@ -14,6 +14,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -27,6 +29,31 @@ def bench_witness(*args):
     )
     assert result.returncode == 0, result.stderr
     return json.loads(result.stdout)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--repeat", "0"],
+        ["--sweep", "0"],
+        ["--sweep", "13"],
+        ["--panel", "13"],
+        # only 12 distinct rank-one triples exist with k ≤ 12, so a panel of
+        # 40 would never fill; the timeout keeps a regression from hanging
+        ["--panel", "1"],
+    ],
+)
+def test_bench_witness_refuses_bad_arguments(args):
+    result = subprocess.run(
+        [sys.executable, "tools/bench_witness.py", *args],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 2
+    assert "usage:" in result.stderr and "Traceback" not in result.stderr
+    assert result.stdout == ""
 
 
 def test_bench_witness_rank_two_panel():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from kronkit.errors import CapExceeded, ComponentNotTraceless, ShapeMismatch
+from kronkit.errors import KronkitError
 from kronkit.weights import (
     HyperplaneCandidate,
     affine_rank,
@@ -38,7 +38,7 @@ def test_weights_counts_and_order():
 
 def test_weights_cap():
     assert len(weights(12)) == 12**3
-    with pytest.raises(CapExceeded):
+    with pytest.raises(KronkitError, match="m=13 exceeds the weight materialization"):
         weights(13)
 
 
@@ -153,14 +153,14 @@ def test_affine_rank_permutation_and_duplication_invariant():
 
 
 def test_traceless_validation():
-    with pytest.raises(ComponentNotTraceless):
+    with pytest.raises(KronkitError, match="component A of H sums to 1, not 0"):
         HyperplaneCandidate((1, 0), (0, 0), (0, 0), 0)
 
 
 def test_blocks_of_another_length_are_refused():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(KronkitError, match="component B has length 3, expected 2"):
         HyperplaneCandidate((-1, 1), (-1, 0, 1), (1, -1), 0)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(KronkitError, match="component C has length 1, expected 2"):
         HyperplaneCandidate((-1, 1), (-1, 1), (0,), 0)
 
 
@@ -169,7 +169,7 @@ def test_hyperplane_json_round_trip():
     assert obj == {"H": [[-1, 1], [-1, 1], [1, -1]], "z": -1}
     assert list(obj) == ["H", "z"]
     assert HyperplaneCandidate.from_json(obj) == H_WORKED
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(KronkitError, match="exactly three components"):
         HyperplaneCandidate.from_json({"H": [[-1, 1], [-1, 1]], "z": -1})
-    with pytest.raises(ComponentNotTraceless):
+    with pytest.raises(KronkitError, match="component A of H sums to 2, not 0"):
         HyperplaneCandidate.from_json({"H": [[1, 1], [-1, 1], [1, -1]], "z": -1})

@@ -8,11 +8,12 @@ Run from the repository root:
 
 Without ``--panel`` or ``--sweep`` the instances are those of the perfbench
 certify panel: the panel is imported from ``perfbench/workloads.py`` and not
-changed.  With ``--panel R`` they are 40 distinct seeded triples with at
-most R rows, one of exactly R, k from R to 12 and ``oracle.kron_coeff`` > 0,
-drawn like the rank-four panel of ``tests/test_search.py``.  With ``--sweep
-R`` they are every triple with largest height R, k ≤ K (default 12) and
-λ_A ≥ λ_B ≥ λ_C as tuples.
+changed.  With ``--panel R`` (2 ≤ R ≤ 12) they are 40 distinct seeded
+triples with at most R rows, one of exactly R, k from R to 12 and
+``oracle.kron_coeff`` > 0, drawn like the rank-four panel of
+``tests/test_search.py``.  With ``--sweep R`` (1 ≤ R ≤ 12, the weight cap)
+they are every triple with largest height R, k ≤ K (default 12) and
+λ_A ≥ λ_B ≥ λ_C as tuples.  A value out of range exits 2 with a usage error.
 
 Each instance is first decided by ``search.decide(inst, seed=0)``.  Those it
 answers with a committed facet (m = 2 and 3) are counted as outside and not
@@ -47,7 +48,7 @@ from kronkit import floats, search  # noqa: E402, F401  (numpy loads before any 
 from kronkit.diagrams import make_instance, parse_young  # noqa: E402
 from kronkit.oracle import kron_coeff, partitions  # noqa: E402
 from kronkit.ressayre import RessayreCertificate  # noqa: E402
-from kronkit.weights import split_weights  # noqa: E402
+from kronkit.weights import WEIGHT_CAP, split_weights  # noqa: E402
 from workloads import certify_panel  # noqa: E402
 
 
@@ -92,11 +93,16 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=3)
     group = parser.add_mutually_exclusive_group()
-    group.add_argument("--panel", type=int, metavar="R")
-    group.add_argument("--sweep", type=int, metavar="R")
+    # a rank-one panel has only 12 distinct triples with k ≤ 12, never 40
+    group.add_argument("--panel", type=int, choices=range(2, 13), metavar="R")
+    group.add_argument(
+        "--sweep", type=int, choices=range(1, WEIGHT_CAP + 1), metavar="R"
+    )
     parser.add_argument("--kmax", type=int, default=12, metavar="K")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    if args.repeat < 1:
+        parser.error(f"argument --repeat: expected at least 1, got {args.repeat}")
     counts = dict.fromkeys(("outside", "exact", "face", "float", "undecided"), 0)
     if args.sweep is not None:
         instances = sweep_instances(args.sweep, args.kmax)

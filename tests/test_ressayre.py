@@ -144,7 +144,8 @@ def test_eval_determinant_matches_cofactor_oracle():
         h = random_candidate(rng, 2)
         try:
             mat = build_det_matrix(h, 2)
-        except KronkitError:
+        except KronkitError as exc:
+            assert "negative roots" in str(exc)
             continue
         if not 1 <= mat.n <= 4:
             continue
@@ -177,7 +178,8 @@ def test_determinant_degree_bound():
         h = random_candidate(rng, 2)
         try:
             mat = build_det_matrix(h, 2)
-        except KronkitError:
+        except KronkitError as exc:
+            assert "negative roots" in str(exc)
             continue
         if mat.n == 0:
             continue

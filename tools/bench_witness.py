@@ -45,8 +45,9 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from kronkit import floats, search  # noqa: E402, F401  (numpy loads before any timing)
+from kronkit.cli import _positive_int  # noqa: E402
 from kronkit.diagrams import make_instance, parse_young  # noqa: E402
-from kronkit.oracle import kron_coeff, partitions  # noqa: E402
+from kronkit.oracle import DEFAULT_ORACLE_CAP, kron_coeff, partitions  # noqa: E402
 from kronkit.ressayre import RessayreCertificate  # noqa: E402
 from kronkit.weights import WEIGHT_CAP, split_weights  # noqa: E402
 from workloads import certify_panel  # noqa: E402
@@ -65,7 +66,9 @@ def sweep_instances(rank: int, kmax: int):
                 yield make_instance(*(parse_young(lam) for lam in triple), k)
 
 
-def kron_panel_instances(rank: int, seed: int, size: int = 40, kmax: int = 12):
+def kron_panel_instances(
+    rank: int, seed: int, size: int = 40, kmax: int = DEFAULT_ORACLE_CAP
+):
     rng = random.Random(seed)
     shapes = {
         k: [p for p in partitions(k) if len(p) <= rank] for k in range(rank, kmax + 1)
@@ -91,18 +94,19 @@ def on_tight_face(inst, cert) -> bool:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeat", type=int, default=3)
+    parser.add_argument("--repeat", type=_positive_int, default=3)
     group = parser.add_mutually_exclusive_group()
-    # a rank-one panel has only 12 distinct triples with k ≤ 12, never 40
-    group.add_argument("--panel", type=int, choices=range(2, 13), metavar="R")
+    # k runs up to the oracle cap, and a rank-one panel has only that many
+    # distinct triples, never 40
+    group.add_argument(
+        "--panel", type=int, choices=range(2, DEFAULT_ORACLE_CAP + 1), metavar="R"
+    )
     group.add_argument(
         "--sweep", type=int, choices=range(1, WEIGHT_CAP + 1), metavar="R"
     )
     parser.add_argument("--kmax", type=int, default=12, metavar="K")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
-    if args.repeat < 1:
-        parser.error(f"argument --repeat: expected at least 1, got {args.repeat}")
     counts = dict.fromkeys(("outside", "exact", "face", "float", "undecided"), 0)
     if args.sweep is not None:
         instances = sweep_instances(args.sweep, args.kmax)

@@ -1,8 +1,9 @@
 """Every float computation in kronkit: the witness scaling and the sampler.
 
 The only module that imports numpy, loaded only where a float runs: by
-``search.search_witness`` once its exact route misses and the float64 floor
-admits a scaling, and by ``kronkit sample``.  One scaling serves both
+``search.decide`` (and so ``search_witness``) once its exact route misses, no
+committed facet cuts the point off and the float64 floor admits a scaling,
+and by ``kronkit sample``.  One scaling serves both
 float routes: the face route steers each marginal within the blocks of a
 hyperplane's level set, and the plain route is the same scaling for the
 zero hyperplane, whose level set is all of [m]³.  A scaled vector counts

@@ -1,6 +1,6 @@
 """Desk-scale certificate generation, and the one place a point is decided.
 
-Three generators live here:
+Two generators live here:
 
 * ``enumerate_ressayre`` — complete hyperplane-certificate discovery for
   small m, by iterating over affinely independent weight subsets and solving
@@ -9,23 +9,22 @@ Three generators live here:
 * ``reduce_irredundant`` — removal of implied inequalities by exact
   linear programming: one standard-form LP per element, the 3(m−1)-row dual
   of "is this inequality implied by the others?", whose integer Farkas
-  multipliers alone decide, by one exact check, whether it is dropped;
-* ``search_witness`` — construction of membership witnesses, exactly first
-  (one rational LP per free support: the diagonal, then cyclic Latin
-  supports) and, only when that fails, by seeded float scalings that stop
-  at the verifier's threshold: within the face of each committed facet
-  tight at the point (the face route), then on all of [m]³; gated by the
-  exact verifier.
+  multipliers alone decide, by one exact check, whether it is dropped.
 
-``decide`` answers either way: a committed element the point violates, as
-a nonmembership certificate, or else ``search_witness``'s witness.  The
-committed irredundant systems of ranks 2 and 3 ship beside this module as
-``facets_m2.json`` and ``facets_m3.json`` (the output of ``kronkit facets
---m 2|3 --irredundant``); ``committed_system`` is their one reader, used by
-``decide`` and the face route alike.  The float scaling lives in
-:mod:`kronkit.floats`, which this module loads only when it runs; neither it
-nor a facet file is loaded by ``import kronkit``.  Everything feeding a
-verifier decision is exact.
+``decide`` answers either way, in one order: two rules on the spectra that
+can prove no state exists; an exact witness (one rational LP per free
+support: the diagonal, then cyclic Latin supports); a committed element the
+point violates, as a nonmembership certificate; and only then seeded float
+scalings that stop at the verifier's threshold, within the face of each
+committed facet tight at the point (the face route) and then on all of
+[m]³, gated by the exact verifier.  ``search_witness`` is its witness half.
+The committed irredundant systems of ranks 2 and 3 ship beside this module
+as ``facets_m2.json`` and ``facets_m3.json`` (the output of ``kronkit facets
+--m 2|3 --irredundant``); ``committed_system`` is their one reader, called
+at most once per point and not at all when the exact route decides.  The
+float scaling lives in :mod:`kronkit.floats`, which this module loads only
+when it runs; neither it nor a facet file is loaded by ``import kronkit``.
+Everything feeding a verifier decision is exact.
 """
 
 from __future__ import annotations
@@ -353,16 +352,17 @@ def committed_system(m: int) -> FacetSystem | None:
     return FacetSystem.from_json(json.loads(text))
 
 
-def _tight_faces(inst: KronInstance) -> list[HyperplaneCandidate]:
+def _tight_faces(
+    inst: KronInstance, system: FacetSystem | None
+) -> list[HyperplaneCandidate]:
     """The hyperplanes of the face route, in committed order.
 
-    They are the elements of ``committed_system(inst.m)`` that are tight at
-    the point, H·λ = k·z on the padded rows, and have at least two nonzero
-    blocks.  A positivity element such as λ_A[3] ≥ 0 is skipped: its level
-    set only drops a row whose target is 0, which the plain scaling's first
-    step already zeroes.
+    They are the elements of ``system`` (the committed system of ``inst.m``,
+    or None where there is none) that are tight at the point, H·λ = k·z on
+    the padded rows, and have at least two nonzero blocks.  A positivity
+    element such as λ_A[3] ≥ 0 is skipped: its level set only drops a row
+    whose target is 0, which the plain scaling's first step already zeroes.
     """
-    system = committed_system(inst.m)
     if system is None:
         return []
     rows = inst.padded_rows()
@@ -382,62 +382,39 @@ def _accepted(inst: KronInstance, vector) -> MembershipCertificate | None:
     return cert if verify_membership(inst, cert).accepted else None
 
 
-def search_witness(inst: KronInstance, seed: int = 0) -> MembershipCertificate | None:
-    """Find a certificate that passes the exact membership verifier.
-
-    Exact route first: one LP per free support (``free_supports``), whose
-    rational solution gives the amplitudes.  Only if none is accepted do the
-    float routes run, skipped where their stop, accept_threshold2/4 (room for
-    truncation), is below ``FLOAT_GAP2_FLOOR``.  The face route scales within
-    the face of each committed element tight at the point (``_tight_faces``),
-    where the plain scaling stalls; then the plain route scales in the face
-    of the zero hyperplane, whose level set is all of [m]³.  Each is one
-    ``floats.scale`` from one start drawn from ``seed``.
-    Every candidate is truncated to required_bits and returned only if
-    verify_membership accepts it.
-    """
-    check_weight_cap(inst.m)
-    low, mid, r = sorted(d.height for d in inst.diagrams)
-    if r > low * mid:  # rank ρ_X = rank ρ_YZ ≤ rank ρ_Y · rank ρ_Z: no state
-        return None
-    a, b, c = inst.diagrams
-    for x, y, z in ((a, b, c), (b, a, c), (c, a, b)):
-        # ρ_X uniform of rank h_Y·h_Z forces ρ_YZ = I/(h_Y·h_Z): uniform ρ_Y, ρ_Z
-        if x.height == y.height * z.height and _uniform(x):
-            if not (_uniform(y) and _uniform(z)):
-                return None
-    cert = _exact_witness(inst)
-    if cert is not None:
-        return cert
-    # At r ≤ 2 the block sums fix x on the support {111, 122, 212, 221}, and
-    # x ≥ 0 exactly under the Higuchi–Sudbery–Szulc inequalities that cut out
-    # the qubit polytope, so the exact route has decided every member.
-    if r <= 2:
-        return None
-    stop = float(accept_threshold2(inst.m, inst.k) / 4)
-    if stop < FLOAT_GAP2_FLOOR:
-        return None
-    from . import floats  # numpy loads only when a scaling runs
-    zero = (0,) * inst.m
-    for h in [*_tight_faces(inst), HyperplaneCandidate(zero, zero, zero, 0)]:
-        cert = _accepted(inst, floats.scale(inst, seed, stop, h))
-        if cert is not None:
-            return cert
-    return None
-
-
 def decide(
     inst: KronInstance, seed: int = 0
 ) -> RessayreCertificate | MembershipCertificate | None:
     """A certificate for the point on whichever side of the polytope it lies.
 
-    The first element of ``committed_system(inst.m)`` that the point
-    violates, H·λ < k·z on the padded rows, is returned if
-    verify_nonmembership accepts it; otherwise ``search_witness(inst,
-    seed)``, whose witness verify_membership has accepted.  None means
-    neither side was certified: at m ≥ 4 no system is committed, and the
-    witness search can miss.
+    The height and uniform rules below decide whether a state can exist; if
+    one can, the exact route runs first: one LP per free support
+    (``free_supports``), whose rational solution gives the amplitudes.  If
+    it misses, ``committed_system(inst.m)`` is read, once, and its first
+    element that the point violates, H·λ < k·z on the padded rows, is
+    returned if verify_nonmembership accepts it.  Only then, where a state
+    can exist, r ≥ 3 and the stop accept_threshold2/4 (room for truncation)
+    is at least ``FLOAT_GAP2_FLOOR``, does one ``floats.scale`` from a start
+    drawn from ``seed`` run within the face of each element tight at the
+    point (``_tight_faces``), where the plain scaling stalls, and then in
+    the face of the zero hyperplane, all of [m]³.  A float candidate is
+    returned only if verify_membership accepts it, truncated to
+    required_bits.  None means neither side was certified: at m ≥ 4 no
+    system is committed, and the search can miss.
     """
+    check_weight_cap(inst.m)
+    low, mid, r = sorted(d.height for d in inst.diagrams)
+    a, b, c = inst.diagrams
+    # rank ρ_X = rank ρ_YZ ≤ rank ρ_Y · rank ρ_Z; and ρ_X uniform of rank
+    # h_Y·h_Z forces ρ_YZ = I/(h_Y·h_Z), so uniform ρ_Y and ρ_Z
+    possible = r <= low * mid and all(
+        _uniform(y) and _uniform(z)
+        for x, y, z in ((a, b, c), (b, a, c), (c, a, b))
+        if x.height == y.height * z.height and _uniform(x)
+    )
+    cert = _exact_witness(inst) if possible else None
+    if cert is not None:
+        return cert
     system = committed_system(inst.m)
     if system is not None:
         rows = inst.padded_rows()
@@ -447,4 +424,22 @@ def decide(
         )
         if violated is not None and verify_nonmembership(inst, violated).accepted:
             return violated
-    return search_witness(inst, seed)
+    # At r ≤ 2 the block sums fix x on the support {111, 122, 212, 221}, and
+    # x ≥ 0 exactly under the Higuchi–Sudbery–Szulc inequalities that cut out
+    # the qubit polytope, so the exact route has decided every member.
+    stop = float(accept_threshold2(inst.m, inst.k) / 4)
+    if not possible or r <= 2 or stop < FLOAT_GAP2_FLOOR:
+        return None
+    from . import floats  # numpy loads only when a scaling runs
+    zero = (0,) * inst.m
+    for h in [*_tight_faces(inst, system), HyperplaneCandidate(zero, zero, zero, 0)]:
+        cert = _accepted(inst, floats.scale(inst, seed, stop, h))
+        if cert is not None:
+            return cert
+    return None
+
+
+def search_witness(inst: KronInstance, seed: int = 0) -> MembershipCertificate | None:
+    """``decide``'s answer when it is a witness, verified; else None."""
+    cert = decide(inst, seed)
+    return cert if isinstance(cert, MembershipCertificate) else None

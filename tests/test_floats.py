@@ -3,8 +3,11 @@
 Each command runs through ``cli.main`` in a fresh interpreter, which then
 reports whether numpy was loaded and whether a packaged facet system,
 ``facets_m2.json`` or ``facets_m3.json``, was opened.  The exact commands
-must do neither, and the float witness route must do both (it reads the
-system for the face route), so the check can tell them apart.
+must do neither.  ``find-witness`` reads the system only after its exact
+route misses, to look for a violated element before any scaling: a point
+that an element puts outside opens the file but leaves numpy unloaded, and
+the float witness route does both (the face route reuses that one read),
+so the check can tell the three apart.
 """
 
 import ast
@@ -81,6 +84,14 @@ def test_float_route_loads_numpy(tmp_path):
     out = str(tmp_path / "w.json")
     report = run_fresh([["find-witness", float_m3, "--seed", "0", "--out", out]])
     assert report == {"codes": [0], "numpy": True, "facets": True}
+
+
+def test_facet_outside_point_scales_nothing(tmp_path):
+    # the exact route misses, then a committed m = 3 element decides
+    outside = instance(tmp_path, "outside_m3", [5, 1], [5, 1], [3, 2, 1])
+    out = str(tmp_path / "w.json")
+    report = run_fresh([["find-witness", outside, "--seed", "0", "--out", out]])
+    assert report == {"codes": [1], "numpy": False, "facets": True}
 
 
 def test_sample_loads_numpy():

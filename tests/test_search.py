@@ -425,7 +425,7 @@ def test_float_route_miss_makes_one_start(monkeypatch):
     # tight on no face, so only the plain route runs; this seed's start
     # reaches no stop (seeds 0–6, 8 and 9 decide the point)
     target = inst([7, 3, 1], [6, 5], [6, 5], 11)
-    assert search._tight_faces(target) == []
+    assert search._tight_faces(target, committed_system(3)) == []
     assert search_witness(target, seed=7) is None
     assert 0 < calls <= floats.MAX_SCALING_ITERS
 
@@ -439,7 +439,7 @@ def test_face_route_decides_a_facet_point():
     # the certify instance that the plain scaling leaves undecided
     target = triple_instance(FREE_SUPPORT_MISSES[0])
     face = HyperplaneCandidate((-2, 1, 1), (2, -1, -1), (-2, 1, 1), -2)
-    assert search._tight_faces(target) == [face]
+    assert search._tight_faces(target, committed_system(3)) == [face]
     cert = search_witness(target, seed=0)
     assert cert is not None and verify_membership(target, cert).accepted
     assert on_level_set(cert, face)
@@ -737,11 +737,12 @@ def test_rank_two_points_are_decided_both_ways():
 def test_rank_three_slice_is_decided_both_ways():
     triples = list(rank_triples(3, 8))
     nonmember, member, undecided = decided_both_ways(triples)
+    system = committed_system(3)
     on_face = set()
     for triple, cert in member:
         target = triple_instance(triple)
         if search._exact_witness(target) is None and any(
-            on_level_set(cert, h) for h in search._tight_faces(target)
+            on_level_set(cert, h) for h in search._tight_faces(target, system)
         ):
             on_face.add(triple)
     assert (len(triples), len(nonmember), len(member)) == (390, 132, 258)
@@ -757,6 +758,45 @@ def test_decide_searches_when_the_violated_element_is_refused(monkeypatch):
     refused = Verdict(Decision.REJECT, Reason.DETERMINANT_VANISHES)
     monkeypatch.setattr(search, "verify_nonmembership", lambda *args: refused)
     assert decide(outside) is None
+
+
+def count_system_reads(monkeypatch):
+    reads = []
+
+    def counted(m):
+        reads.append(m)
+        return committed_system(m)
+
+    monkeypatch.setattr(search, "committed_system", counted)
+    return reads
+
+
+def test_decide_reads_the_system_once_after_an_exact_miss(monkeypatch):
+    # the face route takes the system that the facet check already read
+    reads = count_system_reads(monkeypatch)
+    target = triple_instance(FREE_SUPPORT_MISSES[0])
+    cert = decide(target, seed=0)
+    assert cert is not None and verify_membership(target, cert).accepted
+    assert reads == [3]
+
+
+def test_decide_reads_no_system_when_the_exact_route_decides(monkeypatch):
+    reads = count_system_reads(monkeypatch)
+    target = triple_instance(FREE_SUPPORT_M3[3])
+    cert = search._exact_witness(target)
+    assert cert is not None and decide(target, seed=0) == cert
+    assert reads == []
+
+
+def test_search_witness_scales_no_point_a_facet_puts_outside(monkeypatch):
+    # heights 2, 2, 3 pass both rules, the exact route misses, and a
+    # committed m = 3 element proves the point outside before any scaling
+    reads = count_system_reads(monkeypatch)
+    monkeypatch.setattr(floats, "scale", refuse_scaling)
+    outside = inst([5, 1], [5, 1], [3, 2, 1], 6)
+    assert search_witness(outside, seed=0) is None
+    assert isinstance(decide(outside, seed=0), RessayreCertificate)
+    assert reads == [3, 3]
 
 
 def test_kron_positive_triples_satisfy_committed_m3_facets():

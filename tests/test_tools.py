@@ -1,9 +1,10 @@
 """The scripts in tools/ run against the source tree.
 
 ``tools/bench_witness.py`` routes every point through ``search.decide`` and
-reaches into ``search._exact_witness`` and ``search._tight_faces`` to name
-the route that decided it, so a refactor of the witness search can break it
-without any other test noticing.  From ``perfbench/`` it takes only the
+reaches into ``search._exact_witness`` and ``search._tight_faces`` (given
+the committed system, which it reads itself) to name the route that decided
+it, so a refactor of the witness search can break it without any other test
+noticing.  From ``perfbench/`` it takes only the
 certify panel: the routing it measures is the library's, not the
 benchmark's.
 """
@@ -41,6 +42,11 @@ def bench_witness(*args):
         # only 12 distinct rank-one triples exist with k ≤ 12, so a panel of
         # 40 would never fill; the timeout keeps a regression from hanging
         ["--panel", "1"],
+        # an empty sweep, and options the chosen instances would ignore
+        ["--sweep", "3", "--kmax", "2"],
+        ["--kmax", "-4"],
+        ["--panel", "2", "--kmax", "5"],
+        ["--sweep", "2", "--seed", "1"],
     ],
 )
 def test_bench_witness_refuses_bad_arguments(args):

@@ -12,22 +12,24 @@ changed.  With ``--panel R`` (2 ≤ R ≤ 12) they are 40 distinct seeded
 triples with at most R rows, one of exactly R, k from R to 12 and
 ``oracle.kron_coeff`` > 0, drawn like the rank-four panel of
 ``tests/test_search.py``.  With ``--sweep R`` (1 ≤ R ≤ 12, the weight cap)
-they are every triple with largest height R, k ≤ K (default 12) and
-λ_A ≥ λ_B ≥ λ_C as tuples.  A value out of range exits 2 with a usage error.
+they are every triple with largest height R, k from R to K (default 12)
+and λ_A ≥ λ_B ≥ λ_C as tuples.  A value out of range, K below R, and
+``--kmax`` without ``--sweep`` or ``--seed`` without ``--panel`` (which
+would be ignored) exit 2 with a usage error.
 
-Each instance is first decided by ``search.decide(inst, seed=0)``.  Those it
-answers with a committed facet (m = 2 and 3) are counted as outside and not
-timed.  Each other instance is decided ``--repeat`` times by
-``search_witness(inst, seed=0)``, the call behind ``kronkit find-witness
---seed 0`` and behind ``decide`` once no facet is violated, and its median
-time is kept.  The route is "exact" when ``search._exact_witness`` returns a
-witness; "face" when it does not and the witness lies on the level set of
-an element that ``search._tight_faces`` returns; "float" otherwise, decided
-by the plain scaling or not at all.  An exact witness whose entries all lie
-on the diagonal {(i,i,i)} is also counted under ``on_diagonal``.  Prints one
-JSON object: per route and rank, the count, how many were decided (and on
-the diagonal), the total and the median time per instance; a sweep adds the
-counts of outside, exact, face, float and undecided points.
+Each instance is decided ``--repeat`` times by ``search.decide(inst,
+seed=0)``, whose witness half is ``search_witness`` and so the call behind
+``kronkit find-witness --seed 0``, and its median time is kept.  The route
+is "outside" when ``decide`` answers with a committed facet (m = 2 and 3);
+"exact" when ``search._exact_witness`` returns a witness; "face" when it
+does not and the witness lies on the level set of an element that
+``search._tight_faces`` returns for the committed system; "float"
+otherwise, decided by the plain scaling or not at all.  An exact witness
+whose entries all lie on the diagonal {(i,i,i)} is also counted under
+``on_diagonal``.  Prints one JSON object: per route and rank, the count, how
+many were decided (and on the diagonal), the total and the median time per
+instance; a sweep adds the counts of outside, exact, face, float and
+undecided points.
 """
 
 from __future__ import annotations
@@ -87,9 +89,8 @@ def kron_panel_instances(
 
 def on_tight_face(inst, cert) -> bool:
     entries = set(cert.entries)
-    return any(
-        entries <= set(split_weights(h, inst.m)[0]) for h in search._tight_faces(inst)
-    )
+    faces = search._tight_faces(inst, search.committed_system(inst.m))
+    return any(entries <= set(split_weights(h, inst.m)[0]) for h in faces)
 
 
 def main() -> None:
@@ -104,29 +105,36 @@ def main() -> None:
     group.add_argument(
         "--sweep", type=int, choices=range(1, WEIGHT_CAP + 1), metavar="R"
     )
-    parser.add_argument("--kmax", type=int, default=12, metavar="K")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--kmax", type=int, metavar="K")
+    parser.add_argument("--seed", type=int)
     args = parser.parse_args()
+    if args.kmax is not None and args.sweep is None:
+        parser.error("--kmax applies only to --sweep")
+    if args.seed is not None and args.panel is None:
+        parser.error("--seed applies only to --panel")
+    if args.sweep is not None:
+        args.kmax = 12 if args.kmax is None else args.kmax
+        if args.kmax < args.sweep:
+            parser.error(f"--kmax {args.kmax} is below the sweep's rank {args.sweep}")
     counts = dict.fromkeys(("outside", "exact", "face", "float", "undecided"), 0)
     if args.sweep is not None:
         instances = sweep_instances(args.sweep, args.kmax)
     elif args.panel is not None:
-        instances = kron_panel_instances(args.panel, args.seed)
+        instances = kron_panel_instances(args.panel, args.seed or 0)
     else:
         instances = certify_instances()
     rows: dict[str, dict] = {}
     for inst in instances:
-        cert = search.decide(inst, seed=0)
-        if isinstance(cert, RessayreCertificate):
-            counts["outside"] += 1
-            continue
-        exact = search._exact_witness(inst)
         times = []
         for _ in range(args.repeat):
             start = time.perf_counter()
-            search.search_witness(inst, seed=0)
+            cert = search.decide(inst, seed=0)
             times.append(time.perf_counter() - start)
-        if exact is not None:
+        outside = isinstance(cert, RessayreCertificate)
+        exact = None if outside else search._exact_witness(inst)
+        if outside:
+            route = "outside"
+        elif exact is not None:
             route = "exact"
         elif cert is not None and on_tight_face(inst, cert):
             route = "face"

@@ -6,7 +6,9 @@ the committed system, which it reads itself) to name the route that decided
 it, so a refactor of the witness search can break it without any other test
 noticing.  From ``perfbench/`` it takes only the
 certify panel: the routing it measures is the library's, not the
-benchmark's.
+benchmark's.  ``tools/bench_lp.py`` counts pivots by wrapping
+``exactlp._pivot`` and ``exactlp._simplex`` from outside, so it breaks if
+their signatures change.
 """
 
 import ast
@@ -100,3 +102,45 @@ def test_bench_witness_takes_only_the_panel_from_perfbench():
         if alias.name == "workloads"
     ]
     assert (imported, plain) == (["certify_panel"], [])
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--repeat", "0"],
+        ["--panel", "1"],
+        ["--panel", "13"],
+        ["--only", "sample"],
+        # options the chosen input would ignore
+        ["--only", "reduction_m3", "--seed", "1"],
+        ["--only", "reduce_m3_sample", "--panel", "3"],
+    ],
+)
+def test_bench_lp_refuses_bad_arguments(args):
+    result = subprocess.run(
+        [sys.executable, "tools/bench_lp.py", *args],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 2
+    assert "usage:" in result.stderr and "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
+def test_bench_lp_counts_the_sample_pivots():
+    result = subprocess.run(
+        [sys.executable, "tools/bench_lp.py", "--only", "reduce_m3_sample", "--repeat", "1"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    (name, row), = json.loads(result.stdout).items()
+    pivots = row["pivots"]
+    assert (name, row["lps"]) == ("reduce_m3_sample", 40)
+    assert pivots["total"] == pivots["phase1"] + pivots["phase2"]
+    # Bland's rule alone took 1,396
+    assert 0 < pivots["degenerate"] < pivots["total"] <= 1396 // 2

@@ -184,7 +184,7 @@ def test_wrong_shape_is_rejected(c, a_eq, b_eq):
 
 class PivotLog:
     """Spies on ``_simplex`` and ``_pivot``: checks each entering column
-    against the pricing rule and counts the pivots by kind.
+    against the pricing rule and counts the pivots, in all and by kind.
 
     Inside ``_simplex`` the last tableau row is the objective over every
     priced column, and the right-hand side is last.  A pivot outside it
@@ -193,7 +193,7 @@ class PivotLog:
 
     def __init__(self, monkeypatch):
         self.counts = dict.fromkeys(
-            ("dantzig", "bland", "degenerate", "rules_differ"), 0
+            ("total", "dantzig", "bland", "degenerate", "rules_differ"), 0
         )
         self.starts = []  # (n_cols, basis) at the start of each _simplex
         self.inside = self.after_degenerate = False
@@ -212,6 +212,7 @@ class PivotLog:
             if self.inside:
                 self.check(tab[-1][:-1], col)
                 self.after_degenerate = tab[row][-1] == 0
+            self.counts["total"] += 1
             self.counts["degenerate"] += tab[row][-1] == 0
             return real_pivot(tab, basis, row, col, d)
 
@@ -251,17 +252,9 @@ def test_pricing_on_the_first_turn_reduce_lps(monkeypatch):
 def test_reduction_takes_at_most_half_the_bland_pivots(monkeypatch):
     text = (FIXTURES / "facets_m3.json").read_text(encoding="utf-8")
     system = FacetSystem.from_json(json.loads(text))
-    pivots = 0
-    real_pivot = exactlp._pivot
-
-    def count(*args):
-        nonlocal pivots
-        pivots += 1
-        return real_pivot(*args)
-
-    monkeypatch.setattr(exactlp, "_pivot", count)
+    log = PivotLog(monkeypatch)
     assert len(reduce_irredundant(system).nontrivial) == 39
-    assert pivots <= BLAND_REDUCTION_PIVOTS // 2
+    assert log.counts["total"] <= BLAND_REDUCTION_PIVOTS // 2
 
 
 def test_degenerate_lps_match_vertex_enumeration(monkeypatch):

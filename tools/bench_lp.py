@@ -1,8 +1,8 @@
 """Pivots and time per exact LP solve, on the inputs that run the simplex.
 
-Run from the repository root:
+Run from the repository root, with no arguments:
 
-    python3 tools/bench_lp.py [--repeat 3] [--panel R] [--seed S] [--only INPUT]
+    python3 tools/bench_lp.py
 
 Three inputs, each the list of ``solve_lp`` calls that kronkit makes on it,
 recorded once and then solved again on their own:
@@ -13,18 +13,15 @@ recorded once and then solved again on their own:
   ``perfbench/workloads.py`` and not changed);
 * ``reduction_m3`` — the full 114 → 39 reduction of the same enumeration;
 * ``panel`` — ``search._exact_witness`` on each instance of the seeded
-  kron > 0 panel of ``tools/bench_witness.py --panel R --seed S`` (default
-  R = 4, S = 0): its free-support LPs, up to the first accepted witness.
-
-``--only INPUT`` runs one of them; ``--panel`` and ``--seed`` without the
-panel, and values out of range, exit 2 with a usage error.
+  kron > 0 panel of ``tools/bench_witness.py --panel 4 --seed 0``: its
+  free-support LPs, up to the first accepted witness.
 
 Pivots are counted in one untimed pass by wrapping ``exactlp._pivot`` and
 ``exactlp._simplex`` from outside: ``phase1`` (with the pivots that drive
 artificials out of the basis), ``phase2``, and ``degenerate`` (the leaving
 row's right-hand side is 0, in either phase).  The time is the median of
-``--repeat`` passes without the wrappers.  Prints one JSON object: per
-input, the number of LPs, the pivot counts, and the total and per-LP time.
+five passes without the wrappers.  Prints one JSON object: per input, the
+number of LPs, the pivot counts, and the total and per-LP time.
 """
 
 from __future__ import annotations
@@ -41,12 +38,11 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from bench_witness import kron_panel_instances  # noqa: E402
 from kronkit import exactlp, search  # noqa: E402
-from kronkit.cli import _positive_int  # noqa: E402
-from kronkit.oracle import DEFAULT_ORACLE_CAP  # noqa: E402
 from kronkit.search import FacetSystem  # noqa: E402
 from workloads import load_facets, reduce_sample  # noqa: E402
 
-INPUTS = ("reduce_m3_sample", "reduction_m3", "panel")
+PANEL_RANK, PANEL_SEED = 4, 0
+REPEAT = 5
 
 
 def recorded_lps(run) -> list[tuple]:
@@ -108,38 +104,27 @@ def measure(lps: list[tuple], repeat: int) -> dict:
     }
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeat", type=_positive_int, default=3)
-    parser.add_argument(
-        "--panel", type=int, choices=range(2, DEFAULT_ORACLE_CAP + 1), metavar="R"
-    )
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--only", choices=INPUTS)
-    args = parser.parse_args()
-    if args.only not in (None, "panel") and (args.panel, args.seed) != (None, None):
-        parser.error("--panel and --seed apply only to the panel input")
-    rank = 4 if args.panel is None else args.panel
-    seed = args.seed or 0
-
+def runs() -> dict:
+    """Per input, the kronkit call whose LPs it measures."""
     enumerated = load_facets("facets_m3.json")
     sample = FacetSystem(
         3,
         tuple(enumerated.nontrivial[i] for i in reduce_sample(len(enumerated.nontrivial))),
         enumerated.chamber,
     )
-    runs = {
+    return {
         "reduce_m3_sample": lambda: search.reduce_irredundant(sample),
         "reduction_m3": lambda: search.reduce_irredundant(enumerated),
         "panel": lambda: [
-            search._exact_witness(inst) for inst in kron_panel_instances(rank, seed)
+            search._exact_witness(inst)
+            for inst in kron_panel_instances(PANEL_RANK, PANEL_SEED)
         ],
     }
-    report = {}
-    for name in INPUTS if args.only is None else (args.only,):
-        report[name] = measure(recorded_lps(runs[name]), args.repeat)
-    if "panel" in report:
-        report["panel"] = {"R": rank, "seed": seed, **report["panel"]}
+
+
+def main() -> None:
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
+    report = {name: measure(recorded_lps(run), REPEAT) for name, run in runs().items()}
     print(json.dumps(report, indent=2))
 
 

@@ -104,8 +104,12 @@ def check_admissible(h: HyperplaneCandidate, m: int) -> bool:
     """True iff the on-level weights affinely span a hyperplane: rank 3(m−1).
 
     H is traceless by construction, so the rank is all that is left to check.
+    The affine rank is at most the number of points, so a level holding
+    fewer than 3(m−1) weights fails without an elimination.
     """
     on, _, _ = split_weights(h, m)
+    if len(on) < 3 * (m - 1):
+        return False
     return affine_rank(on, m) == 3 * (m - 1)
 
 
@@ -113,19 +117,6 @@ def check_trace(h: HyperplaneCandidate, m: int) -> bool:
     """True iff #(negatively-pairing roots) = #(below-level weights)."""
     _, below, _ = split_weights(h, m)
     return len(negative_roots_on(h, m)) == len(below)
-
-
-def _difference_weight(
-    w: tuple[int, int, int], root: tuple[int, int, int]
-) -> tuple[int, int, int] | None:
-    """ω − α as a weight, or None when the difference leaves the weight set.
-
-    α = e_i − e_j in block b moves coordinate b of ω from i to j.
-    """
-    block, i, j = root
-    if w[block] != i:
-        return None
-    return w[:block] + (j,) + w[block + 1 :]
 
 
 def build_det_matrix(h: HyperplaneCandidate, m: int) -> PolyMatrix:
@@ -137,12 +128,21 @@ def build_det_matrix(h: HyperplaneCandidate, m: int) -> PolyMatrix:
             f"{len(below)} below-level weights vs {len(roots)} negative roots"
         )
     slot_of = {w: idx for idx, w in enumerate(on)}
-    # a difference that is off the level, or None, has no slot: a structural zero
-    rows = tuple(
-        tuple(slot_of.get(_difference_weight(w, root)) for root in roots)
-        for w in below
-    )
-    return PolyMatrix(rows, len(on), tuple(below), tuple(roots))
+    # α = e_i − e_j in block b moves coordinate b of ω from i to j; ω − α is
+    # a structural zero when ω_b ≠ i (it leaves the weight set) or when it
+    # lies off the level (it has no slot)
+    rows = []
+    for w in below:
+        row = []
+        for b, i, j in roots:
+            if w[b] != i:
+                row.append(None)
+                continue
+            diff = list(w)
+            diff[b] = j
+            row.append(slot_of.get(tuple(diff)))
+        rows.append(tuple(row))
+    return PolyMatrix(tuple(rows), len(on), tuple(below), tuple(roots))
 
 
 def eval_determinant(matrix: PolyMatrix, p: tuple[int, ...]) -> int:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from .errors import KronkitError
@@ -36,6 +37,10 @@ class HyperplaneCandidate:
     Construction refuses all but three blocks of one length m, each summing
     to 0, so no consumer checks them again.  ``to_json`` and ``from_json``
     alone write and read the ``{"H": …, "z": …}`` form.
+
+    The level split of Φ(m) and the negatively pairing roots are computed at
+    most once per object, on first use, and kept on it; two equal candidates
+    each compute their own.
     """
 
     h_a: tuple[int, ...]
@@ -79,6 +84,19 @@ class HyperplaneCandidate:
         pairs = zip(self.blocks, padded_rows)
         return sum(h * x for block, lam in pairs for h, x in zip(block, lam))
 
+    @cached_property
+    def _split(self) -> tuple[tuple, tuple, tuple]:
+        return _level_split(self)
+
+    @cached_property
+    def _negative_roots(self) -> tuple[tuple[int, int, int], ...]:
+        blocks = self.blocks
+        return tuple(
+            (b, i, j)
+            for b, i, j in negative_roots(self.m)
+            if blocks[b][i - 1] < blocks[b][j - 1]
+        )
+
 
 def check_weight_cap(m: int) -> None:
     """Raise KronkitError when work dense in m³ would exceed the rank cap."""
@@ -120,39 +138,75 @@ def weight_vector(w: tuple[int, int, int], m: int) -> list[int]:
     return v
 
 
-def split_weights(h: HyperplaneCandidate, m: int) -> tuple[list, list, list]:
-    """Partition Φ(m) by the sign of φ·H − z, canonical order preserved.
+def _level_split(h: HyperplaneCandidate) -> tuple[tuple, tuple, tuple]:
+    """(on, below, above) by the sign of φ·H − z over Φ(h.m), canonical order.
 
-    φ·H = (H_A)_i + (H_B)_j + (H_C)_l for φ = (i, j, l).
+    φ·H = (H_A)_i + (H_B)_j + (H_C)_l for φ = (i, j, l); the loops run over
+    the three blocks, so Φ(m) itself is never built.
     """
     h_a, h_b, h_c = h.blocks
     on, below, above = [], [], []
-    for w in weights(m):
-        i, j, l = w
-        value = h_a[i - 1] + h_b[j - 1] + h_c[l - 1]
-        if value == h.z:
-            on.append(w)
-        elif value < h.z:
-            below.append(w)
-        else:
-            above.append(w)
-    return on, below, above
+    for i, a in enumerate(h_a, 1):
+        for j, b in enumerate(h_b, 1):
+            rest = h.z - a - b
+            for l, c in enumerate(h_c, 1):
+                if c == rest:
+                    on.append((i, j, l))
+                elif c < rest:
+                    below.append((i, j, l))
+                else:
+                    above.append((i, j, l))
+    return tuple(on), tuple(below), tuple(above)
+
+
+def _check_rank(h: HyperplaneCandidate, m: int) -> None:
+    if h.m != m:
+        raise KronkitError(f"H has blocks of length {h.m}, expected m={m}")
+
+
+def split_weights(h: HyperplaneCandidate, m: int) -> tuple[list, list, list]:
+    """Partition Φ(m) by the sign of φ·H − z, canonical order preserved.
+
+    Returns fresh lists (on, below, above), copied from the split that ``h``
+    computes once and keeps.  ``m`` must be the block length of ``h`` and at
+    most the weight cap.
+    """
+    check_weight_cap(m)
+    _check_rank(h, m)
+    on, below, above = h._split
+    return list(on), list(below), list(above)
 
 
 def negative_roots_on(h: HyperplaneCandidate, m: int) -> list[tuple[int, int, int]]:
-    """The negative roots with α·H < 0, canonical order preserved."""
-    blocks = h.blocks
-    return [
-        (block, i, j)
-        for block, i, j in negative_roots(m)
-        if blocks[block][i - 1] < blocks[block][j - 1]
-    ]
+    """The negative roots with α·H < 0, canonical order preserved.
+
+    A fresh list, copied from the roots that ``h`` finds once and keeps.
+    """
+    _check_rank(h, m)
+    return list(h._negative_roots)
 
 
 def affine_rank(s: list[tuple[int, int, int]], m: int) -> int:
     """Exact rank of the (3m+1)-row matrix with columns (φ_vec; −1).
 
-    Computed by fraction-free elimination on the transpose (rank is the same
-    and rows are handier than columns here).
+    For nonempty s that is 1 + the rank of the differences φ − φ₀ (subtract
+    the first column from the others).  Each block of a difference sums to
+    0, so its last entry follows from the rest: the rank is taken over the
+    3(m−1) free coordinates, each block without its last entry, by
+    fraction-free elimination on one row per difference.
     """
-    return integer_rank([weight_vector(w, m) + [-1] for w in s])
+    if not s:
+        return 0
+    n = m - 1
+    first = s[0]
+    rows = []
+    for w in s[1:]:
+        row = [0] * (3 * n)
+        for offset, idx, idx0 in zip((0, n, 2 * n), w, first):
+            if idx != idx0:
+                if idx < m:
+                    row[offset + idx - 1] = 1
+                if idx0 < m:
+                    row[offset + idx0 - 1] = -1
+        rows.append(row)
+    return 1 + integer_rank(rows)

@@ -349,6 +349,7 @@ def test_unknown_subcommand_exits_two():
 
 RANK_13 = {key: [1] * 13 for key in ("lambda_A", "lambda_B", "lambda_C")}
 RANK_13["k"] = 13
+RANK_13_CERT = {"H": [[0] * 13] * 3, "z": 0, "p": []}
 RANK_200 = {"lambda_A": [1], "lambda_B": [1], "lambda_C": [1], "k": 1, "m": 200}
 RANK_200_CERT = {"m": 200, "entries": [{"idx": [1, 1, 1], "re": "1/1", "im": "0/1"}]}
 ONE_OVER_ZERO_CERT = {
@@ -422,6 +423,11 @@ MALFORMED = {
         "verify-nonmembership",
         jfile(t, "i.json", OUTSIDE),
         jfile(t, "c.json", FRACTIONAL_CERT),
+    ],
+    "verify-nonmembership m=13": lambda t: [
+        "verify-nonmembership",
+        jfile(t, "i.json", RANK_13),
+        jfile(t, "c.json", RANK_13_CERT),
     ],
     "verify-membership 1/0 amplitude": lambda t: [
         "verify-membership",
@@ -515,6 +521,13 @@ def test_malformed_input_exits_two(case, tmp_path, capsys):
     assert code == 2
     assert "error:" in err
     assert "Traceback" not in err
+
+
+def test_rank_13_certificate_hits_the_weight_cap(tmp_path, capsys):
+    code = run_cli(MALFORMED["verify-nonmembership m=13"](tmp_path))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: m=13 exceeds the weight materialization cap 12\n"
 
 
 def test_not_traceless_certificate_is_refused_when_read(tmp_path, capsys):

@@ -1,9 +1,12 @@
+import json
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from kronkit.diagrams import make_instance, parse_young
+from kronkit.diagrams import KronInstance, make_instance, parse_young
 from kronkit.errors import KronkitError
 from kronkit.ressayre import (
     Decision,
@@ -22,6 +25,9 @@ from kronkit.weights import HyperplaneCandidate, split_weights, weight_vector
 
 H_WORKED = HyperplaneCandidate((-1, 1), (-1, 1), (1, -1), -1)
 H_ZERO = HyperplaneCandidate((0, 0), (0, 0), (0, 0), 0)
+POOL = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "verify_pool.json"
+# kronkit.weights is the weights() function; the module is reached this way
+WEIGHTS_MODULE = sys.modules["kronkit.weights"]
 
 
 def inst_2211():
@@ -233,6 +239,72 @@ def test_verify_nonmembership_wrong_p_length_is_malformed():
     cert = RessayreCertificate(H_WORKED, (1, 0))
     with pytest.raises(KronkitError, match="evaluation point has length 2, expected 3"):
         verify_nonmembership(inst_2211(), cert)
+
+
+def pool_nonmembers():
+    items = json.loads(POOL.read_text(encoding="utf-8"))["items"]
+    return [
+        (KronInstance.from_json(item["instance"]),
+         RessayreCertificate.from_json(item["certificate"]),
+         item["expected"])
+        for item in items
+        if item["kind"] == "nonmember"
+    ]
+
+
+def test_pool_nonmember_verdicts():
+    nonmembers = pool_nonmembers()
+    assert len(nonmembers) == 60
+    # every outcome of the verifier at both ranks the pool holds
+    outcomes = {(inst.m, expected) for inst, _, expected in nonmembers}
+    assert len(outcomes) == 10
+    for inst, cert, expected in nonmembers:
+        assert str(verify_nonmembership(inst, cert)) == expected
+
+
+def count_splits(monkeypatch):
+    calls = []
+    split = WEIGHTS_MODULE._level_split
+
+    def spy(h):
+        calls.append(h)
+        return split(h)
+
+    monkeypatch.setattr(WEIGHTS_MODULE, "_level_split", spy)
+    return calls
+
+
+def test_one_verification_splits_once(monkeypatch):
+    calls = count_splits(monkeypatch)
+    # a fresh candidate: H_WORKED may already hold its split from other tests
+    cert = RessayreCertificate(
+        HyperplaneCandidate((-1, 1), (-1, 1), (1, -1), -1), (1, 0, 0)
+    )
+    # all four checks run: admissible, trace, determinant, inequality
+    assert verify_nonmembership(inst_2211(), cert).accepted
+    assert calls == [cert.h]
+
+
+def test_equal_candidates_are_split_apart(monkeypatch):
+    calls = count_splits(monkeypatch)
+    obj = {"H": [[-1, 1], [-1, 1], [1, -1]], "z": -1}
+    first = HyperplaneCandidate.from_json(obj)
+    second = HyperplaneCandidate.from_json(obj)
+    assert first == second
+    for h in (first, second, first):
+        assert split_weights(h, 2)[0] == [(1, 1, 1), (1, 2, 2), (2, 1, 2)]
+    assert len(calls) == 2
+
+
+def test_split_lists_are_copies():
+    h = HyperplaneCandidate((-1, 1), (-1, 1), (1, -1), -1)
+    split_weights(h, 2)[0].clear()
+    split_weights(h, 2)[1].append((2, 2, 2))
+    assert split_weights(h, 2) == (
+        [(1, 1, 1), (1, 2, 2), (2, 1, 2)],
+        [(1, 1, 2)],
+        [(1, 2, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2)],
+    )
 
 
 def test_scale_invariance_of_final_inequality():

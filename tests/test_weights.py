@@ -3,6 +3,7 @@ import random
 import pytest
 
 from kronkit.errors import KronkitError
+from kronkit.intlinalg import integer_rank
 from kronkit.weights import (
     HyperplaneCandidate,
     affine_rank,
@@ -150,6 +151,32 @@ def test_affine_rank_permutation_and_duplication_invariant():
         rng.shuffle(shuffled)
         assert affine_rank(shuffled, 2) == r
         assert affine_rank(s + [rng.choice(s)], 2) == r
+
+
+def reference_affine_rank(s, m):
+    return integer_rank([weight_vector(w, m) + [-1] for w in s])
+
+
+def test_affine_rank_matches_full_matrix_rank():
+    base = weights(2)
+    for mask in range(1 << len(base)):
+        s = [w for bit, w in enumerate(base) if mask >> bit & 1]
+        assert affine_rank(s, 2) == reference_affine_rank(s, 2)
+    rng = random.Random(59)
+    for m in (3, 4):
+        ws = weights(m)
+        subsets = [[], ws[:1], ws[-1:], ws]
+        subsets += [rng.sample(ws, rng.randint(1, len(ws))) for _ in range(150)]
+        subsets += [rng.sample(ws, rng.randint(2, 3 * m)) for _ in range(150)]
+        for s in subsets:
+            assert affine_rank(s, m) == reference_affine_rank(s, m)
+
+
+def test_split_and_roots_refuse_another_rank():
+    with pytest.raises(KronkitError, match="blocks of length 2, expected m=3"):
+        split_weights(H_WORKED, 3)
+    with pytest.raises(KronkitError, match="blocks of length 2, expected m=1"):
+        negative_roots_on(H_WORKED, 1)
 
 
 def test_traceless_validation():

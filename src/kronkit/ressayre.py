@@ -69,17 +69,16 @@ class Verdict:
 class PolyMatrix:
     """Square matrix whose entries are variable slots or structural zeros.
 
-    Rows follow the canonical order of the below-level weights, columns the
-    canonical order of the negatively-pairing roots.  ``entries[r][c]`` is the
-    ordinal of ω_r − α_c within the on-level weight list, or ``None`` for a
-    structural zero.  ``n_slots`` is the number of on-level weights, i.e. the
-    length of a valid evaluation point.
+    Row r is ω_r, the r-th below-level weight (``split_weights(h, m)[1]``),
+    and column c is α_c, the c-th negatively-pairing root
+    (``negative_roots_on(h, m)``), both in canonical order.  ``entries[r][c]``
+    is the ordinal of ω_r − α_c within the on-level weight list, or ``None``
+    for a structural zero.  ``n_slots`` is the number of on-level weights,
+    i.e. the length of a valid evaluation point.
     """
 
     entries: tuple[tuple[int | None, ...], ...]
     n_slots: int
-    row_weights: tuple[tuple[int, int, int], ...]
-    col_roots: tuple[tuple[int, int, int], ...]
 
     @property
     def n(self) -> int:
@@ -142,7 +141,7 @@ def build_det_matrix(h: HyperplaneCandidate, m: int) -> PolyMatrix:
             diff[b] = j
             row.append(slot_of.get(tuple(diff)))
         rows.append(tuple(row))
-    return PolyMatrix(tuple(rows), len(on), tuple(below), tuple(roots))
+    return PolyMatrix(tuple(rows), len(on))
 
 
 def eval_determinant(matrix: PolyMatrix, p: tuple[int, ...]) -> int:

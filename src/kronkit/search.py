@@ -33,7 +33,7 @@ import random
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from math import comb, isqrt
 
 from .diagrams import KronInstance, YoungDiagram
@@ -62,7 +62,6 @@ from .weights import (
     SUBSYSTEMS,
     HyperplaneCandidate,
     check_weight_cap,
-    weight_vector,
     weights,
 )
 
@@ -83,7 +82,7 @@ FLOAT_GAP2_FLOOR = 1e-32
 
 
 def find_point(
-    h: HyperplaneCandidate, m: int, seed: int = 0, trials: int = 32
+    h: HyperplaneCandidate, m: int, seed: int = 0, trials: int = 64
 ) -> tuple[int, ...] | None:
     """Seeded search for an evaluation point with nonvanishing determinant.
 
@@ -221,7 +220,7 @@ def enumerate_ressayre(m: int, seed: int = 0) -> FacetSystem:
         for h in (base, base.negated()):
             if not check_trace(h, m):
                 continue
-            p = find_point(h, m, seed=seed, trials=64)
+            p = find_point(h, m, seed=seed)
             if p is None:
                 continue
             elements.append(RessayreCertificate(h, p))
@@ -279,29 +278,27 @@ def free_supports(m: int) -> Iterator[tuple[Entry, ...]]:
     A support S ⊂ [m]³ is free when no two of its indices differ in exactly
     one coordinate; then every reduced density of a vector on S is diagonal.
     First comes the diagonal {(i,i,i)}, then the cyclic Latin supports
-    {(σ(i), τ(j), l) : i + j + l ≡ c (mod m)}, with (σ, τ, c) in
-    lexicographic order and repeated sets skipped.  At most
-    ``MAX_FREE_SUPPORTS`` are yielded: every relabelling up to m = 4, the
-    first ones in this order above.  Supports are built lazily, so a
-    witness on the diagonal costs no Latin square.
+    {(σ(i), τ(j), l) : i + j + l ≡ c (mod m)}, the graphs of (a, b) ↦
+    c − σ⁻¹(a) − τ⁻¹(b) mod m.  Rotating σ or τ only shifts c, so fixing
+    σ(1) = τ(1) = 1 lists each once, m·((m−1)!)² in all (at m = 1 it is the
+    diagonal), in the lexicographic order of (σ, τ, c), which is their order
+    of first occurrence over all (σ, τ, c).  At most ``MAX_FREE_SUPPORTS``
+    are yielded: every relabelling up to m = 4, the first ones in this order
+    above.  Supports are built lazily, so a witness on the diagonal costs no
+    Latin square; each is sorted, which fixes its LP's column order.
     """
-    diagonal = tuple((i, i, i) for i in range(1, m + 1))
-    yield diagonal
-    seen = {diagonal}
-    # nested loops, not itertools.product, which would list all m! perms
-    for sigma in permutations(range(m)):
-        for tau in permutations(range(m)):
-            for c in range(m):
-                if len(seen) == MAX_FREE_SUPPORTS:
-                    return
-                support = tuple(sorted(
-                    (sigma[i] + 1, tau[j] + 1, (c - i - j) % m + 1)
-                    for i in range(m)
-                    for j in range(m)
-                ))
-                if support not in seen:
-                    seen.add(support)
-                    yield support
+    yield tuple((i, i, i) for i in range(1, m + 1))
+    if m == 1:
+        return
+    rest = range(1, m)
+    latin = (  # lazy: there are ((m−1)!)² pairs (σ, τ)
+        tuple(sorted(
+            (a + 1, b + 1, (c - i - j) % m + 1)
+            for i, a in enumerate((0, *sigma)) for j, b in enumerate((0, *tau))
+        ))
+        for sigma in permutations(rest) for tau in permutations(rest) for c in range(m)
+    )
+    yield from islice(latin, MAX_FREE_SUPPORTS - 1)
 
 
 def _exact_witness(inst: KronInstance) -> MembershipCertificate | None:
@@ -318,9 +315,10 @@ def _exact_witness(inst: KronInstance) -> MembershipCertificate | None:
     r = max(d.height for d in inst.diagrams)
     bits = required_bits(inst.m, inst.k)
     b_eq = [v for d in inst.diagrams for v in d.padded(r)]
+    rows = [(x, i) for x in range(3) for i in range(1, r + 1)]  # b_eq's order
     for support in free_supports(r):
-        columns = [weight_vector(s, r) for s in support]
-        result = solve_lp([0] * len(support), [list(c) for c in zip(*columns)], b_eq)
+        a_eq = [[int(s[x] == i) for s in support] for x, i in rows]
+        result = solve_lp([0] * len(support), a_eq, b_eq)
         if result.status != "optimal":
             continue
         cert = MembershipCertificate(inst.m, {

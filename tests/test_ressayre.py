@@ -21,7 +21,12 @@ from kronkit.ressayre import (
     siegel_bound,
     verify_nonmembership,
 )
-from kronkit.weights import HyperplaneCandidate, split_weights, weight_vector
+from kronkit.weights import (
+    HyperplaneCandidate,
+    negative_roots_on,
+    split_weights,
+    weight_vector,
+)
 
 H_WORKED = HyperplaneCandidate((-1, 1), (-1, 1), (1, -1), -1)
 H_ZERO = HyperplaneCandidate((0, 0), (0, 0), (0, 0), 0)
@@ -84,8 +89,8 @@ def test_build_det_matrix_worked():
     mat = build_det_matrix(H_WORKED, 2)
     assert mat.n == 1 and mat.n_slots == 3
     assert mat.entries == ((0,),)  # slot of φ=(1,1,1), first on-level weight
-    assert mat.row_weights == ((1, 1, 2),)
-    assert mat.col_roots == ((2, 2, 1),)  # e_2 − e_1 in block C
+    assert split_weights(H_WORKED, 2)[1] == [(1, 1, 2)]  # the one row
+    assert negative_roots_on(H_WORKED, 2) == [(2, 2, 1)]  # e_2 − e_1 in block C
 
 
 def test_build_det_matrix_empty():
@@ -126,8 +131,8 @@ def test_det_matrix_slots_match_vector_differences():
         squares += 1
         mat = build_det_matrix(h, m)
         on_vectors = [weight_vector(w, m) for w in split_weights(h, m)[0]]
-        for w, row in zip(mat.row_weights, mat.entries):
-            for (block, i, j), slot in zip(mat.col_roots, row):
+        for w, row in zip(split_weights(h, m)[1], mat.entries):
+            for (block, i, j), slot in zip(negative_roots_on(h, m), row):
                 diff = weight_vector(w, m)
                 diff[block * m + i - 1] -= 1
                 diff[block * m + j - 1] += 1

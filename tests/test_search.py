@@ -2,8 +2,8 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from itertools import combinations, product
-from math import gcd
+from itertools import combinations, permutations, product
+from math import factorial, gcd
 from pathlib import Path
 
 import numpy as np
@@ -633,9 +633,92 @@ def test_free_supports_are_free_and_bounded():
             assert len(support) in (m, m * m)
             for s, t in combinations(support, 2):
                 assert sum(a != b for a, b in zip(s, t)) >= 2
-    # every relabelling up to m = 4: 12 Latin supports at m = 3, 144 at m = 4
+    # every relabelling up to m = 4: the diagonal and m·((m−1)!)² Latin
+    # supports, 12 at m = 3 and 144 at m = 4
     counts = [sum(1 for _ in search.free_supports(m)) for m in (1, 2, 3, 4, 12)]
     assert counts == [1, 3, 13, 145, search.MAX_FREE_SUPPORTS]
+    assert counts[1:4] == [1 + m * factorial(m - 1) ** 2 for m in (2, 3, 4)]
+
+
+def free_supports_by_dropping_repeats(m):
+    """Reference order: the diagonal, then every (σ, τ, c) in lexicographic
+    order with repeated sets dropped, up to the cap."""
+    diagonal = tuple((i, i, i) for i in range(1, m + 1))
+    out, seen = [diagonal], {diagonal}
+    for sigma in permutations(range(m)):
+        for tau in permutations(range(m)):
+            for c in range(m):
+                if len(out) == search.MAX_FREE_SUPPORTS:
+                    return out
+                support = tuple(sorted(
+                    (sigma[i] + 1, tau[j] + 1, (c - i - j) % m + 1)
+                    for i in range(m)
+                    for j in range(m)
+                ))
+                if support not in seen:
+                    seen.add(support)
+                    out.append(support)
+    return out
+
+
+def test_free_supports_list_each_shift_class_once():
+    for m in range(1, 13):
+        assert list(search.free_supports(m)) == free_supports_by_dropping_repeats(m)
+
+
+def test_exact_witness_rows_are_the_transposed_weight_vectors(monkeypatch):
+    # every LP refused, so _exact_witness tries each support up to the cap
+    calls = []
+
+    def record(c, a_eq, b_eq):
+        calls.append((c, a_eq, b_eq))
+        return LPResult("infeasible", None, 1)
+
+    monkeypatch.setattr(search, "solve_lp", record)
+    for r in range(1, 6):
+        calls.clear()
+        assert search._exact_witness(inst([1] * r, [1] * r, [1] * r, r)) is None
+        supports = free_supports_by_dropping_repeats(r)
+        assert len(calls) == len(supports)
+        for (c, a_eq, b_eq), support in zip(calls, supports):
+            columns = [weight_vector(s, r) for s in support]
+            assert c == [0] * len(support)
+            assert a_eq == [list(col) for col in zip(*columns)]
+            assert b_eq == [1] * (3 * r)
+
+
+def rank_elements(m):
+    """The distinct traceless, primitive (H, z) of Σ_{i>ab} λ_X[i] ≤
+    Σ_{j>a} λ_Y[j] + Σ_{l>b} λ_Z[l], for each party X and a, b ≥ 1, ab < m."""
+    out = []
+    for x in range(3):
+        y, z = (p for p in range(3) if p != x)
+        for a, b in product(range(1, m), repeat=2):
+            if a * b >= m:
+                continue
+            blocks = [None] * 3
+            blocks[y] = [int(j > a) for j in range(1, m + 1)]
+            blocks[z] = [int(l > b) for l in range(1, m + 1)]
+            blocks[x] = [-int(i > a * b) for i in range(1, m + 1)]
+            level = -sum(sum(v) for v in blocks)
+            blocks = [[m * e - sum(v) for e in v] for v in blocks]
+            g = gcd(*(e for v in blocks for e in v), level)
+            h = HyperplaneCandidate(
+                *(tuple(e // g for e in v) for v in blocks), level // g
+            )
+            if h not in out:
+                out.append(h)
+    return out
+
+
+def test_rank_elements_lie_in_the_committed_systems():
+    for m, count in ((2, 3), (3, 9)):
+        committed = {e.h for e in committed_system(m).nontrivial}
+        elements = rank_elements(m)
+        assert len(elements) == count
+        assert set(elements) <= committed
+        assert all(check_admissible(h, m) and check_trace(h, m) for h in elements)
+    assert set(rank_elements(2)) == {e.h for e in committed_system(2).nontrivial}
 
 
 def kron_panel(rank, seed, kmax, size=40):

@@ -66,9 +66,10 @@ print(f"Bell x e1 vs ((2),(2),(2)):     gap^2 = {gap2} -> {verify_membership(cor
 # search_witness automates this.  It first solves one exact LP per free
 # support (the diagonal, then cyclic Latin supports), on which all three
 # marginals are diagonal; if none works and no committed facet (m = 2, 3)
-# cuts the point off, it falls back to float marginal steering from one
-# seeded start, stopped at the verifier's threshold.  Either vector is truncated to dyadic rationals and
-# re-verified exactly: only verified certificates are ever returned.
+# cuts the point off, it falls back to marginal steering in fixed-point
+# integers from one seeded start, stopped at the verifier's threshold.
+# Either vector is cut to dyadic rationals and re-verified exactly: only
+# verified certificates are ever returned.
 
 target = inst([5, 3], [6, 2], [7, 1], 8)
 cert = search_witness(target)

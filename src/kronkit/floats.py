@@ -1,25 +1,16 @@
-"""Every float computation in kronkit: the witness scaling and the sampler.
+"""Every float computation in kronkit: the Monte-Carlo spectra sampler.
 
-The only module that imports numpy, loaded only where a float runs: by
-``search.decide`` (and so ``search_witness``) once its exact route misses, no
-committed facet cuts the point off and the float64 floor admits a scaling,
-and by ``kronkit sample``.  One scaling serves both
-float routes: the face route steers each marginal within the blocks of a
-hyperplane's level set, and the plain route is the same scaling for the
-zero hyperplane, whose level set is all of [m]³.  A scaled vector counts
-only once ``marginals.truncate`` and the exact ``verify_membership`` have
-passed it.
+The only module that imports numpy, loaded only by ``kronkit sample`` (and
+by callers of ``sample_spectra``).  No certificate is found or checked
+here: the witness search scales in integers (:mod:`kronkit.scaling`), so
+``decide`` and every verifier run without numpy.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .diagrams import KronInstance
-from .weights import HyperplaneCandidate, check_weight_cap
-
-# Alternating scaling passes of the float fallback's one seeded start.
-MAX_SCALING_ITERS = 400
+from .weights import check_weight_cap
 
 
 def _random_state(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -31,76 +22,6 @@ def _random_state(rng: np.random.Generator, m: int) -> np.ndarray:
 def _marginal(psi: np.ndarray, axis: int) -> np.ndarray:
     specs = [("abc,dbc->ad"), ("abc,adc->bd"), ("abc,abd->cd")]
     return np.einsum(specs[axis], psi, psi.conj())
-
-
-def _apply_leg(psi: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
-    return np.moveaxis(
-        np.tensordot(mat, psi, axes=([1], [axis])), 0, axis
-    )
-
-
-def _step(rho: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """The matrix taking the spectrum of rho, non-increasing, onto target."""
-    vals, vecs = np.linalg.eigh(rho)
-    vals, vecs = vals[::-1], vecs[:, ::-1]  # non-increasing, aligned
-    factors = np.sqrt(target / np.maximum(vals, 1e-30))
-    # rotate the eigenbasis onto the standard basis, then rescale there
-    return np.diag(factors) @ vecs.conj().T
-
-
-def _scaling_pass(
-    psi: np.ndarray, targets: list[np.ndarray], blocks: list[list[tuple]]
-) -> np.ndarray:
-    """One alternating pass steering each marginal toward its target.
-
-    ``blocks[axis]`` partitions the leg's indices, each block I given as
-    (I, np.ix_(I, I)).  Each block of ρ_X is scaled by itself, its
-    eigenvalues mapped onto λ_X[I], so the step is block-diagonal.
-    """
-    for axis in range(3):
-        rho = _marginal(psi, axis)
-        mat = np.zeros_like(rho)
-        for idx, grid in blocks[axis]:
-            mat[grid] = _step(rho[grid], targets[axis][idx])
-        psi = _apply_leg(psi, mat, axis)
-        psi = psi / np.linalg.norm(psi)
-    return psi
-
-
-def scale(
-    inst: KronInstance, seed: int, stop: float, h: HyperplaneCandidate
-) -> np.ndarray:
-    """The flat m³ vector of one seeded scaling within the face of (H, z).
-
-    Alternating passes run from one start drawn from ``seed`` until the
-    float gap² is at most ``stop``, or for ``MAX_SCALING_ITERS`` passes.
-    The start is zeroed off the level set {(i,j,l) : H_A[i] + H_B[j] +
-    H_C[l] = z} and each leg is scaled within the blocks of equal entries of
-    H_X.  Two level-set indices that share the other two legs have equal
-    h_X, so every marginal is block-diagonal, each step is too, and the
-    support stays on the level set: the scaling runs in the face that (H, z)
-    cuts out.  The zero hyperplane's level set is all of [m]³, with one
-    block per leg: that is the plain scaling.
-    """
-    targets = [np.array(row) / inst.k for row in inst.padded_rows()]
-    psi = _random_state(np.random.default_rng(seed), inst.m)
-    ha, hb, hc = (np.array(block) for block in h.blocks)
-    psi = psi * (ha[:, None, None] + hb[None, :, None] + hc[None, None, :] == h.z)
-    blocks = []
-    for hx, block in zip((ha, hb, hc), h.blocks):
-        # not np.unique, which loads numpy.ma (about 1.7 MiB)
-        indices = [np.flatnonzero(hx == v) for v in sorted(set(block))]
-        # each grid built once: np.ix_ costs about a marginal's time per call
-        blocks.append([(idx, np.ix_(idx, idx)) for idx in indices])
-    for _ in range(MAX_SCALING_ITERS):
-        psi = _scaling_pass(psi, targets, blocks)
-        gap2 = sum(
-            float((np.abs(_marginal(psi, axis) - np.diag(t)) ** 2).sum())
-            for axis, t in enumerate(targets)
-        )
-        if gap2 <= stop:
-            break
-    return psi.ravel()
 
 
 def sample_spectra(

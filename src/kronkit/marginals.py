@@ -13,8 +13,9 @@ Gram matrix is positive semidefinite by construction, so no numeric check is
 needed.
 
 Floating point appears here only as the input of ``truncate``, which turns
-a numerically found vector into an exact certificate; no float leaves it.
-The accept/reject decision itself never touches floats.
+a vector found in floats (by the demos, say) into an exact certificate; no
+float leaves it.  The witness search itself scales in integers and never
+calls it.  The accept/reject decision never touches floats.
 """
 
 from __future__ import annotations

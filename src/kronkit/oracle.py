@@ -9,7 +9,7 @@ Characters are computed by the border-strip recursion, which runs on
 beta-numbers (first column hook lengths) from start to end: removing a strip
 of length t from the diagram means lowering one beta-number by t, with a sign
 given by the number of beta-numbers jumped over.  A diagram is turned into
-beta-numbers once per character and never back.  The multiplicity of
+beta-numbers once (``_beta`` is cached) and never back.  The multiplicity of
 interest is then the exact class-weighted triple product of characters.
 """
 
@@ -26,14 +26,33 @@ DEFAULT_ORACLE_CAP = 12
 
 
 def partitions(n: int, max_part: int | None = None):
-    """Yield all partitions of n as weakly decreasing tuples."""
+    """Yield all partitions of n as weakly decreasing tuples.
+
+    They come in reverse lexicographic order, (n) first and (1,…,1) last,
+    and with parts at most ``max_part`` when it is given.  Each is made from
+    the one before: its last part above 1 drops by one, and the ones after
+    it plus that one are regrouped into parts as large as it now is.
+    """
     if n == 0:
         yield ()
         return
     cap = n if max_part is None else min(max_part, n)
-    for first in range(cap, 0, -1):
-        for rest in partitions(n - first, first):
-            yield (first, *rest)
+    if cap < 1:
+        return
+    q, r = divmod(n, cap)
+    rows = [cap] * q + [r] * (r > 0)
+    while True:
+        yield tuple(rows)
+        ones = 0
+        while rows and rows[-1] == 1:
+            rows.pop()
+            ones += 1
+        if not rows:
+            return
+        part = rows.pop() - 1
+        q, r = divmod(ones + 1, part)
+        rows += [part] * (q + 1)
+        rows += [r] * (r > 0)
 
 
 def centralizer_order(mu: tuple[int, ...]) -> int:
@@ -47,6 +66,7 @@ def centralizer_order(mu: tuple[int, ...]) -> int:
     return z
 
 
+@lru_cache(maxsize=None)
 def _beta(lam: tuple[int, ...]) -> tuple[int, ...]:
     r = len(lam)
     return tuple(lam[i] + r - 1 - i for i in range(r))
@@ -91,7 +111,10 @@ def kron_coeff(
 ) -> int:
     """Exact multiplicity Σ_μ χ_{λA}(μ)·χ_{λB}(μ)·χ_{λC}(μ)·|C_μ| / k!.
 
-    The class of cycle type μ has |C_μ| = k!/z_μ elements.
+    The class of cycle type μ has |C_μ| = k!/z_μ elements.  Each class is
+    built once, χ_{λB}(μ) is evaluated only where χ_{λA}(μ) ≠ 0, χ_{λC}(μ)
+    and z_μ only where both are, and every character through
+    ``mn_character``.
     """
     k = lam_a.boxes
     if lam_b.boxes != k or lam_c.boxes != k:
@@ -100,12 +123,11 @@ def kron_coeff(
     total = 0
     for rows in partitions(k):
         mu = YoungDiagram(rows)
-        total += (
-            (factorial_k // centralizer_order(rows))
-            * mn_character(lam_a, mu)
-            * mn_character(lam_b, mu)
-            * mn_character(lam_c, mu)
-        )
+        chi = mn_character(lam_a, mu)
+        if chi:
+            chi *= mn_character(lam_b, mu)
+        if chi:
+            total += factorial_k // centralizer_order(rows) * chi * mn_character(lam_c, mu)
     g, rem = divmod(total, factorial_k)
     if rem or g < 0:
         raise InternalNonInteger(f"class sum {total} / {k}! is not a natural number")

@@ -14,16 +14,17 @@ Two generators live here:
 ``decide`` answers either way, in one order: two rules on the spectra that
 can prove no state exists; an exact witness (one rational LP per free
 support: the diagonal, then cyclic Latin supports); a committed element the
-point violates, as a nonmembership certificate; and only then seeded float
-scalings that stop at the verifier's threshold, within the face of each
-committed facet tight at the point (the face route) and then on all of
-[m]³, gated by the exact verifier.  ``search_witness`` is its witness half.
+point violates, as a nonmembership certificate; and only then seeded
+fixed-point scalings (:mod:`kronkit.scaling`) that stop at the verifier's
+threshold, within the face of each committed facet tight at the point (the
+face route) and then on all of [r]³ (the plain route), gated by the exact
+verifier.  ``search_witness`` is its witness half.
 The committed irredundant systems of ranks 2 and 3 ship beside this module
 as ``facets_m2.json`` and ``facets_m3.json`` (the output of ``kronkit facets
---m 2|3 --irredundant``); ``committed_system`` is their one reader, called
-at most once per point and not at all when the exact route decides.  The
-float scaling lives in :mod:`kronkit.floats`, which this module loads only
-when it runs; neither it nor a facet file is loaded by ``import kronkit``.
+--m 2|3 --irredundant``); ``committed_system`` is their reader, called at
+most once per point at its own rank and not at all when the exact route
+decides.  No facet file is loaded by ``import kronkit``, and nothing here
+loads numpy.
 Everything feeding a verifier decision is exact.
 """
 
@@ -31,13 +32,13 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, islice, permutations
 from math import comb, isqrt
 
 from .diagrams import KronInstance, YoungDiagram
-from .errors import KronkitError, ZeroVector
+from .errors import KronkitError
 from .exactlp import solve_lp
 from .intlinalg import kernel_vector_if_unique
 from .marginals import (
@@ -45,7 +46,6 @@ from .marginals import (
     MembershipCertificate,
     accept_threshold2,
     required_bits,
-    truncate,
     verify_membership,
 )
 from .ressayre import (
@@ -58,6 +58,7 @@ from .ressayre import (
     verify_nonmembership,
 )
 from .scalars import GaussianRational, json_int
+from .scaling import scale
 from .weights import (
     SUBSYSTEMS,
     HyperplaneCandidate,
@@ -74,12 +75,6 @@ SUBSET_BUDGET = 400_000
 # Above m = 4 they are the first relabellings in order; BENCH_witness.json
 # records what they decide on seeded kron > 0 panels at m = 5 and 6.
 MAX_FREE_SUPPORTS = 145
-
-# Float64 floor of the scaling's gap²: converged at m = 3 it hovers near
-# 1e-31 and dips to 4e-33–3e-32 (1500 passes, seeds 0–2, four points).  The
-# fallback is skipped below it: at every m ≥ 4, and at m = 3 from k ≈ 281.
-FLOAT_GAP2_FLOOR = 1e-32
-
 
 def find_point(
     h: HyperplaneCandidate, m: int, seed: int = 0, trials: int = 64
@@ -343,7 +338,7 @@ def committed_system(m: int) -> FacetSystem | None:
     """
     if m not in (2, 3):
         return None
-    import json  # imported here, like floats, so that import kronkit stays lean
+    import json  # imported here, so that import kronkit stays lean
     from importlib.resources import files
 
     text = files(__package__).joinpath(f"facets_m{m}.json").read_text(encoding="utf-8")
@@ -355,11 +350,11 @@ def _tight_faces(
 ) -> list[HyperplaneCandidate]:
     """The hyperplanes of the face route, in committed order.
 
-    They are the elements of ``system`` (the committed system of ``inst.m``,
-    or None where there is none) that are tight at the point, H·λ = k·z on
-    the padded rows, and have at least two nonzero blocks.  A positivity
+    They are the elements of ``system`` (the committed system of rank
+    ``inst.m``, or None where there is none) that are tight at the point,
+    H·λ = k·z on the padded rows, and have at least two nonzero blocks.  A positivity
     element such as λ_A[3] ≥ 0 is skipped: its level set only drops a row
-    whose target is 0, which the plain scaling's first step already zeroes.
+    whose target is 0, which the plain scaling's start already zeroes.
     """
     if system is None:
         return []
@@ -371,12 +366,43 @@ def _tight_faces(
     ]
 
 
-def _accepted(inst: KronInstance, vector) -> MembershipCertificate | None:
-    """The vector truncated to required_bits, if verify_membership accepts it."""
-    try:
-        cert = truncate(vector, required_bits(inst.m, inst.k))
-    except ZeroVector:
+def _violated(
+    inst: KronInstance, system: FacetSystem | None
+) -> RessayreCertificate | None:
+    """The first element of ``system`` that the point violates, if accepted.
+
+    Violated means H·λ < k·z on the padded rows; the element is returned
+    only if verify_nonmembership accepts it, and None otherwise.
+    """
+    if system is None:
         return None
+    rows = inst.padded_rows()
+    violated = next(
+        (e for e in system.nontrivial if e.h.pair_instance(rows) < inst.k * e.h.z), None
+    )
+    if violated is not None and verify_nonmembership(inst, violated).accepted:
+        return violated
+    return None
+
+
+def _scaled_witness(
+    inst: KronInstance, h: HyperplaneCandidate, seed: int
+) -> MembershipCertificate | None:
+    """One seeded scaling in the face of (H, z), if verify_membership accepts it.
+
+    ``h`` has rank r, the largest diagram height, and the scaling runs on
+    [r]³; its vector, at the precision and threshold of ``inst.m``, is a
+    vector on [m]³ too, as the exact route's is.
+    """
+    bits = required_bits(inst.m, inst.k)
+    rows = tuple(d.padded(h.m) for d in inst.diagrams)
+    vector = scale(rows, inst.k, h, seed, bits, accept_threshold2(inst.m, inst.k) / 4)
+    if not vector:
+        return None
+    cert = MembershipCertificate(inst.m, {
+        s: GaussianRational(Fraction(x, 1 << bits), Fraction(y, 1 << bits))
+        for s, (x, y) in vector.items()
+    })
     return cert if verify_membership(inst, cert).accepted else None
 
 
@@ -391,14 +417,17 @@ def decide(
     it misses, ``committed_system(inst.m)`` is read, once, and its first
     element that the point violates, H·λ < k·z on the padded rows, is
     returned if verify_nonmembership accepts it.  Only then, where a state
-    can exist, r ≥ 3 and the stop accept_threshold2/4 (room for truncation)
-    is at least ``FLOAT_GAP2_FLOOR``, does one ``floats.scale`` from a start
-    drawn from ``seed`` run within the face of each element tight at the
-    point (``_tight_faces``), where the plain scaling stalls, and then in
-    the face of the zero hyperplane, all of [m]³.  A float candidate is
-    returned only if verify_membership accepts it, truncated to
-    required_bits.  None means neither side was certified: at m ≥ 4 no
-    system is committed, and the search can miss.
+    can exist and r ≥ 3, does one ``scaling.scale`` from the start that
+    ``seed`` draws run within the face of each element of
+    ``committed_system(r)`` tight at the point (``_tight_faces``), where the
+    plain scaling stalls, and then in the face of the zero hyperplane, all
+    of [r]³.  Like the exact route it works at r, the largest diagram
+    height, and stops at accept_threshold2(m, k)/4 (room for the shift to
+    required_bits); under an ``m`` override a point that an element of
+    ``committed_system(r)`` cuts off is not scaled.  A scaled vector is
+    returned only if verify_membership accepts it.  None means neither side
+    was certified: at m ≥ 4 no system is committed (nor faces at r ≥ 4),
+    and the search can miss.
     """
     check_weight_cap(inst.m)
     low, mid, r = sorted(d.height for d in inst.diagrams)
@@ -414,24 +443,25 @@ def decide(
     if cert is not None:
         return cert
     system = committed_system(inst.m)
-    if system is not None:
-        rows = inst.padded_rows()
-        violated = next(
-            (e for e in system.nontrivial if e.h.pair_instance(rows) < inst.k * e.h.z),
-            None,
-        )
-        if violated is not None and verify_nonmembership(inst, violated).accepted:
-            return violated
+    violated = _violated(inst, system)
+    if violated is not None:
+        return violated
     # At r ≤ 2 the block sums fix x on the support {111, 122, 212, 221}, and
     # x ≥ 0 exactly under the Higuchi–Sudbery–Szulc inequalities that cut out
     # the qubit polytope, so the exact route has decided every member.
-    stop = float(accept_threshold2(inst.m, inst.k) / 4)
-    if not possible or r <= 2 or stop < FLOAT_GAP2_FLOOR:
+    if not possible or r <= 2:
         return None
-    from . import floats  # numpy loads only when a scaling runs
-    zero = (0,) * inst.m
-    for h in [*_tight_faces(inst, system), HyperplaneCandidate(zero, zero, zero, 0)]:
-        cert = _accepted(inst, floats.scale(inst, seed, stop, h))
+    natural = replace(inst, m=r)
+    if r != inst.m:
+        # a state on [m]³ with these spectra lives on [r]³, so an element of
+        # rank r that the point violates rules out every witness
+        system = committed_system(r)
+        if _violated(natural, system) is not None:
+            return None
+    faces = _tight_faces(natural, system)
+    zero = (0,) * r
+    for h in [*faces, HyperplaneCandidate(zero, zero, zero, 0)]:
+        cert = _scaled_witness(inst, h, seed)
         if cert is not None:
             return cert
     return None

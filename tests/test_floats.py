@@ -5,9 +5,9 @@ reports whether numpy was loaded and whether a packaged facet system,
 ``facets_m2.json`` or ``facets_m3.json``, was opened.  The exact commands
 must do neither.  ``find-witness`` reads the system only after its exact
 route misses, to look for a violated element before any scaling: a point
-that an element puts outside opens the file but leaves numpy unloaded, and
-the float witness route does both (the face route reuses that one read),
-so the check can tell the three apart.
+that an element puts outside opens the file, and so do the scaled routes
+(the face route reuses that one read), so the check can tell them from the
+exact route.  No witness route loads numpy; only ``kronkit sample`` does.
 """
 
 import ast
@@ -79,11 +79,16 @@ def test_exact_commands_leave_numpy_unloaded(tmp_path):
     assert report == {"codes": [0, 0, 1, 1, 0, 0, 1], "numpy": False, "facets": False}
 
 
-def test_float_route_loads_numpy(tmp_path):
-    float_m3 = instance(tmp_path, "float_m3", [8, 4], [7, 5], [8, 2, 2])
+def test_scaled_routes_leave_numpy_unloaded(tmp_path):
+    # the certify panel's two scaled points: the plain route, then the face route
+    plain_m3 = instance(tmp_path, "plain_m3", [8, 4], [7, 5], [8, 2, 2])
+    face_m3 = instance(tmp_path, "face_m3", [8, 4], [6, 5, 1], [10, 2])
     out = str(tmp_path / "w.json")
-    report = run_fresh([["find-witness", float_m3, "--seed", "0", "--out", out]])
-    assert report == {"codes": [0], "numpy": True, "facets": True}
+    report = run_fresh([
+        ["find-witness", plain_m3, "--seed", "0", "--out", out],
+        ["find-witness", face_m3, "--seed", "0", "--out", out],
+    ])
+    assert report == {"codes": [0, 0], "numpy": False, "facets": True}
 
 
 def test_facet_outside_point_scales_nothing(tmp_path):

@@ -1,8 +1,11 @@
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
+from kronkit import oracle
 from kronkit.diagrams import make_instance, parse_young
 from kronkit.errors import KronkitError
 from kronkit.oracle import (
@@ -49,6 +52,58 @@ def test_partition_counts():
 
 def test_partitions_max_part():
     assert list(partitions(4, 2)) == [(2, 2), (2, 1, 1), (1, 1, 1, 1)]
+
+
+def reference_partitions(n, max_part=None):
+    """The first part from largest to smallest, the rest recursively."""
+    if n == 0:
+        yield ()
+        return
+    cap = n if max_part is None else min(max_part, n)
+    for first in range(cap, 0, -1):
+        for rest in reference_partitions(n - first, first):
+            yield (first, *rest)
+
+
+def test_partitions_match_the_recursive_order():
+    for n in range(21):
+        for max_part in (None, *range(-1, n + 2)):
+            assert list(partitions(n, max_part)) == list(reference_partitions(n, max_part))
+
+
+def test_kron_matches_the_committed_certify_values():
+    # the benchmark's gate re-checks kron against these; they were computed
+    # by the class sum before its zero skip
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "certify_kron.json"
+    committed = json.loads(path.read_text(encoding="utf-8"))
+    assert len(committed) > 50
+    for key, value in committed.items():
+        assert kron_coeff(*(Y(map(int, lam.split(","))) for lam in key.split())) == value
+
+
+def test_kron_skips_characters_after_a_zero(monkeypatch):
+    calls = []
+    character = oracle.mn_character
+
+    def recorded(lam, mu):
+        value = character(lam, mu)
+        calls.append((lam.rows, mu.rows, value))
+        return value
+
+    monkeypatch.setattr(oracle, "mn_character", recorded)
+    a, b, c = Y([2, 2]), Y([3, 1]), Y([2, 1, 1])
+    assert kron_coeff(a, b, c) == 1
+    classes = list(partitions(4))
+    first = [mu for lam, mu, _ in calls if lam == a.rows]
+    assert first == classes
+    nonzero = [mu for lam, mu, value in calls if lam == a.rows and value]
+    assert [mu for lam, mu, _ in calls if lam == b.rows] == nonzero
+    both = [
+        mu for mu in nonzero
+        if character(b, Y(mu)) != 0
+    ]
+    assert [mu for lam, mu, _ in calls if lam == c.rows] == both
+    assert len(both) < len(nonzero) < len(classes)
 
 
 def test_centralizer_orders():

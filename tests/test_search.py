@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial, gcd
@@ -9,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kronkit import floats, search
+from kronkit import scaling, search
 from kronkit.cli import main
 from kronkit.diagrams import make_instance, parse_young
 from kronkit.errors import KronkitError
@@ -404,8 +407,9 @@ def test_exact_route_misses_are_left_to_the_float_route():
     ids=triple_id,
 )
 def test_witness_float_route(triple):
-    # inside, missed by every free support, reached by the float scaling;
-    # k = 12 needs the stop below the old fixed gap² < 1e-28
+    # inside, missed by every free support, reached by the plain scaling;
+    # the stop sits at a quarter of the verifier's threshold, not at a
+    # fixed gap², which k = 12 needs
     target = triple_instance(triple)
     assert search._exact_witness(target) is None
     cert = search_witness(target, seed=0)
@@ -413,21 +417,51 @@ def test_witness_float_route(triple):
 
 
 def test_float_route_miss_makes_one_start(monkeypatch):
-    calls = 0
-    scaling_pass = floats._scaling_pass
+    # an m = 4 point that no free support reaches and no system covers: one
+    # plain scaling runs from the seeded start and stops at the pass cap
+    starts = passes = 0
+    scale, scaling_pass = search.scale, scaling._pass
 
-    def counted(psi, targets, blocks):
-        nonlocal calls
-        calls += 1
-        return scaling_pass(psi, targets, blocks)
+    def counted_scale(*args):
+        nonlocal starts
+        starts += 1
+        return scale(*args)
 
-    monkeypatch.setattr(floats, "_scaling_pass", counted)
-    # tight on no face, so only the plain route runs; this seed's start
-    # reaches no stop (seeds 0–6, 8 and 9 decide the point)
-    target = inst([7, 3, 1], [6, 5], [6, 5], 11)
-    assert search._tight_faces(target, committed_system(3)) == []
-    assert search_witness(target, seed=7) is None
-    assert 0 < calls <= floats.MAX_SCALING_ITERS
+    def counted_pass(*args):
+        nonlocal passes
+        passes += 1
+        return scaling_pass(*args)
+
+    monkeypatch.setattr(search, "scale", counted_scale)
+    monkeypatch.setattr(scaling, "_pass", counted_pass)
+    target = inst([4, 4, 1], [7, 2], [5, 2, 1, 1], 9)
+    assert search._exact_witness(target) is None
+    assert search_witness(target, seed=0) is None
+    assert starts == 1
+    assert 0 < passes <= scaling.MAX_PASSES
+
+
+def test_m4_panel_miss_scales_at_its_own_threshold(monkeypatch):
+    # threshold²/4 at m = 4, k = 9 is below 3·10⁻⁴², beyond any float64
+    # gap²; the integer scaling still runs, on all of [4]³, to that stop
+    target = inst([4, 4, 1], [7, 2], [5, 2, 1, 1], 9)
+    stop = accept_threshold2(4, 9) / 4
+    assert stop < Fraction(3, 10**42)
+    calls = []
+    scale = search.scale
+
+    def recorded(rows, k, h, seed, bits, given):
+        calls.append((rows, h, given))
+        return scale(rows, k, h, seed, bits, given)
+
+    monkeypatch.setattr(search, "scale", recorded)
+    assert search_witness(target, seed=0) is None
+    zero = (0, 0, 0, 0)
+    assert calls == [(
+        ((4, 4, 1, 0), (7, 2, 0, 0), (5, 2, 1, 1)),
+        HyperplaneCandidate(zero, zero, zero, 0),
+        stop,
+    )]
 
 
 def on_level_set(cert, h):
@@ -446,14 +480,25 @@ def test_face_route_decides_a_facet_point():
 
 
 def test_plain_route_witness_is_unchanged(tmp_path):
-    # the bytes of find-witness --seed 0 before the face route existed
+    # the bytes of find-witness --seed 0, from this process and from two
+    # fresh ones: the scaling runs in integers, so no platform enters them
     target = triple_instance(FREE_SUPPORT_MISSES[1])
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(target.to_json()), encoding="utf-8")
     out = tmp_path / "w.json"
     assert main(["find-witness", str(path), "--seed", "0", "--out", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "b1877582dc3c77061b446b7d187a50b2dd1d5f3f5d347524d8e73f9142fe000e"
+    assert digest == "3a9c8b8c82af97380fdbc12cb9648648cac314da8335595e6cb6d508abc42460"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    run = "import sys; from kronkit.cli import main; sys.exit(main(sys.argv[1:]))"
+    for name in ("fresh1.json", "fresh2.json"):
+        fresh = tmp_path / name
+        subprocess.run(
+            [sys.executable, "-c", run, "find-witness", str(path), "--seed", "0",
+             "--out", str(fresh)],
+            env=env, capture_output=True, timeout=120, check=True,
+        )
+        assert fresh.read_bytes() == out.read_bytes()
 
 
 def test_positivity_elements_open_no_face(monkeypatch):
@@ -465,33 +510,50 @@ def test_positivity_elements_open_no_face(monkeypatch):
     assert len(tight) == 2
     assert all(sum(map(any, h.blocks)) == 1 for h in tight)
     hyperplanes = []
-    scale = floats.scale
+    scale = search.scale
 
-    def recorded(inst, seed, stop, h):
+    def recorded(rows, k, h, *args):
         hyperplanes.append(h)
-        return scale(inst, seed, stop, h)
+        return scale(rows, k, h, *args)
 
-    monkeypatch.setattr(floats, "scale", recorded)
+    monkeypatch.setattr(search, "scale", recorded)
     assert search_witness(target, seed=0) is not None
     # only the plain route ran: the zero hyperplane, whose level set is [3]³
     assert hyperplanes == [HyperplaneCandidate((0, 0, 0), (0, 0, 0), (0, 0, 0), 0)]
 
 
 def refuse_scaling(*args):
-    raise AssertionError("the float scaling ran")
+    raise AssertionError("the scaling ran")
 
 
-@pytest.mark.parametrize(
-    "target",
-    [inst([4, 4, 1], [7, 2], [5, 2, 1, 1], 9), inst([5, 3], [5, 3], [5, 2, 1], 8, m=4)],
-    ids=["m=4 panel miss", "m=4 override"],
-)
-def test_float_route_skipped_below_float64_floor(monkeypatch, target):
-    # threshold²/4 at m = 4, k ≤ 9 is below 3·10⁻⁴², far under
-    # FLOAT_GAP2_FLOOR; neither the face route nor the plain route may scale
-    monkeypatch.setattr(floats, "scale", refuse_scaling)
-    monkeypatch.setattr(floats, "_scaling_pass", refuse_scaling)
-    assert search_witness(target, seed=0) is None
+def test_m_override_scales_at_the_largest_height(monkeypatch):
+    # decided at m = 3 by the plain route; with "m": 4 the scaling still
+    # runs on [3]³, in the faces of the m = 3 system, and the vector is
+    # embedded in [4]³ at m = 4's precision
+    target = inst([5, 3], [5, 3], [5, 2, 1], 8, m=4)
+    assert search._exact_witness(target) is None
+    ranks = []
+    scale = search.scale
+
+    def recorded(rows, k, h, *args):
+        ranks.append((len(rows[0]), h.m))
+        return scale(rows, k, h, *args)
+
+    monkeypatch.setattr(search, "scale", recorded)
+    cert = search_witness(target, seed=0)
+    assert cert is not None and cert.m == 4
+    assert verify_membership(target, cert).accepted
+    assert all(max(idx) <= 3 for idx in cert.entries)
+    assert ranks and set(ranks) == {(3, 3)}
+
+
+def test_m_override_outside_its_height_scales_nothing(monkeypatch):
+    # an m = 3 element cuts the point off; at m = 4 there is no system to
+    # answer with, but the rank-3 element still rules out every witness
+    reads = count_system_reads(monkeypatch)
+    monkeypatch.setattr(search, "scale", refuse_scaling)
+    assert decide(inst([5, 1], [5, 1], [3, 2, 1], 6, m=4), seed=0) is None
+    assert reads == [4, 3]
 
 
 @pytest.mark.parametrize(
@@ -500,10 +562,9 @@ def test_float_route_skipped_below_float64_floor(monkeypatch, target):
     ids=["height rule", "outside HSS"],
 )
 def test_float_route_skipped_at_rank_two(monkeypatch, target):
-    # the float floor admits a scaling here; at r ≤ 2 the exact route decides
-    assert float(accept_threshold2(target.m, target.k) / 4) > search.FLOAT_GAP2_FLOOR
-    monkeypatch.setattr(floats, "scale", refuse_scaling)
-    monkeypatch.setattr(floats, "_scaling_pass", refuse_scaling)
+    # at r ≤ 2 the exact route decides, so no scaling runs
+    monkeypatch.setattr(search, "scale", refuse_scaling)
+    monkeypatch.setattr(scaling, "_pass", refuse_scaling)
     assert search_witness(target, seed=0) is None
 
 
@@ -875,7 +936,7 @@ def test_search_witness_scales_no_point_a_facet_puts_outside(monkeypatch):
     # heights 2, 2, 3 pass both rules, the exact route misses, and a
     # committed m = 3 element proves the point outside before any scaling
     reads = count_system_reads(monkeypatch)
-    monkeypatch.setattr(floats, "scale", refuse_scaling)
+    monkeypatch.setattr(search, "scale", refuse_scaling)
     outside = inst([5, 1], [5, 1], [3, 2, 1], 6)
     assert search_witness(outside, seed=0) is None
     assert isinstance(decide(outside, seed=0), RessayreCertificate)

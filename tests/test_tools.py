@@ -1,9 +1,9 @@
 """The scripts in tools/ run against the source tree.
 
 ``tools/bench_witness.py`` routes every point through ``search.decide`` and
-reaches into ``search._exact_witness`` and ``search._tight_faces`` (given
-the committed system, which it reads itself) to name the route that decided
-it, so a refactor of the witness search can break it without any other test
+reaches into ``search._exact_witness``, and wraps ``search.scale`` and
+``scaling._pass``, to name the route that decided it and count its passes,
+so a refactor of the witness search can break it without any other test
 noticing.  From ``perfbench/`` it takes only the
 certify panel: the routing it measures is the library's, not the
 benchmark's.  ``tools/bench_lp.py`` counts pivots by wrapping
@@ -19,6 +19,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from kronkit import scaling
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -74,7 +76,7 @@ def test_bench_witness_rank_two_sweep():
     report = bench_witness("--sweep", "2", "--kmax", "12")
     assert report["sweep"] == {
         "R": 2, "kmax": 12,
-        "outside": 126, "exact": 197, "face": 0, "float": 0, "undecided": 0,
+        "outside": 126, "exact": 197, "face": 0, "plain": 0, "undecided": 0,
     }
 
 
@@ -82,9 +84,11 @@ def test_bench_witness_rank_three_sweep():
     report = bench_witness("--sweep", "3", "--kmax", "6")
     assert report["sweep"] == {
         "R": 3, "kmax": 6,
-        "outside": 36, "exact": 67, "face": 1, "float": 1, "undecided": 0,
+        "outside": 36, "exact": 67, "face": 1, "plain": 1, "undecided": 0,
     }
     assert report["face m=3"]["decided"] == 1
+    for route in ("face m=3", "plain m=3"):
+        assert 0 < report[route]["passes_max"] <= scaling.MAX_PASSES
 
 
 def test_bench_witness_takes_only_the_panel_from_perfbench():

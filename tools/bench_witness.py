@@ -21,15 +21,17 @@ Each instance is decided ``--repeat`` times by ``search.decide(inst,
 seed=0)``, whose witness half is ``search_witness`` and so the call behind
 ``kronkit find-witness --seed 0``, and its median time is kept.  The route
 is "outside" when ``decide`` answers with a committed facet (m = 2 and 3);
-"exact" when ``search._exact_witness`` returns a witness; "face" when it
-does not and the witness lies on the level set of an element that
-``search._tight_faces`` returns for the committed system; "float"
-otherwise, decided by the plain scaling or not at all.  An exact witness
-whose entries all lie on the diagonal {(i,i,i)} is also counted under
-``on_diagonal``.  Prints one JSON object: per route and rank, the count, how
-many were decided (and on the diagonal), the total and the median time per
-instance; a sweep adds the counts of outside, exact, face, float and
-undecided points.
+"exact" when ``search._exact_witness`` returns a witness; "face" when the
+scaling that decided it ran within the face of a nonzero hyperplane
+(``search._tight_faces``); "plain" otherwise, decided by the plain scaling
+on all of [r]³ or not at all.  The scalings are counted by wrapping
+``search.scale`` and ``scaling._pass``.  An exact witness whose entries all
+lie on the diagonal {(i,i,i)} is also counted under ``on_diagonal``.
+Prints one JSON object: per route and rank, the count, how many were
+decided (and on the diagonal), the total and the median time per instance,
+and for the scaled routes the largest and the median pass count of the
+scaling that decided each point; a sweep adds the counts of outside, exact,
+face, plain and undecided points.
 """
 
 from __future__ import annotations
@@ -46,12 +48,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from kronkit import floats, search  # noqa: E402, F401  (numpy loads before any timing)
+from kronkit import scaling, search  # noqa: E402
 from kronkit.cli import _positive_int  # noqa: E402
 from kronkit.diagrams import make_instance, parse_young  # noqa: E402
 from kronkit.oracle import DEFAULT_ORACLE_CAP, kron_coeff, partitions  # noqa: E402
 from kronkit.ressayre import RessayreCertificate  # noqa: E402
-from kronkit.weights import WEIGHT_CAP, split_weights  # noqa: E402
+from kronkit.weights import WEIGHT_CAP  # noqa: E402
 from workloads import certify_panel  # noqa: E402
 
 
@@ -87,10 +89,22 @@ def kron_panel_instances(
         yield make_instance(*(parse_young(lam) for lam in triple), sum(triple[0]))
 
 
-def on_tight_face(inst, cert) -> bool:
-    entries = set(cert.entries)
-    faces = search._tight_faces(inst, search.committed_system(inst.m))
-    return any(entries <= set(split_weights(h, inst.m)[0]) for h in faces)
+def record_scalings() -> list:
+    """Wrap ``search.scale`` and ``scaling._pass``: [hyperplane, passes] per scaling."""
+    log: list = []
+    scale, one_pass = search.scale, scaling._pass
+
+    def logged_scale(rows, k, h, *args):
+        log.append([h, 0])
+        return scale(rows, k, h, *args)
+
+    def counted_pass(*args):
+        log[-1][1] += 1
+        return one_pass(*args)
+
+    search.scale = logged_scale
+    scaling._pass = counted_pass
+    return log
 
 
 def main() -> None:
@@ -116,7 +130,8 @@ def main() -> None:
         args.kmax = 12 if args.kmax is None else args.kmax
         if args.kmax < args.sweep:
             parser.error(f"--kmax {args.kmax} is below the sweep's rank {args.sweep}")
-    counts = dict.fromkeys(("outside", "exact", "face", "float", "undecided"), 0)
+    counts = dict.fromkeys(("outside", "exact", "face", "plain", "undecided"), 0)
+    log = record_scalings()
     if args.sweep is not None:
         instances = sweep_instances(args.sweep, args.kmax)
     elif args.panel is not None:
@@ -127,6 +142,7 @@ def main() -> None:
     for inst in instances:
         times = []
         for _ in range(args.repeat):
+            log.clear()
             start = time.perf_counter()
             cert = search.decide(inst, seed=0)
             times.append(time.perf_counter() - start)
@@ -136,19 +152,22 @@ def main() -> None:
             route = "outside"
         elif exact is not None:
             route = "exact"
-        elif cert is not None and on_tight_face(inst, cert):
+        elif cert is not None and any(map(any, log[-1][0].blocks)):
             route = "face"
         else:
-            route = "float"
+            route = "plain"
         counts[route if cert is not None else "undecided"] += 1
         row = rows.setdefault(
-            f"{route} m={inst.m}", {"times": [], "decided": 0, "on_diagonal": 0}
+            f"{route} m={inst.m}",
+            {"times": [], "decided": 0, "on_diagonal": 0, "passes": []},
         )
         row["times"].append(statistics.median(times))
         row["decided"] += cert is not None
         row["on_diagonal"] += exact is not None and all(
             i == j == l for i, j, l in exact.entries
         )
+        if cert is not None and route in ("face", "plain"):
+            row["passes"].append(log[-1][1])
     report = {
         key: {
             "instances": len(row["times"]),
@@ -156,6 +175,10 @@ def main() -> None:
             "on_diagonal": row["on_diagonal"],
             "total_s": round(sum(row["times"]), 4),
             "median_ms": round(1000 * statistics.median(row["times"]), 3),
+            **({
+                "passes_max": max(row["passes"]),
+                "passes_median": statistics.median(row["passes"]),
+            } if row["passes"] else {}),
         }
         for key, row in sorted(rows.items())
     }

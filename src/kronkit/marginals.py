@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .diagrams import KronInstance
-from .errors import KronkitError, ZeroVector
+from .errors import KronkitError
 from .ressayre import Decision, Reason, Verdict, min_gap
 from .scalars import GaussianRational, json_int
 from .weights import check_weight_cap, weights
@@ -52,7 +52,7 @@ class MembershipCertificate:
             if not value.is_zero():
                 cleaned[(a, b, c)] = value
         if not cleaned:
-            raise ZeroVector("certificate has no nonzero entry")
+            raise KronkitError("certificate has no nonzero entry")
         object.__setattr__(self, "entries", cleaned)
 
     def to_json(self) -> dict:
@@ -219,7 +219,7 @@ def truncate(v, b: int) -> MembershipCertificate:
     the canonical lexicographic order of (a,b,c); its length determines m.
     Resulting entries are rationals with denominator dividing 2^b; entries
     truncated to zero are dropped by the certificate, which raises
-    ZeroVector when none is left.
+    KronkitError when none is left.
     """
     vec = [complex(x) for x in v]
     m = round(len(vec) ** (1 / 3))

@@ -11,8 +11,8 @@ Two generators live here:
   of "is this inequality implied by the others?", whose integer Farkas
   multipliers alone decide, by one exact check, whether it is dropped.
 
-``decide`` answers either way, in one order: two rules on the spectra that
-can prove no state exists; an exact witness (one rational LP per free
+``decide`` answers either way, in one order: the rank inequalities, which
+every state obeys; an exact witness (one rational LP per free
 support: the diagonal, then cyclic Latin supports); a committed element the
 point violates, as a nonmembership certificate; and only then seeded
 fixed-point scalings (:mod:`kronkit.scaling`) that stop at the verifier's
@@ -37,7 +37,7 @@ from fractions import Fraction
 from itertools import combinations, islice, permutations
 from math import comb, isqrt
 
-from .diagrams import KronInstance, YoungDiagram
+from .diagrams import KronInstance
 from .errors import KronkitError
 from .exactlp import solve_lp
 from .intlinalg import kernel_vector_if_unique
@@ -325,9 +325,26 @@ def _exact_witness(inst: KronInstance) -> MembershipCertificate | None:
     return None
 
 
-def _uniform(d: YoungDiagram) -> bool:
-    """Whether a diagram is a rectangle, its spectrum uniform on its support."""
-    return len(set(d.rows)) == 1
+def _rank_inequalities_hold(inst: KronInstance) -> bool:
+    """Whether the rank inequalities, which every state obeys, hold.
+
+    They are Σ_{i>ab} λ_X[i] ≤ Σ_{j>a} λ_Y[j] + Σ_{l>b} λ_Z[l] for each party
+    X, Y and Z the others, and a, b ≥ 1 with ab < r, the largest height.
+    Project ψ onto the top a eigenvectors of ρ_Y ⊗ the top b of ρ_Z: the
+    part kept has X-rank ≤ ab, and as 1 − P_Y⊗P_Z ≤ (1 − P_Y) + (1 − P_Z)
+    the part lost has norm² ≤ the right side, which by Eckart–Young bounds
+    the left.  (a, b) = (h_Y, h_Z) gives h_X ≤ h_Y·h_Z; (h_Y − 1, h_Z) and
+    (h_Y, h_Z − 1) make a uniform λ_X of height h_Y·h_Z force uniform λ_Y
+    and λ_Z.  At r = 2 the (1, 1) cases are Higuchi–Sudbery–Szulc, under
+    which the exact route decides every point, on {111, 122, 212, 221}.
+    """
+    r = max(d.height for d in inst.diagrams)
+    tails = [[sum(d.rows[n:]) for n in range(r)] for d in inst.diagrams]
+    return all(
+        tails[x][a * b] <= tails[y][a] + tails[z][b]
+        for x, y, z in ((0, 1, 2), (1, 0, 2), (2, 0, 1))
+        for a in range(1, r) for b in range(1, (r - 1) // a + 1)
+    )
 
 
 def committed_system(m: int) -> FacetSystem | None:
@@ -350,9 +367,9 @@ def _tight_faces(
 ) -> list[HyperplaneCandidate]:
     """The hyperplanes of the face route, in committed order.
 
-    They are the elements of ``system`` (the committed system of rank
-    ``inst.m``, or None where there is none) that are tight at the point,
-    H·λ = k·z on the padded rows, and have at least two nonzero blocks.  A positivity
+    They are the elements of ``system`` (the committed system of rank r,
+    the largest height, or None) that are tight at the point, H·λ = k·z on
+    the padded rows, and have at least two nonzero blocks.  A positivity
     element such as λ_A[3] ≥ 0 is skipped: its level set only drops a row
     whose target is 0, which the plain scaling's start already zeroes.
     """
@@ -411,34 +428,20 @@ def decide(
 ) -> RessayreCertificate | MembershipCertificate | None:
     """A certificate for the point on whichever side of the polytope it lies.
 
-    The height and uniform rules below decide whether a state can exist; if
-    one can, the exact route runs first: one LP per free support
-    (``free_supports``), whose rational solution gives the amplitudes.  If
-    it misses, ``committed_system(inst.m)`` is read, once, and its first
-    element that the point violates, H·λ < k·z on the padded rows, is
-    returned if verify_nonmembership accepts it.  Only then, where a state
-    can exist and r ≥ 3, does one ``scaling.scale`` from the start that
-    ``seed`` draws run within the face of each element of
-    ``committed_system(r)`` tight at the point (``_tight_faces``), where the
-    plain scaling stalls, and then in the face of the zero hyperplane, all
-    of [r]³.  Like the exact route it works at r, the largest diagram
-    height, and stops at accept_threshold2(m, k)/4 (room for the shift to
-    required_bits); under an ``m`` override a point that an element of
-    ``committed_system(r)`` cuts off is not scaled.  A scaled vector is
-    returned only if verify_membership accepts it.  None means neither side
-    was certified: at m ≥ 4 no system is committed (nor faces at r ≥ 4),
-    and the search can miss.
+    Where a rank inequality fails (``_rank_inequalities_hold``) no state
+    exists and no witness is sought.  Else one LP per free support runs
+    (``free_supports``).  If none gives a witness, ``committed_system(inst.m)``
+    is read once, and its first element that the point violates is returned
+    if verify_nonmembership accepts it.  Only then does ``scaling.scale``
+    run at r, the largest height, from the seeded start: in the face of each
+    element of ``committed_system(r)`` tight at the point (``_tight_faces``),
+    then on all of [r]³, and under an ``m`` override not where an element of
+    ``committed_system(r)`` cuts the point off.  A scaled vector counts only
+    if verify_membership accepts it.  None means neither side was certified.
     """
     check_weight_cap(inst.m)
-    low, mid, r = sorted(d.height for d in inst.diagrams)
-    a, b, c = inst.diagrams
-    # rank ρ_X = rank ρ_YZ ≤ rank ρ_Y · rank ρ_Z; and ρ_X uniform of rank
-    # h_Y·h_Z forces ρ_YZ = I/(h_Y·h_Z), so uniform ρ_Y and ρ_Z
-    possible = r <= low * mid and all(
-        _uniform(y) and _uniform(z)
-        for x, y, z in ((a, b, c), (b, a, c), (c, a, b))
-        if x.height == y.height * z.height and _uniform(x)
-    )
+    r = max(d.height for d in inst.diagrams)
+    possible = _rank_inequalities_hold(inst)
     cert = _exact_witness(inst) if possible else None
     if cert is not None:
         return cert
@@ -446,10 +449,7 @@ def decide(
     violated = _violated(inst, system)
     if violated is not None:
         return violated
-    # At r ≤ 2 the block sums fix x on the support {111, 122, 212, 221}, and
-    # x ≥ 0 exactly under the Higuchi–Sudbery–Szulc inequalities that cut out
-    # the qubit polytope, so the exact route has decided every member.
-    if not possible or r <= 2:
+    if not possible:
         return None
     natural = replace(inst, m=r)
     if r != inst.m:

@@ -1,9 +1,8 @@
-"""kronkit has three exception classes, all in ``kronkit.errors``.
+"""kronkit has two exception classes, both in ``kronkit.errors``.
 
 Every bad-input or exceeded-limit condition raises ``KronkitError`` with a
-message that names it; only the classes that some code tells apart have
-their own: ``ZeroVector``, which the witness search catches, and
-``InternalNonInteger``, a bug that the command line reports by name.
+message that names it; the only other class is ``InternalNonInteger``, a
+bug that the command line reports by name.
 """
 
 import ast
@@ -11,7 +10,7 @@ import builtins
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "kronkit"
-ERRORS = ["KronkitError", "ZeroVector", "InternalNonInteger"]
+ERRORS = ["KronkitError", "InternalNonInteger"]
 BUILTIN_EXCEPTIONS = {
     name
     for name, value in vars(builtins).items()
@@ -29,7 +28,7 @@ def base_names(node):
         yield base.attr if isinstance(base, ast.Attribute) else getattr(base, "id", None)
 
 
-def test_errors_defines_exactly_three_classes():
+def test_errors_defines_exactly_two_classes():
     assert [node.name for node in classes(PACKAGE / "errors.py")] == ERRORS
 
 

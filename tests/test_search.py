@@ -351,9 +351,9 @@ def test_witness_rank_three_degenerate_spectrum():
     assert cert is not None and verify_membership(target, cert).accepted
 
 
-# The certify panel instances (perfbench) that the float search left
-# undecided, all decided by free supports.  At m = 4 the panel holds 25
-# instances of the form (λ, λ, λ); these are its 11 distinct λ.
+# Certify panel instances (perfbench) that free supports decide.  At m = 4
+# the panel holds 25 instances of the form (λ, λ, λ); these are its 11
+# distinct λ.
 FREE_SUPPORT_M3 = [
     ((2, 1), (1, 1, 1), (2, 1)), ((2, 1, 1), (2, 2), (3, 1)),
     ((2, 2), (2, 1, 1), (3, 1)), ((4, 1), (2, 2, 1), (3, 1, 1)),
@@ -371,7 +371,8 @@ FREE_SUPPORT_M4 = [
     (9, 4, 4, 1), (9, 4, 4, 4), (9, 9, 1, 1), (9, 9, 4, 1), (9, 9, 4, 4),
     (9, 9, 9, 1),
 ]
-# inside (kron = 1) but on no free support of the fixed order
+# inside (kron = 1) but on no free support of the fixed order; the scaled
+# routes decide them, the first in a face and the second on all of [3]³
 FREE_SUPPORT_MISSES = [((8, 4), (6, 5, 1), (10, 2)), ((8, 4), (7, 5), (8, 2, 2))]
 
 
@@ -395,7 +396,7 @@ def test_witness_on_free_support(triple):
     assert search._exact_witness(target) == cert
 
 
-def test_exact_route_misses_are_left_to_the_float_route():
+def test_exact_route_misses_are_left_to_the_scaled_route():
     for triple in FREE_SUPPORT_MISSES:
         assert search._exact_witness(triple_instance(triple)) is None
     assert search._exact_witness(inst([2], [2], [1, 1], 2)) is None
@@ -406,7 +407,7 @@ def test_exact_route_misses_are_left_to_the_float_route():
     [((5, 3), (5, 3), (5, 2, 1)), ((8, 4), (7, 5), (8, 2, 2))],
     ids=triple_id,
 )
-def test_witness_float_route(triple):
+def test_witness_scaled_route(triple):
     # inside, missed by every free support, reached by the plain scaling;
     # the stop sits at a quarter of the verifier's threshold, not at a
     # fixed gap², which k = 12 needs
@@ -416,7 +417,7 @@ def test_witness_float_route(triple):
     assert cert is not None and verify_membership(target, cert).accepted
 
 
-def test_float_route_miss_makes_one_start(monkeypatch):
+def test_scaled_route_miss_makes_one_start(monkeypatch):
     # an m = 4 point that no free support reaches and no system covers: one
     # plain scaling runs from the seeded start and stops at the pass cap
     starts = passes = 0
@@ -479,26 +480,39 @@ def test_face_route_decides_a_facet_point():
     assert on_level_set(cert, face)
 
 
-def test_plain_route_witness_is_unchanged(tmp_path):
-    # the bytes of find-witness --seed 0, from this process and from two
-    # fresh ones: the scaling runs in integers, so no platform enters them
-    target = triple_instance(FREE_SUPPORT_MISSES[1])
+def assert_witness_digest(tmp_path, triple, digest, fresh_runs):
+    # the bytes of find-witness --seed 0, from this process and from fresh
+    # ones: the scaling runs in integers, so no platform enters them
     path = tmp_path / "inst.json"
-    path.write_text(json.dumps(target.to_json()), encoding="utf-8")
+    path.write_text(json.dumps(triple_instance(triple).to_json()), encoding="utf-8")
     out = tmp_path / "w.json"
     assert main(["find-witness", str(path), "--seed", "0", "--out", str(out)]) == 0
-    digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "3a9c8b8c82af97380fdbc12cb9648648cac314da8335595e6cb6d508abc42460"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     run = "import sys; from kronkit.cli import main; sys.exit(main(sys.argv[1:]))"
-    for name in ("fresh1.json", "fresh2.json"):
-        fresh = tmp_path / name
+    for i in range(fresh_runs):
+        fresh = tmp_path / f"fresh{i}.json"
         subprocess.run(
             [sys.executable, "-c", run, "find-witness", str(path), "--seed", "0",
              "--out", str(fresh)],
             env=env, capture_output=True, timeout=120, check=True,
         )
         assert fresh.read_bytes() == out.read_bytes()
+
+
+def test_plain_route_witness_is_unchanged(tmp_path):
+    assert_witness_digest(
+        tmp_path, FREE_SUPPORT_MISSES[1],
+        "3a9c8b8c82af97380fdbc12cb9648648cac314da8335595e6cb6d508abc42460", 2,
+    )
+
+
+def test_face_route_witness_is_unchanged(tmp_path):
+    # decided in the face ((−2,1,1), (2,−1,−1), (−2,1,1), z = −2)
+    assert_witness_digest(
+        tmp_path, FREE_SUPPORT_MISSES[0],
+        "899dc0aaab243f1019fe0e55a6077bd6375043bc938692ef14911fd712e0d155", 1,
+    )
 
 
 def test_positivity_elements_open_no_face(monkeypatch):
@@ -548,12 +562,19 @@ def test_m_override_scales_at_the_largest_height(monkeypatch):
 
 
 def test_m_override_outside_its_height_scales_nothing(monkeypatch):
-    # an m = 3 element cuts the point off; at m = 4 there is no system to
-    # answer with, but the rank-3 element still rules out every witness
+    # an m = 3 element cuts the point off, though no rank inequality does;
+    # at m = 4 there is no system to answer with, but the rank-3 element
+    # still rules out every witness
     reads = count_system_reads(monkeypatch)
     monkeypatch.setattr(search, "scale", refuse_scaling)
-    assert decide(inst([5, 1], [5, 1], [3, 2, 1], 6, m=4), seed=0) is None
+    target = inst([5, 1], [4, 1, 1], [3, 3], 6, m=4)
+    assert search._rank_inequalities_hold(target)
+    assert decide(target, seed=0) is None
     assert reads == [4, 3]
+    # where a rank inequality fails, only the system of rank m is read
+    reads.clear()
+    assert decide(inst([5, 1], [5, 1], [3, 2, 1], 6, m=4), seed=0) is None
+    assert reads == [4]
 
 
 @pytest.mark.parametrize(
@@ -561,8 +582,9 @@ def test_m_override_outside_its_height_scales_nothing(monkeypatch):
     [inst([2], [1, 1], [2], 2), inst([5, 1], [5, 1], [3, 3], 6, m=3)],
     ids=["height rule", "outside HSS"],
 )
-def test_float_route_skipped_at_rank_two(monkeypatch, target):
-    # at r ≤ 2 the exact route decides, so no scaling runs
+def test_scaled_route_skipped_at_rank_two(monkeypatch, target):
+    # at r ≤ 2 a rank inequality fails or the exact route decides, so no
+    # scaling runs
     monkeypatch.setattr(search, "scale", refuse_scaling)
     monkeypatch.setattr(scaling, "_pass", refuse_scaling)
     assert search_witness(target, seed=0) is None
@@ -661,6 +683,51 @@ def test_uniform_rule_fires_only_where_kron_vanishes():
                 assert kron_coeff(*(parse_young(lam) for lam in triple)) == 0
                 assert search_witness(inst(*triple, k)) is None
     assert fired > 0
+
+
+def test_rank_inequalities_fail_only_where_kron_vanishes():
+    # every failure is a proof that no state exists, so kron must be 0
+    triples = failed = 0
+    for k in range(1, 10):
+        shapes = [p for p in partitions(k) if len(p) <= 4]
+        for triple in product(shapes, repeat=3):
+            triples += 1
+            if not search._rank_inequalities_hold(inst(*triple, k)):
+                failed += 1
+                assert kron_coeff(*(parse_young(lam) for lam in triple)) == 0, triple
+    assert (triples, failed) == (11644, 3567)
+
+
+def test_rank_inequalities_at_height_two_are_hss():
+    for triple, k in qubit_triples(10):
+        assert search._rank_inequalities_hold(inst(*triple, k)) == hss(triple), triple
+
+
+def test_rank_inequalities_cover_the_height_and_uniform_rules():
+    # the rules the check replaced: h_X > h_Y·h_Z, and a uniform λ_X of
+    # height h_Y·h_Z with λ_Y or λ_Z not uniform
+    def height_rule_fires(triple):
+        low, mid, high = sorted(map(len, triple))
+        return high > low * mid
+
+    fired = 0
+    for k in range(1, 9):
+        for triple in product(partitions(k), repeat=3):
+            if height_rule_fires(triple) or uniform_rule_fires(triple):
+                fired += 1
+                assert not search._rank_inequalities_hold(inst(*triple, k)), triple
+    assert fired > 0
+
+
+def test_decide_never_scales_at_height_two(monkeypatch):
+    # a rank inequality fails, or the exact route decides, at every point
+    monkeypatch.setattr(search, "scale", refuse_scaling)
+    points = 0
+    for triple, k in qubit_triples(12):
+        if triple[0] >= triple[1] >= triple[2]:
+            points += 1
+            decide(inst(*triple, k), seed=0)
+    assert points == 335
 
 
 def test_dyadic_sqrt_is_exact_in_any_terms():
@@ -896,7 +963,8 @@ def test_rank_three_slice_is_decided_both_ways():
 
 def test_decide_searches_when_the_violated_element_is_refused(monkeypatch):
     # an outside point: its violated element is the answer unless the
-    # verifier refuses it, and then only the witness search may answer
+    # verifier refuses it; a rank inequality fails there, so no witness is
+    # sought either, and decide answers None
     outside = inst([2], [2], [1, 1], 2)
     assert isinstance(decide(outside), RessayreCertificate)
     refused = Verdict(Decision.REJECT, Reason.DETERMINANT_VANISHES)
@@ -933,8 +1001,9 @@ def test_decide_reads_no_system_when_the_exact_route_decides(monkeypatch):
 
 
 def test_search_witness_scales_no_point_a_facet_puts_outside(monkeypatch):
-    # heights 2, 2, 3 pass both rules, the exact route misses, and a
-    # committed m = 3 element proves the point outside before any scaling
+    # λ_C[2] + λ_C[3] = 3 > λ_A[2] + λ_B[2] = 2 fails a rank inequality, so
+    # no LP or scaling runs, and a committed m = 3 element proves the point
+    # outside
     reads = count_system_reads(monkeypatch)
     monkeypatch.setattr(search, "scale", refuse_scaling)
     outside = inst([5, 1], [5, 1], [3, 2, 1], 6)

@@ -21,7 +21,8 @@ Each instance is decided ``--repeat`` times by ``search.decide(inst,
 seed=0)``, whose witness half is ``search_witness`` and so the call behind
 ``kronkit find-witness --seed 0``, and its median time is kept.  The route
 is "outside" when ``decide`` answers with a committed facet (m = 2 and 3);
-"exact" when ``search._exact_witness`` returns a witness; "face" when the
+"exact" when ``search._exact_witness`` returns a witness (not re-run
+where a rank inequality fails, as no witness exists there); "face" when the
 scaling that decided it ran within the face of a nonzero hyperplane
 (``search._tight_faces``); "plain" otherwise, decided by the plain scaling
 on all of [r]³ or not at all.  The scalings are counted by wrapping
@@ -147,7 +148,9 @@ def main() -> None:
             cert = search.decide(inst, seed=0)
             times.append(time.perf_counter() - start)
         outside = isinstance(cert, RessayreCertificate)
-        exact = None if outside else search._exact_witness(inst)
+        # no witness exists outside, nor where a rank inequality fails
+        possible = not outside and search._rank_inequalities_hold(inst)
+        exact = search._exact_witness(inst) if possible else None
         if outside:
             route = "outside"
         elif exact is not None:

@@ -25,22 +25,18 @@ from .errors import InternalNonInteger, KronkitError
 DEFAULT_ORACLE_CAP = 12
 
 
-def partitions(n: int, max_part: int | None = None):
+def partitions(n: int):
     """Yield all partitions of n as weakly decreasing tuples.
 
-    They come in reverse lexicographic order, (n) first and (1,…,1) last,
-    and with parts at most ``max_part`` when it is given.  Each is made from
-    the one before: its last part above 1 drops by one, and the ones after
-    it plus that one are regrouped into parts as large as it now is.
+    They come in reverse lexicographic order, (n) first and (1,…,1) last.
+    Each is made from the one before: its last part above 1 drops by one,
+    and the ones after it plus that one are regrouped into parts as large
+    as it now is.
     """
     if n == 0:
         yield ()
         return
-    cap = n if max_part is None else min(max_part, n)
-    if cap < 1:
-        return
-    q, r = divmod(n, cap)
-    rows = [cap] * q + [r] * (r > 0)
+    rows = [n]
     while True:
         yield tuple(rows)
         ones = 0

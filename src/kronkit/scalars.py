@@ -15,6 +15,7 @@ a rational is written ``"num/den"`` in lowest terms, a Gaussian rational as
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -57,8 +58,17 @@ def json_int(value) -> int:
 
 
 def format_rational(q: Fraction) -> str:
-    """Canonical ``"num/den"`` form, e.g. ``-3/7``, ``0/1``, ``5/1``."""
-    return f"{q.numerator}/{q.denominator}"
+    """Canonical ``"num/den"`` form, e.g. ``-3/7``, ``0/1``, ``5/1``.
+
+    Under CPython's int→str digit limit, which also bounds every integer
+    read, a longer numerator or denominator raises KronkitError: no file is
+    written that could not be read back.
+    """
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise KronkitError(f"a rational exceeds the {limit}-digit limit on integers")
 
 
 @dataclass(frozen=True)

@@ -12,20 +12,20 @@ Two generators live here:
   multipliers alone decide, by one exact check, whether it is dropped.
 
 ``decide`` answers either way, in one order: the rank inequalities, which
-every state obeys; an exact witness (one rational LP per free
-support: the diagonal, then cyclic Latin supports); a committed element the
-point violates, as a nonmembership certificate; and only then seeded
-fixed-point scalings (:mod:`kronkit.scaling`) that stop at the verifier's
-threshold, within the face of each committed facet tight at the point (the
-face route) and then on all of [r]³ (the plain route), gated by the exact
-verifier.  ``search_witness`` is its witness half.
-The committed irredundant systems of ranks 2 and 3 ship beside this module
-as ``facets_m2.json`` and ``facets_m3.json`` (the output of ``kronkit facets
---m 2|3 --irredundant``); ``committed_system`` is their reader, called at
-most once per point at its own rank and not at all when the exact route
-decides.  No facet file is loaded by ``import kronkit``, and nothing here
-loads numpy.
-Everything feeding a verifier decision is exact.
+every state obeys; an exact witness (one rational LP per free support: the
+diagonal, then cyclic Latin supports); one scan of the committed system at
+r, the largest height, whose first violated element is a nonmembership
+certificate; and only then seeded fixed-point scalings
+(:mod:`kronkit.scaling`) that stop at the verifier's threshold, within the
+face of each committed facet tight at the point (the face route) and then on
+all of [r]³ (the plain route), gated by the exact verifier.
+``search_witness`` is its witness half.  The committed irredundant systems of
+ranks 2 and 3 ship beside this module as ``facets_m2.json`` and
+``facets_m3.json`` (the output of ``kronkit facets --m 2|3 --irredundant``);
+``committed_system`` is their reader, called at most once per point: at r
+after an exact miss, at m where a rank inequality fails, not at all when the
+exact route decides.  No facet file is loaded by ``import kronkit``, and
+nothing here loads numpy.  Everything feeding a verifier decision is exact.
 """
 
 from __future__ import annotations
@@ -296,6 +296,12 @@ def free_supports(m: int) -> Iterator[tuple[Entry, ...]]:
     yield from islice(latin, MAX_FREE_SUPPORTS - 1)
 
 
+def _verified(inst: KronInstance, entries: dict) -> MembershipCertificate | None:
+    """The rank-``inst.m`` witness on ``entries``, if verify_membership accepts it."""
+    cert = MembershipCertificate(inst.m, entries)
+    return cert if verify_membership(inst, cert).accepted else None
+
+
 def _exact_witness(inst: KronInstance) -> MembershipCertificate | None:
     """The first free-support witness that verify_membership accepts, or None.
 
@@ -316,11 +322,11 @@ def _exact_witness(inst: KronInstance) -> MembershipCertificate | None:
         result = solve_lp([0] * len(support), a_eq, b_eq)
         if result.status != "optimal":
             continue
-        cert = MembershipCertificate(inst.m, {
+        cert = _verified(inst, {
             s: GaussianRational(_dyadic_sqrt(x, inst.k * result.d, bits))
             for s, x in zip(support, result.x)
         })
-        if verify_membership(inst, cert).accepted:
+        if cert is not None:
             return cert
     return None
 
@@ -362,44 +368,27 @@ def committed_system(m: int) -> FacetSystem | None:
     return FacetSystem.from_json(json.loads(text))
 
 
-def _tight_faces(
+def _scan(
     inst: KronInstance, system: FacetSystem | None
-) -> list[HyperplaneCandidate]:
-    """The hyperplanes of the face route, in committed order.
+) -> tuple[RessayreCertificate | None, list[HyperplaneCandidate]]:
+    """(cut, faces): each element of ``system`` paired with the point once.
 
-    They are the elements of ``system`` (the committed system of rank r,
-    the largest height, or None) that are tight at the point, H·λ = k·z on
-    the padded rows, and have at least two nonzero blocks.  A positivity
-    element such as λ_A[3] ≥ 0 is skipped: its level set only drops a row
+    ``system`` has rank ``inst.m`` or is None.  The cut is the first element
+    violated (H·λ < k·z on the padded rows) if verify_nonmembership accepts
+    it, else None.  The faces are the elements tight at the point (H·λ =
+    k·z) with at least two nonzero blocks, in committed order.  A positivity
+    element such as λ_A[3] ≥ 0 opens no face: its level set only drops a row
     whose target is 0, which the plain scaling's start already zeroes.
     """
-    if system is None:
-        return []
-    rows = inst.padded_rows()
-    return [
-        e.h for e in system.nontrivial
-        if sum(any(block) for block in e.h.blocks) >= 2
-        and e.h.pair_instance(rows) == inst.k * e.h.z
-    ]
-
-
-def _violated(
-    inst: KronInstance, system: FacetSystem | None
-) -> RessayreCertificate | None:
-    """The first element of ``system`` that the point violates, if accepted.
-
-    Violated means H·λ < k·z on the padded rows; the element is returned
-    only if verify_nonmembership accepts it, and None otherwise.
-    """
-    if system is None:
-        return None
-    rows = inst.padded_rows()
-    violated = next(
-        (e for e in system.nontrivial if e.h.pair_instance(rows) < inst.k * e.h.z), None
-    )
-    if violated is not None and verify_nonmembership(inst, violated).accepted:
-        return violated
-    return None
+    rows, cut, faces = inst.padded_rows(), None, []
+    for e in system.nontrivial if system else ():
+        gap = e.h.pair_instance(rows) - inst.k * e.h.z
+        if gap < 0 and cut is None:
+            cut = e
+        elif gap == 0 and sum(map(any, e.h.blocks)) >= 2:
+            faces.append(e.h)
+    accepted = cut is not None and verify_nonmembership(inst, cut).accepted
+    return (cut if accepted else None), faces
 
 
 def _scaled_witness(
@@ -416,11 +405,10 @@ def _scaled_witness(
     vector = scale(rows, inst.k, h, seed, bits, accept_threshold2(inst.m, inst.k) / 4)
     if not vector:
         return None
-    cert = MembershipCertificate(inst.m, {
+    return _verified(inst, {
         s: GaussianRational(Fraction(x, 1 << bits), Fraction(y, 1 << bits))
         for s, (x, y) in vector.items()
     })
-    return cert if verify_membership(inst, cert).accepted else None
 
 
 def decide(
@@ -428,37 +416,31 @@ def decide(
 ) -> RessayreCertificate | MembershipCertificate | None:
     """A certificate for the point on whichever side of the polytope it lies.
 
-    Where a rank inequality fails (``_rank_inequalities_hold``) no state
-    exists and no witness is sought.  Else one LP per free support runs
-    (``free_supports``).  If none gives a witness, ``committed_system(inst.m)``
-    is read once, and its first element that the point violates is returned
-    if verify_nonmembership accepts it.  Only then does ``scaling.scale``
-    run at r, the largest height, from the seeded start: in the face of each
-    element of ``committed_system(r)`` tight at the point (``_tight_faces``),
-    then on all of [r]³, and under an ``m`` override not where an element of
-    ``committed_system(r)`` cuts the point off.  A scaled vector counts only
-    if verify_membership accepts it.  None means neither side was certified.
+    Where a rank inequality fails (``_rank_inequalities_hold``) no witness
+    is sought, and ``committed_system(inst.m)`` is read for a certificate
+    only.  Else one LP per free support runs (``free_supports``); after a
+    miss ``_scan`` reads ``committed_system(r)``, r the largest height: its
+    cut is the answer at r = m, and rules out every witness under an ``m``
+    override.  Only then does ``scaling.scale`` run at r, seeded, in the face
+    of each tight element the scan found, then on all of [r]³.  A vector
+    counts only if verify_membership accepts it.  None: neither side certified.
     """
     check_weight_cap(inst.m)
     r = max(d.height for d in inst.diagrams)
-    possible = _rank_inequalities_hold(inst)
-    cert = _exact_witness(inst) if possible else None
+    natural = replace(inst, m=r)
+    if not _rank_inequalities_hold(natural):
+        return _scan(inst, committed_system(inst.m))[0]
+    cert = _exact_witness(inst)
     if cert is not None:
         return cert
-    system = committed_system(inst.m)
-    violated = _violated(inst, system)
-    if violated is not None:
-        return violated
-    if not possible:
-        return None
-    natural = replace(inst, m=r)
-    if r != inst.m:
-        # a state on [m]³ with these spectra lives on [r]³, so an element of
-        # rank r that the point violates rules out every witness
-        system = committed_system(r)
-        if _violated(natural, system) is not None:
-            return None
-    faces = _tight_faces(natural, system)
+    # A state on [m]³ with these spectra lives on [r]³, so a rank-r element
+    # that cuts the point off rules out every witness.  The rank-m system
+    # differs only under an override at m ≤ 3 (no other rank ships one), so
+    # at r ≤ 2, where the rank inequalities are Higuchi–Sudbery–Szulc and
+    # complete: no verified rank-m element cuts a point they admit.
+    cut, faces = _scan(natural, committed_system(r))
+    if cut is not None:
+        return cut if r == inst.m else None
     zero = (0,) * r
     for h in [*faces, HyperplaneCandidate(zero, zero, zero, 0)]:
         cert = _scaled_witness(inst, h, seed)

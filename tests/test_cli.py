@@ -1,5 +1,6 @@
 import argparse
 import json
+import sys
 
 import pytest
 
@@ -336,6 +337,25 @@ def test_verify_nonmembership_refuses_a_4301_digit_integer(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith(f"error: bad certificate file {cert}:")
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int→str digit limit"
+)
+@pytest.mark.parametrize("to_stdout", [False, True], ids=["--out PATH", '--out ""'])
+def test_find_witness_writes_no_witness_past_the_digit_limit(tmp_path, capsys, to_stdout):
+    # every integer of the instance has at most 2201 digits, but the exact
+    # witness's entries need more than the 4300 that kronkit reads back
+    k = 10**2200
+    inst = {"lambda_A": [k - 1, 1], "lambda_B": [k - 1, 1], "lambda_C": [k - 1, 1], "k": k}
+    out_path = tmp_path / "w.json"
+    out = "" if to_stdout else str(out_path)
+    code = main(["find-witness", jfile(tmp_path, "inst.json", inst), "--out", out])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert f"{sys.get_int_max_str_digits()}-digit limit" in captured.err
+    assert captured.out == "" and not out_path.exists()
 
 
 def test_unknown_subcommand_exits_two():

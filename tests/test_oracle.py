@@ -50,10 +50,6 @@ def test_partition_counts():
             assert all(a >= b for a, b in zip(p, p[1:]))
 
 
-def test_partitions_max_part():
-    assert list(partitions(4, 2)) == [(2, 2), (2, 1, 1), (1, 1, 1, 1)]
-
-
 def reference_partitions(n, max_part=None):
     """The first part from largest to smallest, the rest recursively."""
     if n == 0:
@@ -67,8 +63,7 @@ def reference_partitions(n, max_part=None):
 
 def test_partitions_match_the_recursive_order():
     for n in range(21):
-        for max_part in (None, *range(-1, n + 2)):
-            assert list(partitions(n, max_part)) == list(reference_partitions(n, max_part))
+        assert list(partitions(n)) == list(reference_partitions(n))
 
 
 def test_kron_matches_the_committed_certify_values():

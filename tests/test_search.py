@@ -474,7 +474,7 @@ def test_face_route_decides_a_facet_point():
     # the certify instance that the plain scaling leaves undecided
     target = triple_instance(FREE_SUPPORT_MISSES[0])
     face = HyperplaneCandidate((-2, 1, 1), (2, -1, -1), (-2, 1, 1), -2)
-    assert search._tight_faces(target, committed_system(3)) == [face]
+    assert search._scan(target, committed_system(3)) == (None, [face])
     cert = search_witness(target, seed=0)
     assert cert is not None and verify_membership(target, cert).accepted
     assert on_level_set(cert, face)
@@ -563,14 +563,14 @@ def test_m_override_scales_at_the_largest_height(monkeypatch):
 
 def test_m_override_outside_its_height_scales_nothing(monkeypatch):
     # an m = 3 element cuts the point off, though no rank inequality does;
-    # at m = 4 there is no system to answer with, but the rank-3 element
-    # still rules out every witness
+    # at m = 4 there is no system to answer with, but the rank-3 element,
+    # read once, still rules out every witness
     reads = count_system_reads(monkeypatch)
     monkeypatch.setattr(search, "scale", refuse_scaling)
     target = inst([5, 1], [4, 1, 1], [3, 3], 6, m=4)
     assert search._rank_inequalities_hold(target)
     assert decide(target, seed=0) is None
-    assert reads == [4, 3]
+    assert reads == [3]
     # where a rank inequality fails, only the system of rank m is read
     reads.clear()
     assert decide(inst([5, 1], [5, 1], [3, 2, 1], 6, m=4), seed=0) is None
@@ -953,7 +953,7 @@ def test_rank_three_slice_is_decided_both_ways():
     for triple, cert in member:
         target = triple_instance(triple)
         if search._exact_witness(target) is None and any(
-            on_level_set(cert, h) for h in search._tight_faces(target, system)
+            on_level_set(cert, h) for h in search._scan(target, system)[1]
         ):
             on_face.add(triple)
     assert (len(triples), len(nonmember), len(member)) == (390, 132, 258)
@@ -998,6 +998,35 @@ def test_decide_reads_no_system_when_the_exact_route_decides(monkeypatch):
     cert = search._exact_witness(target)
     assert cert is not None and decide(target, seed=0) == cert
     assert reads == []
+
+
+@pytest.mark.parametrize(
+    "rank, kmax, m, points, undecided, digest",
+    [
+        (2, 9, 3, 130, 0,
+         "d8cd19de08145e156bcd1f04a580b29c0bf4d327aadbc3a9920965fcbe505065"),
+        (3, 7, 4, 205, 69,
+         "3342272991b373f35806f7b0c8cfd7d8274e835936403fa795e8d71bce2afa1c"),
+        (2, 7, 4, 62, 22,
+         "923849f458a777da961c26eeb00a82ae627820723652eb705baab8f540f66340"),
+    ],
+    ids=["r2-m3", "r3-m4", "r2-m4"],
+)
+def test_m_override_sweep_is_unchanged(monkeypatch, rank, kmax, m, points, undecided,
+                                       digest):
+    # decide's answers under an override, one JSON line each, pinned by their
+    # digest; each point reads at most one committed system
+    reads = count_system_reads(monkeypatch)
+    sha = hashlib.sha256()
+    answers = []
+    for triple in rank_triples(rank, kmax):
+        reads.clear()
+        cert = decide(inst(*triple, sum(triple[0]), m=m), seed=0)
+        assert len(reads) <= 1, triple
+        answers.append(cert)
+        sha.update(json.dumps(None if cert is None else cert.to_json()).encode() + b"\n")
+    assert (len(answers), answers.count(None)) == (points, undecided)
+    assert sha.hexdigest() == digest
 
 
 def test_search_witness_scales_no_point_a_facet_puts_outside(monkeypatch):

@@ -1,8 +1,8 @@
 """The scripts in tools/ run against the source tree.
 
 ``tools/bench_witness.py`` routes every point through ``search.decide`` and
-reaches into ``search._exact_witness``, and wraps ``search.scale`` and
-``scaling._pass``, to name the route that decided it and count its passes,
+wraps ``search.scale`` and ``scaling._pass`` to name the route that decided
+it (a witness with no scaling is the exact route's) and count its passes,
 so a refactor of the witness search can break it without any other test
 noticing.  From ``perfbench/`` it takes only the
 certify panel: the routing it measures is the library's, not the

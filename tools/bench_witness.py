@@ -21,11 +21,11 @@ Each instance is decided ``--repeat`` times by ``search.decide(inst,
 seed=0)``, whose witness half is ``search_witness`` and so the call behind
 ``kronkit find-witness --seed 0``, and its median time is kept.  The route
 is "outside" when ``decide`` answers with a committed facet (m = 2 and 3);
-"exact" when ``search._exact_witness`` returns a witness (not re-run
-where a rank inequality fails, as no witness exists there); "face" when the
-scaling that decided it ran within the face of a nonzero hyperplane
-(``search._tight_faces``); "plain" otherwise, decided by the plain scaling
-on all of [r]³ or not at all.  The scalings are counted by wrapping
+"exact" when it answers with a witness and ran no scaling, as ``decide``
+scales only after the exact route misses; "face" when the scaling that
+decided it ran within the face of a nonzero hyperplane (one that
+``search._scan`` found tight); "plain" otherwise, decided by the plain
+scaling on all of [r]³ or not at all.  The scalings are counted by wrapping
 ``search.scale`` and ``scaling._pass``.  An exact witness whose entries all
 lie on the diagonal {(i,i,i)} is also counted under ``on_diagonal``.
 Prints one JSON object: per route and rank, the count, how many were
@@ -147,13 +147,9 @@ def main() -> None:
             start = time.perf_counter()
             cert = search.decide(inst, seed=0)
             times.append(time.perf_counter() - start)
-        outside = isinstance(cert, RessayreCertificate)
-        # no witness exists outside, nor where a rank inequality fails
-        possible = not outside and search._rank_inequalities_hold(inst)
-        exact = search._exact_witness(inst) if possible else None
-        if outside:
+        if isinstance(cert, RessayreCertificate):
             route = "outside"
-        elif exact is not None:
+        elif cert is not None and not log:
             route = "exact"
         elif cert is not None and any(map(any, log[-1][0].blocks)):
             route = "face"
@@ -166,8 +162,8 @@ def main() -> None:
         )
         row["times"].append(statistics.median(times))
         row["decided"] += cert is not None
-        row["on_diagonal"] += exact is not None and all(
-            i == j == l for i, j, l in exact.entries
+        row["on_diagonal"] += route == "exact" and all(
+            i == j == l for i, j, l in cert.entries
         )
         if cert is not None and route in ("face", "plain"):
             row["passes"].append(log[-1][1])

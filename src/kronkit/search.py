@@ -7,9 +7,9 @@ Two generators live here:
   exactly for the level hyperplane they span, in the 3(m−1) free coordinates
   of a traceless H (``_free``);
 * ``reduce_irredundant`` — removal of implied inequalities by exact
-  linear programming: one standard-form LP per element, the 3(m−1)-row dual
-  of "is this inequality implied by the others?", whose integer Farkas
-  multipliers alone decide, by one exact check, whether it is dropped.
+  linear programming: one feasibility LP per element, the (3m−2)-row affine
+  Farkas system of "is this inequality implied by the others?", whose
+  integer multipliers alone decide, by one exact check, whether it is dropped.
 
 ``decide`` answers either way, in one order: the rank inequalities, which
 every state obeys; an exact witness (one rational LP per free support: the
@@ -239,18 +239,22 @@ def reduce_irredundant(fs: FacetSystem) -> FacetSystem:
     """Drop every inequality implied by the rest plus the chamber.
 
     Elements are tested in order against the ones still kept, by one exact
-    LP each: the dual described in :mod:`kronkit.exactlp`, minimize −z·y
-    subject to Σ yᵢHᵢ = H_e on the free coordinates, y ≥ 0, with a column per
-    other element and then per chamber inequality.  e is dropped iff the LP
-    is optimal and its integer multipliers pass ``_implied``.  An unbounded
-    or infeasible dual (infeasible or unbounded primal) keeps e.
+    feasibility LP each, the affine Farkas system of :mod:`kronkit.exactlp`:
+    y ≥ 0 and s ≥ 0 with Σ yᵢHᵢ = H_e on the free coordinates and
+    Σ yᵢzᵢ − s = z_e, a column per other element, per chamber inequality,
+    then s.  e is dropped iff the system is feasible and its integer
+    multipliers pass ``_implied``.  A drop needs that proof, so the
+    reduction keeps the set that the system cuts out.  Where that set is not
+    empty, as for every verified system (each element holds on the moment
+    polytope, which holds the uniform point), every implied element has one.
     """
     active = list(fs.nontrivial)
+    s_col = (0,) * (3 * fs.m - 3) + (-1,)
     for element in list(active):
         columns = [e.h for e in active if e is not element] + list(fs.chamber)
-        a_eq = list(zip(*(_free(h) for h in columns)))
-        lp = solve_lp([-h.z for h in columns], a_eq, _free(element.h))
-        if lp.status == "optimal" and _implied(columns, lp.x, lp.d, element.h):
+        a_eq = list(zip(*((*_free(h), h.z) for h in columns), s_col))
+        lp = solve_lp(a_eq, (*_free(element.h), element.h.z))
+        if lp.status == "optimal" and _implied(columns, lp.x[:-1], lp.d, element.h):
             active.remove(element)
     return FacetSystem(fs.m, tuple(active), fs.chamber)
 
@@ -307,7 +311,7 @@ def _exact_witness(inst: KronInstance) -> MembershipCertificate | None:
 
     On a free support S the marginals of Σ_{s∈S} √(x_s/k)|s⟩ are diagonal,
     entry i of block X being Σ_{s_X = i} x_s/k.  So x ≥ 0 with block sums
-    λ_A, λ_B, λ_C is one standard-form LP (objective 0, one row per block
+    λ_A, λ_B, λ_C is one standard-form feasibility LP (one row per block
     entry), and its rational solution, truncated to required_bits, is the
     candidate.  The supports are those of r = the largest diagram height,
     not of m: indices in [r]³ are indices in [m]³, so an instance padded by
@@ -319,7 +323,7 @@ def _exact_witness(inst: KronInstance) -> MembershipCertificate | None:
     rows = [(x, i) for x in range(3) for i in range(1, r + 1)]  # b_eq's order
     for support in free_supports(r):
         a_eq = [[int(s[x] == i) for s in support] for x, i in rows]
-        result = solve_lp([0] * len(support), a_eq, b_eq)
+        result = solve_lp(a_eq, b_eq)
         if result.status != "optimal":
             continue
         cert = _verified(inst, {

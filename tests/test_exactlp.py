@@ -11,9 +11,9 @@ from kronkit.exactlp import solve_lp
 from kronkit.search import FacetSystem, reduce_irredundant
 
 FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
-# pivots of the 114 → 39 reduction under Bland's rule alone, with every row
-# started on an artificial
-BLAND_REDUCTION_PIVOTS = 5011
+# pivots of the 114 → 39 reduction under the current pricing and start
+# (BENCH_lp.json); a change to either that costs more pivots fails here
+REDUCTION_PIVOTS = 1214
 
 
 def solve_square(rows, rhs):
@@ -33,153 +33,130 @@ def solve_square(rows, rhs):
     return [a[i][n] for i in range(n)]
 
 
-def vertex_enum_min(c, a_ub, b_ub):
-    """Brute-force LP oracle: minimum of c·x over all feasible vertices."""
-    n = len(c)
-    best = None
+def vertex_enum_feasible(a_ub, b_ub):
+    """Brute-force oracle: whether a_ub x ≤ b_ub has a feasible vertex.
+
+    The systems below contain a box, so they are empty or have a vertex.
+    """
+    n = len(a_ub[0])
     for subset in itertools.combinations(range(len(a_ub)), n):
         point = solve_square([a_ub[i] for i in subset], [b_ub[i] for i in subset])
-        if point is None:
-            continue
-        feasible = all(
+        if point is not None and all(
             sum(r * x for r, x in zip(row, point)) <= b
             for row, b in zip(a_ub, b_ub)
-        )
-        if not feasible:
-            continue
-        value = sum(ci * xi for ci, xi in zip(c, point))
-        if best is None or value < best:
-            best = value
-    return best
+        ):
+            return True
+    return False
 
 
-def optimum(c, res):
-    """c·x at the solution x/d of an optimal result."""
-    return Fraction(sum(ci * xi for ci, xi in zip(c, res.x)), res.d)
+def assert_solves(a_eq, b_eq, res):
+    """res is feasible, and its x/d solves A x = b, x ≥ 0 exactly."""
+    assert res.status == "optimal" and res.d > 0
+    assert len(res.x) == len(a_eq[0]) and min(res.x) >= 0
+    for row, b in zip(a_eq, b_eq):
+        assert sum(a * x for a, x in zip(row, res.x)) == res.d * b
 
 
 def point(res):
-    """The solution x/d of an optimal result."""
+    """The solution x/d of a feasible result."""
     return tuple(Fraction(xi, res.d) for xi in res.x)
 
 
-def slack_form(c, a_ub, b_ub):
-    """Standard form of min c·x, a_ub x ≤ b_ub, x ≥ 0: one slack per row."""
+def slack_form(a_ub, b_ub):
+    """Standard form of a_ub x ≤ b_ub, x ≥ 0: one slack per row."""
     rows = [
         list(row) + [1 if j == i else 0 for j in range(len(a_ub))]
         for i, row in enumerate(a_ub)
     ]
-    return list(c) + [0] * len(a_ub), rows, list(b_ub)
+    return rows, list(b_ub)
+
+
+def box(n):
+    """0 ≤ x ≤ 5 in n variables, as rows of a_ub x ≤ b_ub."""
+    a_ub, b_ub = [], []
+    for i in range(n):
+        a_ub += [[int(j == i) for j in range(n)], [-int(j == i) for j in range(n)]]
+        b_ub += [5, 0]
+    return a_ub, b_ub
 
 
 def test_known_bounded_lp():
-    # min −x−y subject to x + s1 = 3, y + s2 = 2, x + y + s3 = 4 → −4
-    c = [-1, -1, 0, 0, 0]
+    # x + s1 = 3, y + s2 = 2, x + y + s3 = 4: the slacks solve it at once
     a_eq = [[1, 0, 1, 0, 0], [0, 1, 0, 1, 0], [1, 1, 0, 0, 1]]
-    res = solve_lp(c, a_eq, [3, 2, 4])
-    assert res.status == "optimal"
-    assert optimum(c, res) == -4
-    assert sum(point(res)[:2]) == 4
+    res = solve_lp(a_eq, [3, 2, 4])
+    assert_solves(a_eq, [3, 2, 4], res)
+    assert point(res) == (0, 0, 3, 2, 4)
 
 
 def test_equality_constrained_lp():
-    # min x subject to x + y = 1 → 0 at (0,1)
-    c = [Fraction(1), Fraction(0)]
-    res = solve_lp(c, [[1, 1]], [1])
-    assert res.status == "optimal" and optimum(c, res) == 0
-    assert point(res) == (0, 1)
-
-
-def test_redundant_equation_is_dropped():
-    # the second row is twice the first; its artificial cannot leave the basis
-    res = solve_lp([1, 2], [[1, 1], [2, 2]], [1, 2])
-    assert res.status == "optimal" and optimum([1, 2], res) == 1
+    # x + y = 1: x is the row's unit column, so the answer is (1, 0)
+    res = solve_lp([[Fraction(1), 1]], [1])
+    assert_solves([[1, 1]], [1], res)
     assert point(res) == (1, 0)
 
 
-def test_negative_drive_out_pivot(monkeypatch):
-    # the third row is the sum of the others; phase 1 ends with the second
-    # and third artificials basic, the second leaves through the one nonzero
-    # real entry of its row, −2, and the third row is dropped as zero
-    pivots = []
-    real_pivot = exactlp._pivot
-
-    def spy(tab, basis, row, col, d):
-        pivots.append(tab[row][col])
-        return real_pivot(tab, basis, row, col, d)
-
-    monkeypatch.setattr(exactlp, "_pivot", spy)
-    res = solve_lp([3, -2], [[-2, -1], [2, 0], [0, -1]], [-1, 1, 0])
-    assert min(pivots) < -1
-    assert res.status == "optimal" and optimum([3, -2], res) == Fraction(3, 2)
-    assert point(res) == (Fraction(1, 2), 0)
+def test_redundant_equation_is_dropped():
+    # the second row is twice the first; its artificial stays basic at 0
+    res = solve_lp([[1, 1], [2, 2]], [1, 2])
+    assert_solves([[1, 1], [2, 2]], [1, 2], res)
+    assert point(res) == (1, 0)
 
 
 def test_non_integral_coefficient_is_rejected():
-    for c, a_eq, b_eq in (
-        ([Fraction(1, 2), 0], [[1, 1]], [1]),
-        ([1, 0], [[Fraction(3, 2), 1]], [1]),
-        ([1, 0], [[1, 1]], [0.5]),
+    for a_eq, b_eq in (
+        ([[Fraction(3, 2), 1]], [1]),
+        ([[1, 1]], [0.5]),
+        ([[1, 1]], [Fraction(1, 2)]),
     ):
         with pytest.raises(ValueError, match="not an integer"):
-            solve_lp(c, a_eq, b_eq)
-
-
-def test_unbounded_lp():
-    # min −x subject to x − s = 0: x can grow forever
-    res = solve_lp([Fraction(-1), 0], [[1, -1]], [0])
-    assert res.status == "unbounded"
+            solve_lp(a_eq, b_eq)
 
 
 def test_infeasible_lp():
     # x + s = −1 has no nonnegative solution
-    res = solve_lp([Fraction(1), 0], [[1, 1]], [-1])
-    assert res.status == "infeasible"
+    res = solve_lp([[1, 1]], [-1])
+    assert res.status == "infeasible" and res.x is None
 
 
 def test_exact_rational_answer():
-    # min x subject to 3x − s = 1 → exactly 1/3, no float drift
-    res = solve_lp([Fraction(1), 0], [[3, -1]], [1])
-    assert res.status == "optimal" and optimum([1, 0], res) == Fraction(1, 3)
+    # 3x − s = 1 → exactly x = 1/3, no float drift
+    res = solve_lp([[3, -1]], [1])
+    assert_solves([[3, -1]], [1], res)
     assert res.x == (1, 0) and res.d == 3  # integer numerators over d
 
 
 def test_random_lps_match_vertex_enumeration():
     rng = random.Random(37)
+    seen = set()
     for _ in range(40):
         n = rng.randint(2, 3)
-        # box 0 ≤ x ≤ 5 keeps everything bounded with vertices
-        a_ub = [[0] * n for _ in range(2 * n)]
-        b_ub = []
-        for i in range(n):
-            a_ub[2 * i][i] = 1
-            a_ub[2 * i + 1][i] = -1
-            b_ub += [5, 0]
-        for _ in range(rng.randint(1, 3)):  # random extra cuts
+        a_ub, b_ub = box(n)
+        for _ in range(rng.randint(1, 3)):  # random extra cuts, some infeasible
             a_ub.append([rng.randint(-3, 3) for _ in range(n)])
-            b_ub.append(rng.randint(1, 10))
-        c = [Fraction(rng.randint(-4, 4)) for _ in range(n)]
-        expected = vertex_enum_min(c, a_ub, b_ub)
-        res = solve_lp(*slack_form(c, a_ub, b_ub))
-        if expected is None:
-            assert res.status == "infeasible"
+            b_ub.append(rng.randint(-10, 10))
+        expected = vertex_enum_feasible(a_ub, b_ub)
+        a_eq, b_eq = slack_form(a_ub, b_ub)
+        res = solve_lp(a_eq, b_eq)
+        if expected:
+            assert_solves(a_eq, b_eq, res)
         else:
-            assert res.status == "optimal"
-            assert optimum(c, res) == expected
+            assert res.status == "infeasible"
+        seen.add(expected)
+    assert seen == {True, False}
 
 
 @pytest.mark.parametrize(
-    "c, a_eq, b_eq",
+    "a_eq, b_eq",
     [
-        ([1], [[1, 1]], [1]),  # a row longer than c
-        ([1, 1, 1], [[1, 1]], [1]),  # a row shorter than c
-        ([1, 1], [[1, 1], [1, 0]], [1]),  # fewer right-hand sides than rows
-        ([1, 1], [[1, 1]], [1, 2]),  # more right-hand sides than rows
+        ([[1, 1], [1]], [1, 1]),  # a row shorter than the first
+        ([[1], [1, 1]], [1, 1]),  # a row longer than the first
+        ([[1, 1], [1, 0]], [1]),  # fewer right-hand sides than rows
+        ([[1, 1]], [1, 2]),  # more right-hand sides than rows
     ],
 )
-def test_wrong_shape_is_rejected(c, a_eq, b_eq):
+def test_wrong_shape_is_rejected(a_eq, b_eq):
     with pytest.raises(ValueError, match="entries"):
-        solve_lp(c, a_eq, b_eq)
+        solve_lp(a_eq, b_eq)
 
 
 class PivotLog:
@@ -187,31 +164,25 @@ class PivotLog:
     against the pricing rule and counts the pivots, in all and by kind.
 
     Inside ``_simplex`` the last tableau row is the objective over every
-    priced column, and the right-hand side is last.  A pivot outside it
-    drives an artificial out of the basis, and no rule applies to it.
+    priced column, and the right-hand side is last.
     """
 
     def __init__(self, monkeypatch):
         self.counts = dict.fromkeys(
             ("total", "dantzig", "bland", "degenerate", "rules_differ"), 0
         )
-        self.starts = []  # (n_cols, basis) at the start of each _simplex
-        self.inside = self.after_degenerate = False
+        self.starts = []  # (priced columns, basis) at the start of each _simplex
+        self.after_degenerate = False
         real_simplex, real_pivot = exactlp._simplex, exactlp._pivot
 
-        def simplex(tab, basis, n_cols, d):
-            assert n_cols == len(tab[-1]) - 1
-            self.starts.append((n_cols, list(basis)))
-            self.inside, self.after_degenerate = True, False
-            try:
-                return real_simplex(tab, basis, n_cols, d)
-            finally:
-                self.inside = False
+        def simplex(tab, basis):
+            self.starts.append((len(tab[-1]) - 1, list(basis)))
+            self.after_degenerate = False
+            return real_simplex(tab, basis)
 
         def pivot(tab, basis, row, col, d):
-            if self.inside:
-                self.check(tab[-1][:-1], col)
-                self.after_degenerate = tab[row][-1] == 0
+            self.check(tab[-1][:-1], col)
+            self.after_degenerate = tab[row][-1] == 0
             self.counts["total"] += 1
             self.counts["degenerate"] += tab[row][-1] == 0
             return real_pivot(tab, basis, row, col, d)
@@ -232,16 +203,21 @@ class PivotLog:
 
 
 def test_pricing_on_the_first_turn_reduce_lps(monkeypatch):
-    # the LPs reduce_irredundant solves on the committed 114-element system
-    # before any drop, as tests/test_search.py's first_turn_lp builds them
+    # the Farkas systems reduce_irredundant solves on the committed
+    # 114-element system before any drop, as tests/test_search.py's
+    # first_turn_lp builds them
     text = (FIXTURES / "facets_m3.json").read_text(encoding="utf-8")
     system = FacetSystem.from_json(json.loads(text))
     log = PivotLog(monkeypatch)
     for element in system.nontrivial:
         columns = [e.h for e in system.nontrivial if e is not element]
         columns += system.chamber
-        a_eq = list(zip(*(search._free(h) for h in columns)))
-        solve_lp([-h.z for h in columns], a_eq, search._free(element.h))
+        s_col = (0,) * (3 * system.m - 3) + (-1,)
+        a_eq = list(zip(*((*search._free(h), h.z) for h in columns), s_col))
+        b_eq = (*search._free(element.h), element.h.z)
+        res = solve_lp(a_eq, b_eq)
+        if res.status == "optimal":
+            assert_solves(a_eq, b_eq, res)
     counts = log.counts
     assert counts["degenerate"] > 0 and counts["bland"] > 0
     assert counts["dantzig"] > counts["bland"]
@@ -249,54 +225,50 @@ def test_pricing_on_the_first_turn_reduce_lps(monkeypatch):
     assert counts["rules_differ"] > 0
 
 
-def test_reduction_takes_at_most_half_the_bland_pivots(monkeypatch):
+def test_reduction_takes_at_most_the_farkas_pivots(monkeypatch):
     text = (FIXTURES / "facets_m3.json").read_text(encoding="utf-8")
     system = FacetSystem.from_json(json.loads(text))
     log = PivotLog(monkeypatch)
     assert len(reduce_irredundant(system).nontrivial) == 39
-    assert log.counts["total"] <= BLAND_REDUCTION_PIVOTS // 2
+    assert log.counts["total"] <= REDUCTION_PIVOTS
 
 
 def test_degenerate_lps_match_vertex_enumeration(monkeypatch):
-    # many cuts through one vertex v of the box make it degenerate; half the
-    # objectives are minimized at v, so the simplex has to pivot there
+    # many cuts through one vertex v of the box make the system degenerate
+    # there; v is feasible, and cuts with a·v < 0 start on artificials
     rng = random.Random(11)
     log = PivotLog(monkeypatch)
     n = 4
-    for trial in range(8):
+    for _ in range(8):
         v = [rng.randint(0, 5) for _ in range(n)]
-        a_ub, b_ub = [], []
-        for i in range(n):
-            a_ub += [[int(j == i) for j in range(n)], [-int(j == i) for j in range(n)]]
-            b_ub += [5, 0]
+        a_ub, b_ub = box(n)
         cuts = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(4, 5))]
         for a in cuts:
             a_ub.append(a)
             b_ub.append(sum(ai * vi for ai, vi in zip(a, v)))
-        if trial % 2:
-            c = [rng.randint(-4, 4) for _ in range(n)]
-        else:
-            c = [-sum(col) for col in zip(*cuts[:n])]
-        expected = vertex_enum_min(c, a_ub, b_ub)
-        res = solve_lp(*slack_form(c, a_ub, b_ub))
-        assert res.status == "optimal"
-        assert optimum(c, res) == expected
+        assert vertex_enum_feasible(a_ub, b_ub)
+        a_eq, b_eq = slack_form(a_ub, b_ub)
+        assert_solves(a_eq, b_eq, solve_lp(a_eq, b_eq))
     assert log.counts["degenerate"] > 0 and log.counts["bland"] > 0
 
 
 def test_phase_one_starts_on_unit_columns(monkeypatch):
     # both slacks are unit columns: no artificial, and phase 1 pivots nowhere
     log = PivotLog(monkeypatch)
-    res = solve_lp([-1, -1, 0, 0], [[1, 1, 1, 0], [-1, 2, 0, 1]], [3, 1])
+    a_eq = [[1, 1, 1, 0], [-1, 2, 0, 1]]
+    res = solve_lp(a_eq, [3, 1])
     assert log.starts[0] == (4, [2, 3])
-    assert res.status == "optimal" and optimum([-1, -1, 0, 0], res) == -3
+    assert log.counts["total"] == 0
+    assert_solves(a_eq, [3, 1], res)
+    assert point(res) == (0, 0, 3, 1)
 
 
 def test_phase_one_refuses_a_negated_unit_column(monkeypatch):
     # b₂ < 0 negates row 2, so its slack becomes −e₂ and row 2 starts on
     # the artificial, column 4; row 1 still starts on its slack
     log = PivotLog(monkeypatch)
-    res = solve_lp([1, 1, 0, 0], [[1, 1, 1, 0], [-1, 2, 0, 1]], [3, -1])
+    a_eq = [[1, 1, 1, 0], [-1, 2, 0, 1]]
+    res = solve_lp(a_eq, [3, -1])
     assert log.starts[0] == (5, [2, 4])
-    assert res.status == "optimal" and optimum([1, 1, 0, 0], res) == 1
+    assert_solves(a_eq, [3, -1], res)
     assert point(res)[:2] == (1, 0)

@@ -213,6 +213,19 @@ def test_reduce_drops_scaled_duplicate():
     assert len(reduced.nontrivial) == 1
 
 
+def test_reduce_keeps_an_empty_set_empty():
+    # r_A2 − r_A1 ≥ 1 meets no point of the chamber, so the system cuts out
+    # the empty set, and so must what the reduction keeps: bad, and the last
+    # committed element, whose H is outside the cone of what is left when it
+    # is tested (the reduction never reads the point p)
+    bad_h = HyperplaneCandidate((-1, 1), (0, 0), (0, 0), 1)
+    bad = RessayreCertificate(bad_h, (1, 0, 0))
+    fs = committed_system(2)
+    for elements in ((bad, *fs.nontrivial), (*fs.nontrivial, bad)):
+        reduced = reduce_irredundant(FacetSystem(2, elements, fs.chamber))
+        assert set(reduced.nontrivial) == {bad, fs.nontrivial[-1]}
+
+
 def test_reduce_empty_system_unchanged():
     fs = FacetSystem(2, (), chamber_inequalities(2))
     assert reduce_irredundant(fs) == fs
@@ -240,9 +253,9 @@ def test_reduce_rank_three_matches_committed_system():
 
 
 def test_reduce_rejects_wrong_multipliers(monkeypatch, capsys):
-    # an optimal LP answer whose multipliers prove nothing
-    def wrong(c, a_eq, b_eq):
-        return LPResult("optimal", (0,) * len(c), 1)
+    # a feasible LP answer whose multipliers prove nothing
+    def wrong(a_eq, b_eq):
+        return LPResult("optimal", (0,) * len(a_eq[0]), 1)
 
     monkeypatch.setattr(search, "solve_lp", wrong)
     assert main(["facets", "--m", "2", "--irredundant"]) == 3
@@ -257,11 +270,13 @@ def m3_system():
 
 
 def first_turn_lp(system, element):
-    """The LP reduce_irredundant solves for element before any drop."""
+    """The Farkas system reduce_irredundant solves for element before any
+    drop: the H of each column but s, then A and b, the z row and s last."""
     columns = [e.h for e in system.nontrivial if e is not element]
     columns += system.chamber
-    a_eq = list(zip(*(search._free(h) for h in columns)))
-    return columns, solve_lp([-h.z for h in columns], a_eq, search._free(element.h))
+    s_col = (0,) * (3 * system.m - 3) + (-1,)
+    a_eq = list(zip(*((*search._free(h), h.z) for h in columns), s_col))
+    return columns, a_eq, (*search._free(element.h), element.h.z)
 
 
 def assert_refused(columns, y, d, h):
@@ -273,21 +288,23 @@ def assert_refused(columns, y, d, h):
 def test_drop_check_proves_the_first_m3_drop_and_refuses_mutations(m3_system):
     kept = set(committed_system(3).nontrivial)
     dropped = next(e for e in m3_system.nontrivial if e not in kept)
-    columns, lp = first_turn_lp(m3_system, dropped)
+    columns, a_eq, b_eq = first_turn_lp(m3_system, dropped)
+    lp = solve_lp(a_eq, b_eq)
     assert lp.status == "optimal"
-    assert search._implied(columns, lp.x, lp.d, dropped.h)
-    i = next(i for i, v in enumerate(lp.x) if v)
-    for bad in (lp.x[i] + 1, -lp.x[i]):
-        assert_refused(columns, lp.x[:i] + (bad,) + lp.x[i + 1 :], lp.d, dropped.h)
+    x = lp.x[:-1]  # the multipliers y, without s
+    assert search._implied(columns, x, lp.d, dropped.h)
+    i = next(i for i, v in enumerate(x) if v)
+    for bad in (x[i] + 1, -x[i]):
+        assert_refused(columns, x[:i] + (bad,) + x[i + 1 :], lp.d, dropped.h)
     # add a kernel vector of seven unused columns: Σ yᵢHᵢ = d·H still holds,
     # so only the sign check can refuse the negative entries it brings
-    unused = [j for j, v in enumerate(lp.x) if v == 0]
+    unused = [j for j, v in enumerate(x) if v == 0]
     for subset in combinations(unused, 7):
         rows = zip(*(search._free(columns[j]) for j in subset))
         v = kernel_vector_if_unique([list(r) for r in rows])
         if v is not None:
             break
-    y = list(lp.x)
+    y = list(x)
     for j, vj in zip(subset, v if min(v) < 0 else [-vj for vj in v]):
         y[j] += vj
     assert min(y) < 0
@@ -297,9 +314,13 @@ def test_drop_check_proves_the_first_m3_drop_and_refuses_mutations(m3_system):
 def test_drop_check_keeps_a_facet_on_its_own_optimum(m3_system):
     facet = m3_system.nontrivial[0]
     assert facet in committed_system(3).nontrivial
-    columns, lp = first_turn_lp(m3_system, facet)
+    columns, a_eq, b_eq = first_turn_lp(m3_system, facet)
+    assert solve_lp(a_eq, b_eq).status == "infeasible"
+    # without the z row, Σ yᵢHᵢ = H_e alone is feasible, and _implied
+    # refuses its y: Σ yᵢzᵢ falls short of z_e
+    lp = solve_lp(a_eq[:-1], b_eq[:-1])
     assert lp.status == "optimal"
-    assert not search._implied(columns, lp.x, lp.d, facet.h)
+    assert not search._implied(columns, lp.x[:-1], lp.d, facet.h)
 
 
 def test_facet_system_json_round_trip():
@@ -632,7 +653,8 @@ def test_committed_m2_system_is_hss():
         assert inside == hss(triple), triple
 
 
-def test_height_rule_returns_before_any_lp(monkeypatch):
+def test_rank_inequality_at_the_heights_returns_before_any_lp(monkeypatch):
+    # a = h_B, b = h_C: Σ_{i>h_B·h_C} λ_A[i] ≤ 0 fails, as h_A > h_B·h_C.
     # λ_B pure forces equal A and C spectra; 145 infeasible LPs before this
     def refuse(*args):
         raise AssertionError("an LP ran")
@@ -641,7 +663,8 @@ def test_height_rule_returns_before_any_lp(monkeypatch):
     assert search_witness(inst([1] * 12, [12], [11, 1], 12), seed=0) is None
 
 
-def test_height_rule_fires_only_where_kron_vanishes():
+def test_rank_inequality_at_the_heights_fails_only_where_kron_vanishes():
+    # the inequality at a = h_Y, b = h_Z fails iff h_X > h_Y·h_Z
     fired = 0
     for k in range(1, 9):
         shapes = [p for p in partitions(k) if len(p) <= 3]
@@ -653,7 +676,8 @@ def test_height_rule_fires_only_where_kron_vanishes():
     assert fired > 0
 
 
-def test_uniform_rule_returns_before_any_lp(monkeypatch):
+def test_rank_inequality_below_the_heights_returns_before_any_lp(monkeypatch):
+    # a = h_B = 3, b = h_C − 1 = 3: Σ_{i>9} λ_A[i] = 3 ≤ λ_C[4] = 1 fails.
     # λ_A uniform of rank 12 = 3·4 forces uniform λ_B and λ_C; 145
     # infeasible LPs before this
     def refuse(*args):
@@ -673,7 +697,10 @@ def uniform_rule_fires(triple):
     )
 
 
-def test_uniform_rule_fires_only_where_kron_vanishes():
+def test_rank_inequality_below_the_heights_fails_only_where_kron_vanishes():
+    # λ_X uniform of height h_Y·h_Z: at a = h_Y, b = h_Z − 1 the inequality
+    # reads k/h_Z ≤ λ_Z[h_Z], which fails unless λ_Z is uniform, and at
+    # a = h_Y − 1, b = h_Z it fails unless λ_Y is
     fired = 0
     for k in range(1, 9):
         shapes = partitions(k)
@@ -798,8 +825,8 @@ def test_exact_witness_rows_are_the_transposed_weight_vectors(monkeypatch):
     # every LP refused, so _exact_witness tries each support up to the cap
     calls = []
 
-    def record(c, a_eq, b_eq):
-        calls.append((c, a_eq, b_eq))
+    def record(a_eq, b_eq):
+        calls.append((a_eq, b_eq))
         return LPResult("infeasible", None, 1)
 
     monkeypatch.setattr(search, "solve_lp", record)
@@ -808,9 +835,8 @@ def test_exact_witness_rows_are_the_transposed_weight_vectors(monkeypatch):
         assert search._exact_witness(inst([1] * r, [1] * r, [1] * r, r)) is None
         supports = free_supports_by_dropping_repeats(r)
         assert len(calls) == len(supports)
-        for (c, a_eq, b_eq), support in zip(calls, supports):
+        for (a_eq, b_eq), support in zip(calls, supports):
             columns = [weight_vector(s, r) for s in support]
-            assert c == [0] * len(support)
             assert a_eq == [list(col) for col in zip(*columns)]
             assert b_eq == [1] * (3 * r)
 

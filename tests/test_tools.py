@@ -7,8 +7,7 @@ so a refactor of the witness search can break it without any other test
 noticing.  From ``perfbench/`` it takes only the
 certify panel: the routing it measures is the library's, not the
 benchmark's.  ``tools/bench_lp.py`` counts pivots by wrapping
-``exactlp._pivot`` and ``exactlp._simplex`` from outside, so it breaks if
-their signatures change.
+``exactlp._pivot`` from outside, so it breaks if its signature changes.
 """
 
 import ast
@@ -116,5 +115,5 @@ def test_bench_lp_counts_the_sample_pivots(monkeypatch):
     row = bench_lp.measure(lps, 1)
     pivots = row["pivots"]
     assert row["lps"] == 40
-    assert pivots["total"] == pivots["phase1"] + pivots["phase2"]
+    assert set(pivots) == {"degenerate", "total"}
     assert 0 < pivots["degenerate"] < pivots["total"]

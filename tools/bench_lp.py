@@ -16,12 +16,11 @@ recorded once and then solved again on their own:
   kron > 0 panel of ``tools/bench_witness.py --panel 4 --seed 0``: its
   free-support LPs, up to the first accepted witness.
 
-Pivots are counted in one untimed pass by wrapping ``exactlp._pivot`` and
-``exactlp._simplex`` from outside: ``phase1`` (with the pivots that drive
-artificials out of the basis), ``phase2``, and ``degenerate`` (the leaving
-row's right-hand side is 0, in either phase).  The time is the median of
-five passes without the wrappers.  Prints one JSON object: per input, the
-number of LPs, the pivot counts, and the total and per-LP time.
+Every solve is phase 1 alone, so pivots are counted in one untimed pass by
+wrapping ``exactlp._pivot`` from outside: ``total`` and ``degenerate`` (the
+leaving row's right-hand side is 0).  The time is the median of five passes
+without the wrapper.  Prints one JSON object: per input, the number of LPs,
+the pivot counts, and the total and per-LP time.
 """
 
 from __future__ import annotations
@@ -62,28 +61,20 @@ def recorded_lps(run) -> list[tuple]:
 
 
 def count_pivots(lps: list[tuple]) -> dict[str, int]:
-    counts = dict.fromkeys(("phase1", "phase2", "degenerate", "total"), 0)
-    simplex_calls = 0
-    real_pivot, real_simplex = exactlp._pivot, exactlp._simplex
-
-    def simplex(*args):
-        nonlocal simplex_calls
-        simplex_calls += 1
-        return real_simplex(*args)
+    counts = dict.fromkeys(("degenerate", "total"), 0)
+    real_pivot = exactlp._pivot
 
     def pivot(tab, basis, row, col, d):
-        counts["phase1" if simplex_calls == 1 else "phase2"] += 1
         counts["degenerate"] += tab[row][-1] == 0
         counts["total"] += 1
         return real_pivot(tab, basis, row, col, d)
 
-    exactlp._pivot, exactlp._simplex = pivot, simplex
+    exactlp._pivot = pivot
     try:
         for lp in lps:
-            simplex_calls = 0
             exactlp.solve_lp(*lp)
     finally:
-        exactlp._pivot, exactlp._simplex = real_pivot, real_simplex
+        exactlp._pivot = real_pivot
     return counts
 
 

@@ -7,9 +7,9 @@ few rows, a few dozen columns), so a dense tableau is adequate.
 
 Each row, normalized to b ≥ 0, starts on a real column that is that row's
 unit vector, where one exists, and on an artificial otherwise (the chamber
-columns of the reduction LPs are such columns); the simplex then minimizes
-the sum of the artificials.  That sum is never negative, so the ratio test
-always finds a leaving row.  The system is feasible iff the minimum is 0,
+columns and s of the reduction LPs are such columns); the simplex then
+minimizes the sum of the artificials.  That sum is never negative, so the
+ratio test always finds a leaving row.  The system is feasible iff the minimum is 0,
 and then every artificial still basic is 0, so x is read straight off the
 basis.  The statuses are ``"optimal"`` (feasible, with that basic solution)
 and ``"infeasible"``.
@@ -34,9 +34,15 @@ r·H_i ≥ z_i and the three block sums Σ_X r = 1.  Any y ≥ 0 and μ with
 constraints have a common point some such y, μ exist (the affine Farkas
 lemma; Schrijver, Theory of Linear and Integer Programming, §7.1).  Every
 H is blockwise traceless, so summing block X gives m·μ_X = 0, and the last
-coordinate of each block is implied by the others.  That leaves: y ≥ 0 and
-s ≥ 0 with Σ yᵢHᵢ = H_e on the 3(m−1) free coordinates of H
-(``search._free``, each block but its last entry) and Σ yᵢzᵢ − s = z_e.
+coordinate of each block is implied by the others.  That leaves y ≥ 0 and
+s ≥ 0 with Σ yᵢHᵢ = H_e on each block but its last entry and
+Σ yᵢzᵢ − s = z_e.  The system is posed in chamber coordinates
+(``search._chamber_coordinates``): each block becomes its partial sums
+P_i = h_1 + … + h_i, i < m, and the z row is negated.  That map is
+unimodular, so the solutions are the same, and there the chamber inequality
+r_{X,i} ≥ r_{X,i+1} is the unit column e_{X,i} and s is +e_z.  Phase 1 needs
+an artificial only in a row where P_i of H_e is negative, or in the z row
+when z_e > 0.
 """
 
 from __future__ import annotations
@@ -98,25 +104,26 @@ def _simplex(tab: Tableau, basis: list[int]) -> int:
     its first is Bland's, so a streak that returned to a basis would go on
     by Bland's rule alone from that basis, and Bland's rule never cycles.
     """
-    d, bland, n_cols = 1, False, len(tab[-1]) - 1
+    d, bland = 1, False
     while True:
-        obj = tab[-1]
+        priced = tab[-1][:-1]
         if bland:
-            col = next((j for j in range(n_cols) if obj[j] < 0), None)
+            col = next((j for j, v in enumerate(priced) if v < 0), None)
         else:
-            negative = (j for j in range(n_cols) if obj[j] < 0)
-            col = min(negative, key=obj.__getitem__, default=None)
+            low = min(priced, default=0)
+            col = priced.index(low) if low < 0 else None
         if col is None:
             return d
         row = None
-        for i in range(len(tab) - 1):
-            a = tab[i][col]
-            if a > 0:  # ratio tab[i][-1]/a against the best, cross-multiplied
+        for i, r in enumerate(tab[:-1]):
+            a = r[col]
+            if a > 0:  # ratio r[-1]/a against the best, cross-multiplied
+                b = r[-1]
                 if row is not None:
-                    lhs, rhs = tab[i][-1] * tab[row][col], tab[row][-1] * a
+                    lhs, rhs = b * best_a, best_b * a
                 if row is None or lhs < rhs or (lhs == rhs and basis[i] < basis[row]):
-                    row = i
-        bland = tab[row][-1] == 0
+                    row, best_b, best_a = i, b, a
+        bland = best_b == 0
         d = _pivot(tab, basis, row, col, d)
 
 
@@ -134,19 +141,21 @@ def solve_lp(a_eq: Sequence[Row], b_eq: Row) -> LPResult:
         if len(arow) != n:
             raise ValueError(f"row {i} of A has {len(arow)} entries for {n} columns")
 
-    # normalize to b ≥ 0
+    # normalize to b ≥ 0; an int needs no integer check
     rows = [
-        [(-1 if b < 0 else 1) * _integer(v) for v in (*arow, b)]
+        [
+            (-1 if b < 0 else 1) * (v if type(v) is int else _integer(v))
+            for v in (*arow, b)
+        ]
         for arow, b in zip(a_eq, b_eq)
     ]
 
     # a real column that is +eᵢ starts row i's basis; every other row starts
     # on an artificial of its own
     unit = {}
-    for j in range(n):
-        nonzero = [i for i in range(n_rows) if rows[i][j]]
-        if len(nonzero) == 1 and rows[nonzero[0]][j] == 1:
-            unit.setdefault(nonzero[0], j)
+    for j, column in zip(range(n), zip(*rows)):
+        if column.count(0) == n_rows - 1 and 1 in column:
+            unit.setdefault(column.index(1), j)
     art = {i: n + k for k, i in enumerate(i for i in range(n_rows) if i not in unit)}
     basis = [unit[i] if i in unit else art[i] for i in range(n_rows)]
     width = n + len(art)

@@ -5,10 +5,11 @@ Two generators live here:
 * ``enumerate_ressayre`` — complete hyperplane-certificate discovery for
   small m, by iterating over affinely independent weight subsets and solving
   exactly for the level hyperplane they span, in the 3(m−1) free coordinates
-  of a traceless H (``_free``);
+  of a traceless H, each block but its last entry (``_traceless``);
 * ``reduce_irredundant`` — removal of implied inequalities by exact
   linear programming: one feasibility LP per element, the (3m−2)-row affine
-  Farkas system of "is this inequality implied by the others?", whose
+  Farkas system of "is this inequality implied by the others?" in chamber
+  coordinates, where each chamber inequality is a unit column, whose
   integer multipliers alone decide, by one exact check, whether it is dropped.
 
 ``decide`` answers either way, in one order: the rank inequalities, which
@@ -119,8 +120,8 @@ class FacetSystem:
 
     Every hyperplane, element or chamber inequality, is checked where the
     system is built: it has rank m, and ∥H∥∞ and |z| are at most
-    ``siegel_bound(m)``.  Tracelessness, which the dual LP of
-    ``reduce_irredundant`` relies on, holds for any ``HyperplaneCandidate``.
+    ``siegel_bound(m)``.  Tracelessness, which the chamber coordinates of
+    ``reduce_irredundant`` rely on, holds for any ``HyperplaneCandidate``.
     """
 
     m: int
@@ -165,13 +166,23 @@ def _canonical_sign(vec: list[int]) -> tuple[int, ...]:
     return tuple(vec)
 
 
-def _free(h: HyperplaneCandidate) -> list[int]:
-    """The 3(m−1) free coordinates of a traceless H: each block but its last."""
-    return [v for block in h.blocks for v in block[:-1]]
+def _chamber_coordinates(h: HyperplaneCandidate) -> list[int]:
+    """(H, z) in the coordinates of the chamber: P_1, …, P_{m−1} per block,
+    P_i = h_1 + … + h_i, then −z.
+
+    On a traceless block h·r = Σ_{i<m} P_i·(r_i − r_{i+1}) (summation by
+    parts), so r_{X,i} ≥ r_{X,i+1} maps to the unit vector e_{X,i}.  The map
+    is unimodular: lower triangular with unit diagonal on each block, −1 on z.
+    """
+    partial = [sum(block[: i + 1]) for block in h.blocks for i in range(h.m - 1)]
+    return partial + [-h.z]
 
 
 def _traceless(v: tuple[int, ...], m: int) -> HyperplaneCandidate:
-    """Inverse of ``_free``, z appended; unimodular, keeps the first nonzero."""
+    """The traceless H with v as each block but its last entry, z = v[-1].
+
+    Unimodular, and it keeps the first nonzero, so a canonical sign survives.
+    """
     blocks = (v[b * (m - 1) : (b + 1) * (m - 1)] for b in range(3))
     return HyperplaneCandidate(*(b + (-sum(b),) for b in blocks), v[-1])
 
@@ -239,24 +250,31 @@ def reduce_irredundant(fs: FacetSystem) -> FacetSystem:
     """Drop every inequality implied by the rest plus the chamber.
 
     Elements are tested in order against the ones still kept, by one exact
-    feasibility LP each, the affine Farkas system of :mod:`kronkit.exactlp`:
-    y ≥ 0 and s ≥ 0 with Σ yᵢHᵢ = H_e on the free coordinates and
-    Σ yᵢzᵢ − s = z_e, a column per other element, per chamber inequality,
-    then s.  e is dropped iff the system is feasible and its integer
-    multipliers pass ``_implied``.  A drop needs that proof, so the
-    reduction keeps the set that the system cuts out.  Where that set is not
-    empty, as for every verified system (each element holds on the moment
-    polytope, which holds the uniform point), every implied element has one.
+    feasibility LP each, the affine Farkas system of :mod:`kronkit.exactlp`
+    in chamber coordinates (``_chamber_coordinates``, one map per hyperplane
+    per reduction): y ≥ 0 and s ≥ 0 with Σ yᵢ·c(Hᵢ) + s·e_z = c(H_e), a
+    column per other element, per chamber inequality, then s.  The chamber
+    columns and s are unit vectors, so phase 1 starts on them in every row
+    where c(H_e) is ≥ 0, and an element with c(H_e) ≥ 0, which holds on the
+    whole chamber, drops with no pivot.  e is dropped iff the system is feasible
+    and its integer multipliers pass ``_implied``.  A drop needs that proof,
+    so the reduction keeps the set that the system cuts out.  Where that set
+    is not empty, as for every verified system (each element holds on the
+    moment polytope, which holds the uniform point), every implied element
+    has one.
     """
-    active = list(fs.nontrivial)
-    s_col = (0,) * (3 * fs.m - 3) + (-1,)
-    for element in list(active):
-        columns = [e.h for e in active if e is not element] + list(fs.chamber)
-        a_eq = list(zip(*((*_free(h), h.z) for h in columns), s_col))
-        lp = solve_lp(a_eq, (*_free(element.h), element.h.z))
+    active = [(e, _chamber_coordinates(e.h)) for e in fs.nontrivial]
+    chamber = [_chamber_coordinates(h) for h in fs.chamber]
+    s_col = (0,) * (3 * fs.m - 3) + (1,)
+    for pair in list(active):
+        element, target = pair
+        others = [p for p in active if p is not pair]
+        a_eq = list(zip(*(c for _, c in others), *chamber, s_col))
+        lp = solve_lp(a_eq, target)
+        columns = [e.h for e, _ in others] + list(fs.chamber)
         if lp.status == "optimal" and _implied(columns, lp.x[:-1], lp.d, element.h):
-            active.remove(element)
-    return FacetSystem(fs.m, tuple(active), fs.chamber)
+            active.remove(pair)
+    return FacetSystem(fs.m, tuple(e for e, _ in active), fs.chamber)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,10 @@ from kronkit.exactlp import solve_lp
 from kronkit.search import FacetSystem, reduce_irredundant
 
 FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
-# pivots of the 114 → 39 reduction under the current pricing and start
-# (BENCH_lp.json); a change to either that costs more pivots fails here
-REDUCTION_PIVOTS = 1214
+# pivots of the 114 → 39 reduction in chamber coordinates under the current
+# pricing and start (BENCH_lp.json); a change to any of the three that costs
+# more pivots fails here
+REDUCTION_PIVOTS = 457
 
 
 def solve_square(rows, rhs):
@@ -202,19 +203,31 @@ class PivotLog:
             self.counts["dantzig"] += 1
 
 
+def first_turn_lp(system, element):
+    """The Farkas system reduce_irredundant solves for element before any
+    drop, in chamber coordinates, as tests/test_search.py's first_turn_lp
+    builds it: the H of each column but s, then A and b, the z row and s
+    last."""
+    columns = [e.h for e in system.nontrivial if e is not element]
+    columns += system.chamber
+    s_col = (0,) * (3 * system.m - 3) + (1,)
+    a_eq = list(zip(*map(search._chamber_coordinates, columns), s_col))
+    return columns, a_eq, search._chamber_coordinates(element.h)
+
+
+def enumerated_m3():
+    """The committed 114-element m = 3 enumeration."""
+    text = (FIXTURES / "facets_m3.json").read_text(encoding="utf-8")
+    return FacetSystem.from_json(json.loads(text))
+
+
 def test_pricing_on_the_first_turn_reduce_lps(monkeypatch):
     # the Farkas systems reduce_irredundant solves on the committed
-    # 114-element system before any drop, as tests/test_search.py's
-    # first_turn_lp builds them
-    text = (FIXTURES / "facets_m3.json").read_text(encoding="utf-8")
-    system = FacetSystem.from_json(json.loads(text))
+    # 114-element system before any drop
+    system = enumerated_m3()
     log = PivotLog(monkeypatch)
     for element in system.nontrivial:
-        columns = [e.h for e in system.nontrivial if e is not element]
-        columns += system.chamber
-        s_col = (0,) * (3 * system.m - 3) + (-1,)
-        a_eq = list(zip(*((*search._free(h), h.z) for h in columns), s_col))
-        b_eq = (*search._free(element.h), element.h.z)
+        _, a_eq, b_eq = first_turn_lp(system, element)
         res = solve_lp(a_eq, b_eq)
         if res.status == "optimal":
             assert_solves(a_eq, b_eq, res)
@@ -225,9 +238,30 @@ def test_pricing_on_the_first_turn_reduce_lps(monkeypatch):
     assert counts["rules_differ"] > 0
 
 
+def test_chamber_implied_elements_drop_with_no_pivot(monkeypatch):
+    # c(H_e) ≥ 0 in chamber coordinates: r·H_e ≥ z_e holds on the whole
+    # chamber, and every row of the first-turn system starts on a chamber
+    # column or s, with no artificial to drive out
+    system = enumerated_m3()
+    implied = [
+        e for e in system.nontrivial if min(search._chamber_coordinates(e.h)) >= 0
+    ]
+    assert len(implied) == 21
+    log = PivotLog(monkeypatch)
+    for element in implied:
+        columns, a_eq, b_eq = first_turn_lp(system, element)
+        res = solve_lp(a_eq, b_eq)
+        n_cols, basis = log.starts[-1]
+        assert n_cols == len(a_eq[0]) and max(basis) < n_cols
+        assert_solves(a_eq, b_eq, res)
+        assert search._implied(columns, res.x[:-1], res.d, element.h)
+    assert log.counts["total"] == 0
+    kept = set(reduce_irredundant(system).nontrivial)
+    assert not kept.intersection(implied)
+
+
 def test_reduction_takes_at_most_the_farkas_pivots(monkeypatch):
-    text = (FIXTURES / "facets_m3.json").read_text(encoding="utf-8")
-    system = FacetSystem.from_json(json.loads(text))
+    system = enumerated_m3()
     log = PivotLog(monkeypatch)
     assert len(reduce_irredundant(system).nontrivial) == 39
     assert log.counts["total"] <= REDUCTION_PIVOTS

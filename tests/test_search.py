@@ -271,12 +271,45 @@ def m3_system():
 
 def first_turn_lp(system, element):
     """The Farkas system reduce_irredundant solves for element before any
-    drop: the H of each column but s, then A and b, the z row and s last."""
+    drop, in chamber coordinates: the H of each column but s, then A and b,
+    the z row and s last."""
     columns = [e.h for e in system.nontrivial if e is not element]
     columns += system.chamber
-    s_col = (0,) * (3 * system.m - 3) + (-1,)
-    a_eq = list(zip(*((*search._free(h), h.z) for h in columns), s_col))
-    return columns, a_eq, (*search._free(element.h), element.h.z)
+    s_col = (0,) * (3 * system.m - 3) + (1,)
+    a_eq = list(zip(*map(search._chamber_coordinates, columns), s_col))
+    return columns, a_eq, search._chamber_coordinates(element.h)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_chamber_coordinates_sum_by_parts(m):
+    # r·H − z = c(H)·(r_{X,i} − r_{X,i+1} for each block X and i < m, then 1)
+    # on traceless H and any integer r: summation by parts, block by block
+    rng = random.Random(m)
+    for _ in range(50):
+        blocks = []
+        for _ in range(3):
+            head = [rng.randint(-9, 9) for _ in range(m - 1)]
+            blocks.append((*head, -sum(head)))
+        h = HyperplaneCandidate(*blocks, rng.randint(-9, 9))
+        r = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(3)]
+        steps = [b[i] - b[i + 1] for b in r for i in range(m - 1)] + [1]
+        c = search._chamber_coordinates(h)
+        assert len(c) == 3 * m - 2
+        lhs = sum(hv * rv for hb, rb in zip(h.blocks, r) for hv, rv in zip(hb, rb))
+        assert lhs - h.z == sum(cv * sv for cv, sv in zip(c, steps))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_chamber_coordinates_of_the_chamber_are_unit_columns(m):
+    # r_{X,i} ≥ r_{X,i+1} maps to e_{X,i}, in the order chamber_inequalities
+    # lists them; s, the column of 0 ≥ −1 in Σ yᵢzᵢ − s = z_e, maps to +e_z
+    n = 3 * m - 2
+    unit = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    mapped = [tuple(search._chamber_coordinates(h)) for h in chamber_inequalities(m)]
+    assert mapped == unit[:-1]
+    zero = (0,) * m
+    s = HyperplaneCandidate(zero, zero, zero, -1)
+    assert tuple(search._chamber_coordinates(s)) == unit[-1]
 
 
 def assert_refused(columns, y, d, h):
@@ -297,10 +330,11 @@ def test_drop_check_proves_the_first_m3_drop_and_refuses_mutations(m3_system):
     for bad in (x[i] + 1, -x[i]):
         assert_refused(columns, x[:i] + (bad,) + x[i + 1 :], lp.d, dropped.h)
     # add a kernel vector of seven unused columns: Σ yᵢHᵢ = d·H still holds,
-    # so only the sign check can refuse the negative entries it brings
+    # so only the sign check can refuse the negative entries it brings (the
+    # chamber coordinates are unimodular, so they have the same kernel)
     unused = [j for j, v in enumerate(x) if v == 0]
     for subset in combinations(unused, 7):
-        rows = zip(*(search._free(columns[j]) for j in subset))
+        rows = zip(*(search._chamber_coordinates(columns[j])[:-1] for j in subset))
         v = kernel_vector_if_unique([list(r) for r in rows])
         if v is not None:
             break

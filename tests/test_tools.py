@@ -108,12 +108,24 @@ def test_bench_witness_takes_only_the_panel_from_perfbench():
     assert (imported, plain) == (["certify_panel"], [])
 
 
-def test_bench_lp_counts_the_sample_pivots(monkeypatch):
+@pytest.fixture
+def bench_lp(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "tools"))
-    bench_lp = importlib.import_module("bench_lp")
+    return importlib.import_module("bench_lp")
+
+
+def test_bench_lp_counts_the_sample_pivots(bench_lp):
+    # the reduce-m3 sample's pivots in chamber coordinates (BENCH_lp.json)
     lps = bench_lp.recorded_lps(bench_lp.runs()["reduce_m3_sample"])
     row = bench_lp.measure(lps, 1)
-    pivots = row["pivots"]
     assert row["lps"] == 40
-    assert set(pivots) == {"degenerate", "total"}
-    assert 0 < pivots["degenerate"] < pivots["total"]
+    assert row["pivots"] == {"degenerate": 55, "total": 152}
+
+
+def test_bench_lp_panel_keeps_its_witness_pivots(bench_lp):
+    # the free-support LPs of the rank-4 panel pivot exactly as recorded in
+    # BENCH_lp.json: a change to the pricing, the ratio test or the start
+    # shows here
+    lps = bench_lp.recorded_lps(bench_lp.runs()["panel"])
+    assert len(lps) == 988
+    assert bench_lp.count_pivots(lps) == {"degenerate": 4245, "total": 8975}

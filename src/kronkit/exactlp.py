@@ -6,18 +6,19 @@ floating-point tolerance and no external solver.  The problems are tiny (a
 few rows, a few dozen columns), so a dense tableau is adequate.
 
 Each row, normalized to b ≥ 0, starts on a real column that is that row's
-unit vector, where one exists, and on an artificial otherwise (the chamber
-columns and s of the reduction LPs are such columns); the simplex then
-minimizes the sum of the artificials.  That sum is never negative, so the
-ratio test always finds a leaving row.  The system is feasible iff the minimum is 0,
-and then every artificial still basic is 0, so x is read straight off the
-basis.  The statuses are ``"optimal"`` (feasible, with that basic solution)
-and ``"infeasible"``.
+unit vector, where one exists (the chamber columns and s of the reduction
+LPs are such columns), and on an artificial otherwise.  An artificial has
+no column, only a basic index, n + k for the k-th such row, so one that
+leaves the basis never comes back.  The phase-1 row is minus the sum of
+their rows: the simplex minimizes their sum, which is never negative, so
+the ratio test always finds a leaving row.  Any x ≥ 0 with A x = b, with
+every artificial at 0, is a point of this restricted problem, so the
+minimum is 0 iff the system is feasible.  Then every artificial still
+basic is 0, and x is read straight off the basis.  The statuses are
+``"optimal"`` (feasible, with that basic solution) and ``"infeasible"``.
 
-The entering column has the most negative reduced cost (Dantzig's rule).
-After a degenerate pivot Bland's rule (Math. Oper. Res. 1977) picks both
-columns until a pivot lowers the objective again, which rules out cycling:
-see ``_simplex``.
+Pricing is Dantzig's rule, with Bland's (Math. Oper. Res. 1977) after a
+degenerate pivot, which rules out cycling: see ``_simplex``.
 
 Coefficients must be integers (a rational of integral value is accepted,
 any other value raises ``ValueError``).  The tableau holds ints over one
@@ -91,18 +92,21 @@ def _pivot(tab: Tableau, basis: list[int], row: int, col: int, d: int) -> int:
 def _simplex(tab: Tableau, basis: list[int]) -> int:
     """Minimize the last tableau row, a sum of artificials; return d.
 
-    The tableau starts over d = 1.  The entering column is the one with the
-    most negative reduced cost (Dantzig's rule, the lowest index among ties).
-    After a degenerate pivot, one whose leaving row has right-hand side 0,
-    Bland's rule picks the entering column (the lowest index with a negative
-    reduced cost) until a pivot is non-degenerate again.  The leaving row is
-    always the lowest ratio, ties broken by the lowest basic index, as
-    Bland's rule has it.
+    The tableau starts over d = 1 and holds the real columns only, so an
+    artificial is never priced and never enters.  The entering column is
+    the one with the most negative reduced cost (Dantzig's rule, the lowest
+    index among ties).  After a degenerate pivot, one whose leaving row has
+    right-hand side 0, Bland's rule picks the entering column (the lowest
+    index with a negative reduced cost) until a pivot is non-degenerate
+    again.  The leaving row is always the lowest ratio, ties broken by the
+    lowest basic index, as Bland's rule has it.
 
     This terminates.  A non-degenerate pivot strictly lowers the objective,
     so no basis recurs across one.  Every pivot of a degenerate streak but
     its first is Bland's, so a streak that returned to a basis would go on
     by Bland's rule alone from that basis, and Bland's rule never cycles.
+    No artificial comes back, so a return keeps the same artificials basic
+    throughout, and the streak runs on one fixed column set.
     """
     d, bland = 1, False
     while True:
@@ -151,24 +155,19 @@ def solve_lp(a_eq: Sequence[Row], b_eq: Row) -> LPResult:
     ]
 
     # a real column that is +eᵢ starts row i's basis; every other row starts
-    # on an artificial of its own
+    # on an artificial of its own, basic index n + k for the k-th, no column
     unit = {}
     for j, column in zip(range(n), zip(*rows)):
         if column.count(0) == n_rows - 1 and 1 in column:
             unit.setdefault(column.index(1), j)
     art = {i: n + k for k, i in enumerate(i for i in range(n_rows) if i not in unit)}
     basis = [unit[i] if i in unit else art[i] for i in range(n_rows)]
-    width = n + len(art)
-    tab: Tableau = [
-        row[:n] + [int(art.get(i) == j) for j in range(n, width)] + row[n:]
-        for i, row in enumerate(rows)
-    ]
 
-    # minimize the sum of artificials, priced out on their rows
-    phase1 = [0] * n + [1] * len(art) + [0]
+    # minimize the sum of artificials: minus the sum of their rows
+    phase1 = [0] * (n + 1)
     for i in art:
-        phase1 = [a - b for a, b in zip(phase1, tab[i])]
-    tab.append(phase1)
+        phase1 = [a - b for a, b in zip(phase1, rows[i])]
+    tab: Tableau = [*rows, phase1]
     d = _simplex(tab, basis)
     if tab[-1][-1] != 0:
         return LPResult("infeasible", None, d)

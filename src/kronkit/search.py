@@ -236,11 +236,14 @@ def enumerate_ressayre(m: int, seed: int = 0) -> FacetSystem:
 def _implied(columns, y, d: int, h: HyperplaneCandidate) -> bool:
     """Whether y/d proves r·H ≥ z: Σ yᵢzᵢ ≥ d·z, given y ≥ 0 and Σ yᵢHᵢ = d·H.
 
-    The givens are checked on all 3m coordinates.  A failure is the LP
-    solver's fault, not the input's, so it raises a non-KronkitError.
+    The givens are checked on all 3m coordinates, summing the columns with
+    yᵢ ≠ 0 only.  A failure is the LP solver's fault, not the input's, so it
+    raises a non-KronkitError.
     """
-    flats = [_flat(c) for c in columns]
-    combined = [sum(yi * f[i] for yi, f in zip(y, flats)) for i in range(3 * h.m)]
+    combined = [0] * (3 * h.m)
+    for yi, c in zip(y, columns):
+        if yi:
+            combined = [a + yi * v for a, v in zip(combined, _flat(c))]
     if min(y, default=0) < 0 or combined != [d * v for v in _flat(h)]:
         raise RuntimeError(f"LP multipliers do not solve Σ yᵢHᵢ = d·H for {h}")
     return sum(yi * c.z for yi, c in zip(y, columns)) >= d * h.z

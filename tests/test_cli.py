@@ -174,14 +174,28 @@ def test_find_witness_not_found(tmp_path, capsys):
     assert not out_path.exists()
 
 
-def test_find_witness_beyond_float_range_not_found(tmp_path, capsys):
-    # k = 2^500 needs more than 1023 bits of truncation, past float·2^b
+def test_find_witness_huge_k_failing_a_rank_inequality_not_found(tmp_path, capsys):
+    # k = 2^500: a pure λ_A and λ_C force a pure λ_B, so (k), (k/2, k/2), (k)
+    # fails a rank inequality and no witness is sought
     k = 2**500
     big = {"lambda_A": [k], "lambda_B": [k // 2, k // 2], "lambda_C": [k], "k": k}
     code = main(["find-witness", jfile(tmp_path, "inst.json", big)])
     captured = capsys.readouterr()
     assert code == 1, captured.err
     assert "NotFound" in captured.out
+
+
+def test_find_witness_beyond_float_range_then_verify(tmp_path, capsys):
+    # k = 2^500 needs more than 1023 bits of truncation, past float·2^b; the
+    # exact route writes the diagonal witness, and the verifier accepts it
+    k = 2**500
+    half = {"lambda_A": [k // 2, k // 2], "lambda_B": [k // 2, k // 2],
+            "lambda_C": [k // 2, k // 2], "k": k}
+    inst = jfile(tmp_path, "inst.json", half)
+    out_path = str(tmp_path / "witness.json")
+    assert main(["find-witness", inst, "--out", out_path]) == 0
+    assert main(["verify-membership", inst, out_path]) == 0
+    assert "Accept" in capsys.readouterr().out
 
 
 def test_facets_rank_one_stdout(capsys):

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from kronkit import exactlp, search
+from kronkit.diagrams import make_instance, parse_young
 from kronkit.exactlp import solve_lp
 from kronkit.search import FacetSystem, reduce_irredundant
 
@@ -291,7 +292,7 @@ def test_phase_one_starts_on_unit_columns(monkeypatch):
     log = PivotLog(monkeypatch)
     a_eq = [[1, 1, 1, 0], [-1, 2, 0, 1]]
     res = solve_lp(a_eq, [3, 1])
-    assert log.starts[0] == (4, [2, 3])
+    assert log.starts == [(4, [2, 3])]
     assert log.counts["total"] == 0
     assert_solves(a_eq, [3, 1], res)
     assert point(res) == (0, 0, 3, 1)
@@ -299,10 +300,57 @@ def test_phase_one_starts_on_unit_columns(monkeypatch):
 
 def test_phase_one_refuses_a_negated_unit_column(monkeypatch):
     # b₂ < 0 negates row 2, so its slack becomes −e₂ and row 2 starts on
-    # the artificial, column 4; row 1 still starts on its slack
+    # the artificial, basic index 4; row 1 still starts on its slack.  The
+    # artificial has no column: only the 4 real columns are priced
     log = PivotLog(monkeypatch)
     a_eq = [[1, 1, 1, 0], [-1, 2, 0, 1]]
     res = solve_lp(a_eq, [3, -1])
-    assert log.starts[0] == (5, [2, 4])
+    assert log.starts == [(4, [2, 4])]
     assert_solves(a_eq, [3, -1], res)
     assert point(res)[:2] == (1, 0)
+
+
+def free_support_lps(triple):
+    """The LPs ``search._exact_witness`` solves for triple, one per free
+    support in order, built as it builds them: a row per block entry, a
+    column per support entry."""
+    inst = make_instance(*(parse_young(lam) for lam in triple), sum(triple[0]))
+    r = max(d.height for d in inst.diagrams)
+    b_eq = [v for d in inst.diagrams for v in d.padded(r)]
+    rows = [(x, i) for x in range(3) for i in range(1, r + 1)]
+    return [
+        ([[int(s[x] == i) for s in support] for x, i in rows], b_eq)
+        for support in search.free_supports(r)
+    ]
+
+
+@pytest.mark.parametrize(
+    "triple, supports, feasible",
+    [
+        (((5, 1, 1), (4, 3), (4, 3)), (2, 4), {4: (3, 2, 0, 0, 1, 0, 1, 0, 0)}),
+        (
+            ((2, 1), (1, 1, 1), (2, 1)),
+            (1, 2, 3, 4, 5, 6, 10),
+            {10: (1, 1, 0, 0, 0, 1, 0, 0, 0)},
+        ),
+    ],
+)
+def test_witness_lps_where_an_artificial_could_reenter(
+    monkeypatch, triple, supports, feasible
+):
+    # every row starts on an artificial.  Given a column each, an artificial
+    # that had left the basis enters it again on each of these supports;
+    # with none, only the 9 real columns are priced, and the answers are
+    # the same as with them
+    lps = free_support_lps(triple)
+    log = PivotLog(monkeypatch)
+    for index in supports:
+        a_eq, b_eq = lps[index]
+        res = solve_lp(a_eq, b_eq)
+        assert log.starts[-1] == (9, list(range(9, 18)))
+        if index in feasible:
+            assert_solves(a_eq, b_eq, res)
+            assert point(res) == feasible[index]
+        else:
+            assert res.status == "infeasible"
+    assert len(log.starts) == len(supports)

@@ -391,7 +391,7 @@ def test_witness_outside_returns_none():
     assert search_witness(inst([2], [2], [1, 1], 2)) is None
 
 
-def test_witness_rank_three_numeric_route():
+def test_witness_rank_three_exact_route_on_the_diagonal():
     lam = parse_young([1, 1, 1])
     target = make_instance(lam, lam, lam, 3)
     cert = search_witness(target, seed=0)

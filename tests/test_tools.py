@@ -128,4 +128,12 @@ def test_bench_lp_panel_keeps_its_witness_pivots(bench_lp):
     # shows here
     lps = bench_lp.recorded_lps(bench_lp.runs()["panel"])
     assert len(lps) == 988
-    assert bench_lp.count_pivots(lps) == {"degenerate": 4245, "total": 8975}
+    assert bench_lp.count_pivots(lps) == {"degenerate": 4138, "total": 8662}
+
+
+def test_bench_lp_certify_records_the_find_witness_lps(bench_lp):
+    # the certify panel's instances that no committed facet cuts, those the
+    # certify workload sends to find-witness, make 158 solve_lp calls
+    # (BENCH_lp.json)
+    lps = bench_lp.recorded_lps(bench_lp.runs()["certify"])
+    assert len(lps) == 158

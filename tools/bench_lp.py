@@ -4,7 +4,7 @@ Run from the repository root, with no arguments:
 
     python3 tools/bench_lp.py
 
-Three inputs, each the list of ``solve_lp`` calls that kronkit makes on it,
+Four inputs, each the list of ``solve_lp`` calls that kronkit makes on it,
 recorded once and then solved again on their own:
 
 * ``reduce_m3_sample`` — ``search.reduce_irredundant`` on the perfbench
@@ -14,7 +14,12 @@ recorded once and then solved again on their own:
 * ``reduction_m3`` — the full 114 → 39 reduction of the same enumeration;
 * ``panel`` — ``search._exact_witness`` on each instance of the seeded
   kron > 0 panel of ``tools/bench_witness.py --panel 4 --seed 0``: its
-  free-support LPs, up to the first accepted witness.
+  free-support LPs, up to the first accepted witness;
+* ``certify`` — ``search.search_witness(inst, seed=0)`` on each instance of
+  the perfbench certify panel that no committed facet cuts
+  (``workloads.violated`` is None), the instances that the certify workload
+  sends to ``find-witness``.  The panel comes from ``tools/bench_witness.py``
+  and ``violated`` from ``perfbench/workloads.py``, neither changed.
 
 Every solve is phase 1 alone, so pivots are counted in one untimed pass by
 wrapping ``exactlp._pivot`` from outside: ``total`` and ``degenerate`` (the
@@ -35,10 +40,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from bench_witness import kron_panel_instances  # noqa: E402
+from bench_witness import certify_instances, kron_panel_instances  # noqa: E402
 from kronkit import exactlp, search  # noqa: E402
 from kronkit.search import FacetSystem  # noqa: E402
-from workloads import load_facets, reduce_sample  # noqa: E402
+from workloads import load_facets, reduce_sample, violated  # noqa: E402
 
 PANEL_RANK, PANEL_SEED = 4, 0
 REPEAT = 5
@@ -109,6 +114,12 @@ def runs() -> dict:
         "panel": lambda: [
             search._exact_witness(inst)
             for inst in kron_panel_instances(PANEL_RANK, PANEL_SEED)
+        ],
+        "certify": lambda: [
+            search.search_witness(inst, seed=0)
+            for inst in certify_instances()
+            if violated(search.committed_system(inst.m), inst.padded_rows(), inst.k)
+            is None
         ],
     }
 

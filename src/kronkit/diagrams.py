@@ -79,7 +79,10 @@ class KronInstance:
 
     def padded_rows(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
         """The three diagrams as integer vectors in ℤ^m."""
-        return tuple(d.padded(self.m) for d in self.diagrams)  # type: ignore[return-value]
+        m = self.m
+        return (
+            self.lambda_A.padded(m), self.lambda_B.padded(m), self.lambda_C.padded(m)
+        )
 
     def normalized_point(self) -> tuple[tuple[Fraction, ...], ...]:
         """The rational point (rows/k, rows/k, rows/k), each block summing to 1."""

@@ -42,12 +42,16 @@ def row_echelon_ff(mat: IntMatrix) -> tuple[IntMatrix, list[int], int]:
         if pivot_row != r:
             a[r], a[pivot_row] = a[pivot_row], a[r]
             sign = -sign
-        piv = a[r][c]
+        row_r = a[r]
+        piv = row_r[c]
         for i in range(r + 1, n_rows):
-            coef = a[i][c]
             row_i = a[i]
-            row_r = a[r]
-            for j in range(c, n_cols):
+            coef = row_i[c]
+            # (piv·x − 0·y) / prev is x itself when piv = prev
+            if coef == 0 and piv == prev:
+                continue
+            row_i[c] = 0
+            for j in range(c + 1, n_cols):
                 row_i[j] = (piv * row_i[j] - coef * row_r[j]) // prev
         prev = piv
         pivot_cols.append(c)

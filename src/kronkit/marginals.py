@@ -27,7 +27,7 @@ from fractions import Fraction
 from .diagrams import KronInstance
 from .errors import KronkitError
 from .ressayre import Decision, Reason, Verdict, min_gap
-from .scalars import GaussianRational, json_int
+from .scalars import GaussianRational, json_int, json_ints, json_list
 from .weights import check_weight_cap, weights
 
 Entry = tuple[int, int, int]
@@ -68,8 +68,8 @@ class MembershipCertificate:
     def from_json(cls, obj: dict) -> "MembershipCertificate":
         """Read a certificate; an index given twice is refused, not merged."""
         entries = {}
-        for item in obj["entries"]:
-            idx = tuple(json_int(v) for v in item["idx"])
+        for item in json_list(obj["entries"], "entries"):
+            idx = json_ints(item["idx"], "idx")
             if idx in entries:
                 raise KronkitError(f"index {list(idx)} appears twice")
             entries[idx] = GaussianRational.from_json(item)
@@ -104,22 +104,30 @@ def _over(q: Fraction, den: int) -> int:
     return q.numerator * (den // q.denominator)
 
 
-def _gram(ints: dict[Entry, tuple[int, int]], m: int, axis: int) -> list:
-    """Unnormalized Gram matrix along one tensor leg, as (re, im) int pairs."""
-    # group entries by the two traced-out indices
-    buckets: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    for idx, (re, im) in ints.items():
-        traced = tuple(v for pos, v in enumerate(idx) if pos != axis)
-        buckets.setdefault(traced, []).append((idx[axis] - 1, re, im))
-    rows = [[(0, 0)] * m for _ in range(m)]
-    for group in buckets.values():
-        for a, xa, ya in group:
-            row = rows[a]
-            for b, xb, yb in group:
-                # (xa + i·ya)·conj(xb + i·yb)
-                re, im = row[b]
-                row[b] = (re + xa * xb + ya * yb, im + ya * xb - xa * yb)
-    return rows
+def _grams(ints: list, m: int) -> list[list]:
+    """The three unnormalized Gram matrices, as rows of (re, im) int pairs.
+
+    ``ints`` holds (index, re, im) per entry.  One pass over the vector
+    groups its entries, per leg, by the two traced-out indices.
+    """
+    # per leg, the entries grouped by the two traced-out indices
+    legs: tuple[dict, dict, dict] = ({}, {}, {})
+    for (a, b, c), re, im in ints:
+        legs[0].setdefault((b, c), []).append((a - 1, re, im))
+        legs[1].setdefault((a, c), []).append((b - 1, re, im))
+        legs[2].setdefault((a, b), []).append((c - 1, re, im))
+    grams = []
+    for groups in legs:
+        rows = [[(0, 0)] * m for _ in range(m)]
+        for group in groups.values():
+            for a, xa, ya in group:
+                row = rows[a]
+                for b, xb, yb in group:
+                    # (xa + i·ya)·conj(xb + i·yb)
+                    re, im = row[b]
+                    row[b] = (re + xa * xb + ya * yb, im + ya * xb - xa * yb)
+        grams.append(rows)
+    return grams
 
 
 def reduced_densities(cert: MembershipCertificate) -> DensityTriple:
@@ -127,16 +135,17 @@ def reduced_densities(cert: MembershipCertificate) -> DensityTriple:
 
     The entries are scaled by their common denominator once; every Gram entry
     and the norm² are then integers, and the densities are the Grams over
-    the norm², both divided by their common gcd.
+    the norm², both divided by their common gcd.  The norm² is the trace of
+    any Gram.
     """
+    m = cert.m
     den = _common_denominator(cert.entries.values())
-    ints = {
-        idx: (_over(v.re, den), _over(v.im, den))
-        for idx, v in cert.entries.items()
-    }
+    ints = [
+        (idx, _over(v.re, den), _over(v.im, den)) for idx, v in cert.entries.items()
+    ]
+    grams = _grams(ints, m)
     # positive: MembershipCertificate rejects the zero vector
-    norm2 = sum(re * re + im * im for re, im in ints.values())
-    grams = [_gram(ints, cert.m, axis) for axis in range(3)]
+    norm2 = sum(grams[0][r][r][0] for r in range(m))
     g = math.gcd(
         norm2, *(part for gram in grams for row in gram for pair in row for part in pair)
     )

@@ -26,7 +26,7 @@ from fractions import Fraction
 from .diagrams import KronInstance
 from .errors import KronkitError
 from .intlinalg import det_bareiss
-from .scalars import json_int
+from .scalars import json_ints
 from .weights import HyperplaneCandidate, affine_rank, negative_roots_on, split_weights
 
 
@@ -96,7 +96,7 @@ class RessayreCertificate:
     @classmethod
     def from_json(cls, obj: dict) -> "RessayreCertificate":
         h = HyperplaneCandidate.from_json(obj)
-        return cls(h, tuple(json_int(v) for v in obj["p"]))
+        return cls(h, json_ints(obj["p"], "p"))
 
 
 def check_admissible(h: HyperplaneCandidate, m: int) -> bool:
@@ -157,24 +157,29 @@ def eval_determinant(matrix: PolyMatrix, p: tuple[int, ...]) -> int:
     return det_bareiss(numeric)
 
 
+# a verdict is frozen, so one object per outcome serves every verification
+_ACCEPT = Verdict(Decision.ACCEPT)
+_NOT_ADMISSIBLE = Verdict(Decision.REJECT, Reason.NOT_ADMISSIBLE)
+_TRACE_MISMATCH = Verdict(Decision.REJECT, Reason.TRACE_MISMATCH)
+_DETERMINANT_VANISHES = Verdict(Decision.REJECT, Reason.DETERMINANT_VANISHES)
+_NOT_VIOLATED = Verdict(Decision.REJECT, Reason.INEQUALITY_NOT_VIOLATED)
+
+
 def verify_nonmembership(inst: KronInstance, cert: RessayreCertificate) -> Verdict:
     """The full exact verifier; Accept proves the point is outside."""
-    if cert.h.m != inst.m:
-        raise KronkitError(
-            f"certificate rank {cert.h.m} does not match instance m={inst.m}"
-        )
+    h = cert.h
     m = inst.m
-    if not check_admissible(cert.h, m):
-        return Verdict(Decision.REJECT, Reason.NOT_ADMISSIBLE)
-    if not check_trace(cert.h, m):
-        return Verdict(Decision.REJECT, Reason.TRACE_MISMATCH)
-    matrix = build_det_matrix(cert.h, m)
-    if eval_determinant(matrix, cert.witness_point) == 0:
-        return Verdict(Decision.REJECT, Reason.DETERMINANT_VANISHES)
-    lhs = cert.h.pair_instance(inst.padded_rows())
-    if lhs < inst.k * cert.h.z:
-        return Verdict(Decision.ACCEPT)
-    return Verdict(Decision.REJECT, Reason.INEQUALITY_NOT_VIOLATED)
+    if h.m != m:
+        raise KronkitError(f"certificate rank {h.m} does not match instance m={m}")
+    if not check_admissible(h, m):
+        return _NOT_ADMISSIBLE
+    if not check_trace(h, m):
+        return _TRACE_MISMATCH
+    if eval_determinant(build_det_matrix(h, m), cert.witness_point) == 0:
+        return _DETERMINANT_VANISHES
+    if h.pair_instance(inst.padded_rows()) < inst.k * h.z:
+        return _ACCEPT
+    return _NOT_VIOLATED
 
 
 def siegel_bound(m: int) -> int:

@@ -24,7 +24,7 @@ from .errors import KronkitError
 
 RationalLike = Union[Fraction, int, str]
 
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -34,14 +34,18 @@ def as_fraction(value: RationalLike) -> Fraction:
     so it is refused like any other junk.  A string must match
     ``-?[0-9]+(/[0-9]+)?``: ``Fraction`` alone would also read ``"0.5"``,
     ``"1_0"`` and ``"1e1000000"``, a nine-character 3.3-million-bit integer.
+    The string is parsed once: the Fraction is built from the integers of
+    that one match, and a zero denominator raises ZeroDivisionError.
     """
+    if isinstance(value, str):
+        match = _RATIONAL.fullmatch(value)
+        if match is None:
+            raise ValueError(f"expected num/den or an integer, got {value!r}")
+        num, den = match.groups()
+        return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    if isinstance(value, str):
-        if not _RATIONAL.fullmatch(value):
-            raise ValueError(f"expected num/den or an integer, got {value!r}")
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
@@ -49,12 +53,28 @@ def as_fraction(value: RationalLike) -> Fraction:
 def json_int(value) -> int:
     """A JSON integer field as an int; anything else raises KronkitError.
 
-    ``int()`` would truncate 2.9 to 2 and read ``true`` as 1, so floats and
-    bools are refused rather than converted.
+    ``int()`` would truncate 2.9 to 2 and read ``true`` as 1, so only a
+    plain int is taken: floats and bools are refused rather than converted.
     """
-    if isinstance(value, int) and not isinstance(value, bool):
+    if type(value) is int:
         return value
     raise KronkitError(f"expected an integer, got {value!r}")
+
+
+def json_list(value, name: str) -> list:
+    """A JSON list field as a list; anything else raises KronkitError.
+
+    Iterating a string or an object would read its characters or its keys,
+    so the refusal names the field instead.
+    """
+    if type(value) is list:
+        return value
+    raise KronkitError(f"{name} must be a list, got {type(value).__name__}")
+
+
+def json_ints(value, name: str) -> tuple[int, ...]:
+    """A JSON list of integers as a tuple, each entry read by ``json_int``."""
+    return tuple(map(json_int, json_list(value, name)))
 
 
 def format_rational(q: Fraction) -> str:

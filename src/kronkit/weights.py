@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import product
+from operator import mul
 
 from .errors import KronkitError
 from .intlinalg import integer_rank
-from .scalars import json_int
+from .scalars import json_int, json_ints, json_list
 
 # Materializing Φ(m) costs m³ memory; the cap keeps accidental
 # mega-instances from exhausting the machine.
@@ -38,15 +38,21 @@ class HyperplaneCandidate:
     to 0, so no consumer checks them again.  ``to_json`` and ``from_json``
     alone write and read the ``{"H": …, "z": …}`` form.
 
-    The level split of Φ(m) and the negatively pairing roots are computed at
-    most once per object, on first use, and kept on it; two equal candidates
-    each compute their own.
+    The level split of Φ(m) and the negatively pairing roots are kept as
+    plain attributes of the object, ``_split`` and ``_roots``, each set on
+    first use by ``split_weights`` and ``negative_roots_on``.  They are not
+    fields, so equality, hashing and repr ignore them, and nothing is keyed
+    by value: two equal candidates each compute their own.
     """
 
     h_a: tuple[int, ...]
     h_b: tuple[int, ...]
     h_c: tuple[int, ...]
     z: int
+
+    # per object, set on first use (no annotation, so not dataclass fields)
+    _split = None
+    _roots = None
 
     @property
     def m(self) -> int:
@@ -57,10 +63,11 @@ class HyperplaneCandidate:
         return (self.h_a, self.h_b, self.h_c)
 
     def __post_init__(self) -> None:
+        m = len(self.h_a)
         for tag, block in zip(SUBSYSTEMS, self.blocks):
-            if len(block) != self.m:
+            if len(block) != m:
                 raise KronkitError(
-                    f"component {tag} has length {len(block)}, expected {self.m}"
+                    f"component {tag} has length {len(block)}, expected {m}"
                 )
             if sum(block) != 0:
                 raise KronkitError(f"component {tag} of H sums to {sum(block)}, not 0")
@@ -70,9 +77,10 @@ class HyperplaneCandidate:
 
     @classmethod
     def from_json(cls, obj: dict) -> "HyperplaneCandidate":
-        if len(obj["H"]) != 3:
+        h = json_list(obj["H"], "H")
+        if len(h) != 3:
             raise KronkitError("H must have exactly three components")
-        blocks = (tuple(json_int(v) for v in block) for block in obj["H"])
+        blocks = (json_ints(block, name) for block, name in zip(h, _COMPONENTS))
         return cls(*blocks, json_int(obj["z"]))
 
     def negated(self) -> "HyperplaneCandidate":
@@ -81,21 +89,15 @@ class HyperplaneCandidate:
 
     def pair_instance(self, padded_rows) -> int:
         """H·(λ_A,λ_B,λ_C) for padded integer row vectors."""
-        pairs = zip(self.blocks, padded_rows)
-        return sum(h * x for block, lam in pairs for h, x in zip(block, lam))
-
-    @cached_property
-    def _split(self) -> tuple[tuple, tuple, tuple]:
-        return _level_split(self)
-
-    @cached_property
-    def _negative_roots(self) -> tuple[tuple[int, int, int], ...]:
-        blocks = self.blocks
-        return tuple(
-            (b, i, j)
-            for b, i, j in negative_roots(self.m)
-            if blocks[b][i - 1] < blocks[b][j - 1]
+        lam_a, lam_b, lam_c = padded_rows
+        return (
+            sum(map(mul, self.h_a, lam_a))
+            + sum(map(mul, self.h_b, lam_b))
+            + sum(map(mul, self.h_c, lam_c))
         )
+
+
+_COMPONENTS = tuple(f"component {tag} of H" for tag in SUBSYSTEMS)
 
 
 def check_weight_cap(m: int) -> None:
@@ -138,18 +140,24 @@ def weight_vector(w: tuple[int, int, int], m: int) -> list[int]:
     return v
 
 
+# negative_roots(m) as one tuple per m up to the weight cap, built at import;
+# each candidate filters its pairing roots from it
+_ROOTS = tuple(tuple(negative_roots(m)) for m in range(WEIGHT_CAP + 1))
+
+
 def _level_split(h: HyperplaneCandidate) -> tuple[tuple, tuple, tuple]:
     """(on, below, above) by the sign of φ·H − z over Φ(h.m), canonical order.
 
     φ·H = (H_A)_i + (H_B)_j + (H_C)_l for φ = (i, j, l); the loops run over
     the three blocks, so Φ(m) itself is never built.
     """
-    h_a, h_b, h_c = h.blocks
+    z = h.z
+    last = tuple(enumerate(h.h_c, 1))
     on, below, above = [], [], []
-    for i, a in enumerate(h_a, 1):
-        for j, b in enumerate(h_b, 1):
-            rest = h.z - a - b
-            for l, c in enumerate(h_c, 1):
+    for i, a in enumerate(h.h_a, 1):
+        for j, b in enumerate(h.h_b, 1):
+            rest = z - a - b
+            for l, c in last:
                 if c == rest:
                     on.append((i, j, l))
                 elif c < rest:
@@ -157,6 +165,14 @@ def _level_split(h: HyperplaneCandidate) -> tuple[tuple, tuple, tuple]:
                 else:
                     above.append((i, j, l))
     return tuple(on), tuple(below), tuple(above)
+
+
+def _pairing_roots(h: HyperplaneCandidate) -> tuple[tuple[int, int, int], ...]:
+    """The roots (b, i, j) with H_b[i] < H_b[j], in canonical order."""
+    m = h.m
+    roots = _ROOTS[m] if m <= WEIGHT_CAP else negative_roots(m)
+    blocks = h.blocks
+    return tuple([(b, i, j) for b, i, j in roots if blocks[b][i - 1] < blocks[b][j - 1]])
 
 
 def _check_rank(h: HyperplaneCandidate, m: int) -> None:
@@ -168,45 +184,60 @@ def split_weights(h: HyperplaneCandidate, m: int) -> tuple[list, list, list]:
     """Partition Φ(m) by the sign of φ·H − z, canonical order preserved.
 
     Returns fresh lists (on, below, above), copied from the split that ``h``
-    computes once and keeps.  ``m`` must be the block length of ``h`` and at
-    most the weight cap.
+    keeps as its plain attribute ``_split``: computed on the first call for
+    this object and read on every later one.  ``m`` must be the block length
+    of ``h`` and at most the weight cap.
     """
     check_weight_cap(m)
     _check_rank(h, m)
-    on, below, above = h._split
+    split = h._split
+    if split is None:
+        split = _level_split(h)
+        object.__setattr__(h, "_split", split)
+    on, below, above = split
     return list(on), list(below), list(above)
 
 
 def negative_roots_on(h: HyperplaneCandidate, m: int) -> list[tuple[int, int, int]]:
     """The negative roots with α·H < 0, canonical order preserved.
 
-    A fresh list, copied from the roots that ``h`` finds once and keeps.
+    A fresh list, copied from the roots that ``h`` keeps as its plain
+    attribute ``_roots``: found on the first call for this object, filtered
+    from the one tuple of all roots of rank m, and read on every later one.
     """
     _check_rank(h, m)
-    return list(h._negative_roots)
+    roots = h._roots
+    if roots is None:
+        roots = _pairing_roots(h)
+        object.__setattr__(h, "_roots", roots)
+    return list(roots)
 
 
 def affine_rank(s: list[tuple[int, int, int]], m: int) -> int:
     """Exact rank of the (3m+1)-row matrix with columns (φ_vec; −1).
 
     For nonempty s that is 1 + the rank of the differences φ − φ₀ (subtract
-    the first column from the others).  Each block of a difference sums to
-    0, so its last entry follows from the rest: the rank is taken over the
-    3(m−1) free coordinates, each block without its last entry, by
-    fraction-free elimination on one row per difference.
+    the first column from the others).  Block b of a difference is e_t − e_t₀,
+    where t and t₀ are the b-th indices of φ and φ₀, so it lies in the
+    traceless subspace of that block, and the m − 1 vectors e_t − e_t₀ with
+    t ≠ t₀ are a basis of that subspace.  In that basis block b of the
+    difference is the unit vector of t, or 0 when t = t₀.  A change of basis
+    keeps the rank, so it is taken, by fraction-free elimination, on 0/1
+    rows of 3(m−1) columns written block by block: at most three ones each.
     """
     if not s:
         return 0
     n = m - 1
-    first = s[0]
+    a0, b0, c0 = s[0]
+    # block coordinate of e_t − e_t₀ (t ≠ t₀): t − 1, skipping t₀'s place
     rows = []
-    for w in s[1:]:
+    for i, j, l in s[1:]:
         row = [0] * (3 * n)
-        for offset, idx, idx0 in zip((0, n, 2 * n), w, first):
-            if idx != idx0:
-                if idx < m:
-                    row[offset + idx - 1] = 1
-                if idx0 < m:
-                    row[offset + idx0 - 1] = -1
+        if i != a0:
+            row[i - 1 - (i > a0)] = 1
+        if j != b0:
+            row[n + j - 1 - (j > b0)] = 1
+        if l != c0:
+            row[2 * n + l - 1 - (l > c0)] = 1
         rows.append(row)
     return 1 + integer_rank(rows)

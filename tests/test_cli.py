@@ -425,6 +425,10 @@ FRACTIONAL_CERT = {"H": [[-1.9, 1.9], [-1, 1], [1, -1]], "z": -1.5, "p": [1.7, 0
 NOT_TRACELESS_CERT = {**WORKED_CERT, "H": [[0, 1], [-1, 1], [1, -1]]}
 TWO_COMPONENT_CERT = {**WORKED_CERT, "H": [[-1, 1], [-1, 1]]}
 LONG_B_CERT = {**WORKED_CERT, "H": [[-1, 1], [-1, 0, 1], [1, -1]]}
+# a string of three characters and an object: iterated, they would read as
+# three components and as the object's keys
+STRING_H_CERT = {**WORKED_CERT, "H": "abc"}
+OBJECT_P_CERT = {**WORKED_CERT, "p": {"a": 1}}
 
 
 MALFORMED = {
@@ -442,6 +446,16 @@ MALFORMED = {
         "verify-nonmembership",
         jfile(t, "i.json", OUTSIDE),
         jfile(t, "c.json", TWO_COMPONENT_CERT),
+    ],
+    "verify-nonmembership H is a string": lambda t: [
+        "verify-nonmembership",
+        jfile(t, "i.json", OUTSIDE),
+        jfile(t, "c.json", STRING_H_CERT),
+    ],
+    "verify-nonmembership p is an object": lambda t: [
+        "verify-nonmembership",
+        jfile(t, "i.json", OUTSIDE),
+        jfile(t, "c.json", OBJECT_P_CERT),
     ],
     "verify-nonmembership B block of length 3": lambda t: [
         "verify-nonmembership",
@@ -571,6 +585,21 @@ def test_not_traceless_certificate_is_refused_when_read(tmp_path, capsys):
     assert code == 2
     reason = "component A of H sums to 1, not 0"
     assert err == f"error: bad certificate file {cert}: {reason}\n"
+
+
+@pytest.mark.parametrize(
+    "case, reason",
+    [
+        ("verify-nonmembership H is a string", "H must be a list, got str"),
+        ("verify-nonmembership p is an object", "p must be a list, got dict"),
+    ],
+)
+def test_a_field_that_is_no_list_is_refused_by_name(case, reason, tmp_path, capsys):
+    argv = MALFORMED[case](tmp_path)
+    code = run_cli(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: bad certificate file {argv[2]}: {reason}\n"
 
 
 def test_every_subcommand_has_a_malformed_case():

@@ -21,11 +21,14 @@ from kronkit.ressayre import (
     siegel_bound,
     verify_nonmembership,
 )
+from kronkit.search import committed_system, find_point
 from kronkit.weights import (
     HyperplaneCandidate,
+    negative_roots,
     negative_roots_on,
     split_weights,
     weight_vector,
+    weights,
 )
 
 H_WORKED = HyperplaneCandidate((-1, 1), (-1, 1), (1, -1), -1)
@@ -60,6 +63,8 @@ def naive_det(mat):
         return mat[0][0]
     total = 0
     for j in range(n):
+        if mat[0][j] == 0:
+            continue
         minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
         term = mat[0][j] * naive_det(minor)
         total += term if j % 2 == 0 else -term
@@ -265,6 +270,118 @@ def test_pool_nonmember_verdicts():
     assert len(outcomes) == 10
     for inst, cert, expected in nonmembers:
         assert str(verify_nonmembership(inst, cert)) == expected
+
+
+def fraction_rank(rows):
+    """Rank by Gaussian elimination over the rationals."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in rows[rank:] if r[c] != 0), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        rows.insert(rank, pivot)
+        for r in rows[rank + 1 :]:
+            factor = r[c] / pivot[c]
+            r[:] = [x - factor * y for x, y in zip(r, pivot)]
+        rank += 1
+    return rank
+
+
+def reference_verdict(inst, h, p):
+    """The four checks of the verifier, each straight from its definition."""
+    m = h.m
+    level = {w: sum(b[t - 1] for b, t in zip(h.blocks, w)) - h.z for w in weights(m)}
+    on = [w for w in weights(m) if level[w] == 0]
+    below = [w for w in weights(m) if level[w] < 0]
+    # the (3m+1)-row matrix with a column (φ_vec; −1) per on-level weight
+    columns = [weight_vector(w, m) + [-1] for w in on]
+    if fraction_rank(columns) != 3 * (m - 1):
+        return "Reject(NotAdmissible)"
+    roots = [
+        (b, i, j)
+        for b, i, j in negative_roots(m)
+        if h.blocks[b][i - 1] < h.blocks[b][j - 1]
+    ]
+    if len(roots) != len(below):
+        return "Reject(TraceMismatch)"
+    on_vectors = [weight_vector(w, m) for w in on]
+    matrix = []
+    for w in below:
+        row = []
+        for b, i, j in roots:
+            diff = weight_vector(w, m)
+            diff[b * m + i - 1] -= 1
+            diff[b * m + j - 1] += 1
+            row.append(p[on_vectors.index(diff)] if diff in on_vectors else 0)
+        matrix.append(row)
+    if naive_det(matrix) == 0:
+        return "Reject(DeterminantVanishes)"
+    rows = inst.padded_rows()
+    pairing = sum(x * y for b, lam in zip(h.blocks, rows) for x, y in zip(b, lam))
+    if pairing < inst.k * h.z:
+        return "Accept"
+    return "Reject(InequalityNotViolated)"
+
+
+def evaluation_points(rng, h, m):
+    """A ``find_point`` point (any point when the count fails) and a mutation.
+
+    The mutation sets one seeded coordinate to 0, which makes a determinant
+    of one slot vanish.
+    """
+    n_slots = len(split_weights(h, m)[0])
+    found = find_point(h, m) if check_trace(h, m) else None
+    if found is None:
+        found = tuple(rng.randint(0, m**3) for _ in range(n_slots))
+    mutated = list(found)
+    if mutated:
+        mutated[rng.randrange(n_slots)] = 0
+    return [found, tuple(mutated)]
+
+
+def differential_corpus():
+    """(candidate, point, instance) triples at m = 2 and m = 3, seeded."""
+    rng = random.Random(30)
+    instances = {2: [], 3: []}
+    for inst, _, _ in pool_nonmembers():
+        if inst not in instances[inst.m]:
+            instances[inst.m].append(inst)
+    # every traceless H at m = 2 with entries in [−2, 2], z in [−3, 3]
+    span = range(-2, 3)
+    candidates = [
+        HyperplaneCandidate((a, -a), (b, -b), (c, -c), z)
+        for a in span for b in span for c in span for z in range(-3, 4)
+    ]
+    # the committed m = 3 facets, their negations, and seeded random ones
+    facets = [e.h for e in committed_system(3).nontrivial]
+    candidates += facets + [h.negated() for h in facets]
+    candidates += [
+        random_candidate(rng, 3, z_range=3) for _ in range(300 - 2 * len(facets))
+    ]
+    for h in candidates:
+        for p in evaluation_points(rng, h, h.m):
+            for inst in rng.sample(instances[h.m], 3):
+                yield h, p, inst
+
+
+def test_verifier_matches_the_reference_verdicts():
+    seen = set()
+    checked = 0
+    for h, p, inst in differential_corpus():
+        # a fresh candidate per check, as a certificate read from a file is
+        h = HyperplaneCandidate(*h.blocks, h.z)
+        verdict = str(verify_nonmembership(inst, RessayreCertificate(h, p)))
+        assert verdict == reference_verdict(inst, h, p), (h, p, inst)
+        seen.add((h.m, verdict))
+        checked += 1
+    assert checked == (875 + 300) * 2 * 3
+    outcomes = {
+        "Accept", "Reject(NotAdmissible)", "Reject(TraceMismatch)",
+        "Reject(DeterminantVanishes)", "Reject(InequalityNotViolated)",
+    }
+    assert seen == {(m, outcome) for m in (2, 3) for outcome in outcomes}
 
 
 def count_splits(monkeypatch):

@@ -9,6 +9,7 @@ from kronkit.scalars import (
     as_fraction,
     format_rational,
     json_int,
+    json_ints,
 )
 
 
@@ -56,6 +57,20 @@ def test_as_fraction_reads_only_num_den_strings():
             as_fraction(text)
 
 
+def test_single_parse_as_fraction_refuses_what_it_refused():
+    # the Fraction is built from the regex match alone, so the match must
+    # still be the whole gate
+    with pytest.raises(TypeError):
+        as_fraction(True)
+    for text in ("0.5", "1_0", "1e1000000", " 1/2", "1/-2", "+1"):
+        with pytest.raises(ValueError):
+            as_fraction(text)
+    with pytest.raises(ZeroDivisionError):
+        as_fraction("1/0")
+    assert as_fraction("-6/4") == Fraction(-3, 2)
+    assert as_fraction("0/7") == 0 and as_fraction("-0") == 0
+
+
 def test_as_fraction_rejects_bool():
     # bool is an int subclass; JSON true must not read as the amplitude 1
     for value in (True, False):
@@ -81,3 +96,15 @@ def test_json_int_takes_only_integers():
     for bad in (2.9, 2.0, True, False, "3", None, [1]):
         with pytest.raises(KronkitError, match="expected an integer"):
             json_int(bad)
+
+
+def test_json_ints_reads_a_list_of_integers_only():
+    assert json_ints([1, -2, 2**70], "p") == (1, -2, 2**70)
+    assert json_ints([], "p") == ()
+    # each entry goes through json_int's refusal
+    for bad in ([1, True], [2.0], [1, "3"]):
+        with pytest.raises(KronkitError, match="expected an integer"):
+            json_ints(bad, "p")
+    for bad, kind in (("abc", "str"), ({"a": 1}, "dict"), (3, "int")):
+        with pytest.raises(KronkitError, match=f"^p must be a list, got {kind}$"):
+            json_ints(bad, "p")

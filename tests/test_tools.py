@@ -8,6 +8,8 @@ noticing.  From ``perfbench/`` it takes only the
 certify panel: the routing it measures is the library's, not the
 benchmark's.  ``tools/bench_lp.py`` counts pivots by wrapping
 ``exactlp._pivot`` from outside, so it breaks if its signature changes.
+``tools/bench_verify.py`` reads the verify pool and checks every verdict
+against the pool's expected one.
 """
 
 import ast
@@ -137,3 +139,21 @@ def test_bench_lp_certify_records_the_find_witness_lps(bench_lp):
     # (BENCH_lp.json)
     lps = bench_lp.recorded_lps(bench_lp.runs()["certify"])
     assert len(lps) == 158
+
+
+def test_bench_verify_lists_every_class():
+    result = subprocess.run(
+        [sys.executable, "tools/bench_verify.py", "--repeat", "1"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    pool = json.loads(
+        (ROOT / "perfbench" / "fixtures" / "verify_pool.json").read_text(encoding="utf-8")
+    )["items"]
+    assert sorted(report) == sorted({item["class"] for item in pool})
+    assert sum(row["items"] for row in report.values()) == len(pool)
+    assert all(row["us_per_check"] > 0 for row in report.values())

@@ -12,7 +12,7 @@ rational linear programming.
 """
 
 from kronkit import enumerate_ressayre, reduce_irredundant
-from kronkit.floats import sample_spectra, spectra_csv  # the numpy side
+from kronkit.floats import sample_spectra, spectra_csv  # the one float module
 
 # %%
 # Complete enumeration at m = 2: 56 weight subsets collapse to 9 verified
@@ -32,7 +32,8 @@ for elem in facets.nontrivial:
 # Monte-Carlo containment: spectra of random pure states must satisfy
 # every facet inequality.  The margin min(r·H - z) over 2000 samples
 # stays nonnegative (up to eigensolver noise).  The sampler computes in
-# floats, so it lives in kronkit.floats, the one module that loads numpy.
+# floats, so it lives apart in kronkit.floats: standard library only, its
+# eigenvalues come from a cyclic complex Jacobi iteration.
 
 samples = sample_spectra(2, 2000, seed=0)
 worst = min(

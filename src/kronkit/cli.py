@@ -26,6 +26,7 @@ from contextlib import contextmanager
 
 from .diagrams import KronInstance, parse_young
 from .errors import KronkitError
+from .floats import sample_spectra, spectra_csv
 from .marginals import MembershipCertificate, accept_threshold2, verify_membership
 from .oracle import DEFAULT_ORACLE_CAP, kron_coeff, semigroup_member
 from .ressayre import RessayreCertificate, verify_nonmembership
@@ -198,7 +199,6 @@ def cmd_member_bruteforce(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    from .floats import sample_spectra, spectra_csv  # loads numpy, so only here
     text = spectra_csv(sample_spectra(args.m, args.n, args.seed))
     _write(text, args.out, f"{args.n} spectra at m={args.m} written to {args.out}")
     return EXIT_ACCEPT

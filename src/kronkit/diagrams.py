@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 from typing import Iterable
 
 from .errors import KronkitError
@@ -45,10 +46,15 @@ class YoungDiagram:
 
 
 def parse_young(rows: Iterable[int]) -> YoungDiagram:
-    """Validate a list of row lengths as a Young diagram."""
-    rows = tuple(int(r) for r in rows)
+    """Validate row lengths as a Young diagram; a row that ``operator.index``
+    refuses, or a bool, is refused too, not converted."""
+    rows = tuple(rows)
     if not rows:
         raise KronkitError("a diagram needs at least one row")
+    for r in rows:
+        if isinstance(r, bool) or not hasattr(type(r), "__index__"):
+            raise KronkitError(f"row length {r!r} is not an integer")
+    rows = tuple(map(index, rows))
     for r in rows:
         if r <= 0:
             raise KronkitError(f"row length {r} is not strictly positive")

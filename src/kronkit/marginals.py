@@ -12,10 +12,10 @@ and the one Fraction built on the way to a verdict is the gap² itself.  A
 Gram matrix is positive semidefinite by construction, so no numeric check is
 needed.
 
-Floating point appears here only as the input of ``truncate``, which turns
-a vector found in floats (by the demos, say) into an exact certificate; no
-float leaves it.  The witness search itself scales in integers and never
-calls it.  The accept/reject decision never touches floats.
+Floats enter here only through ``truncate``, which turns a float vector (a
+demo's, say) into an exact certificate, and through ``_grams``, which the
+sampler of :mod:`kronkit.floats` also runs on floats.  The witness search
+scales in integers, and the accept/reject decision never touches floats.
 """
 
 from __future__ import annotations
@@ -105,10 +105,10 @@ def _over(q: Fraction, den: int) -> int:
 
 
 def _grams(ints: list, m: int) -> list[list]:
-    """The three unnormalized Gram matrices, as rows of (re, im) int pairs.
+    """The three unnormalized Gram matrices, as rows of (re, im) pairs.
 
-    ``ints`` holds (index, re, im) per entry.  One pass over the vector
-    groups its entries, per leg, by the two traced-out indices.
+    ``ints`` holds (index, re, im) per entry, ints or floats.  One pass over
+    the vector groups its entries, per leg, by the two traced-out indices.
     """
     # per leg, the entries grouped by the two traced-out indices
     legs: tuple[dict, dict, dict] = ({}, {}, {})

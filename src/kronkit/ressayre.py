@@ -106,7 +106,7 @@ def check_admissible(h: HyperplaneCandidate, m: int) -> bool:
     The affine rank is at most the number of points, so a level holding
     fewer than 3(m−1) weights fails without an elimination.
     """
-    on, _, _ = split_weights(h, m)
+    on, _ = split_weights(h, m)
     if len(on) < 3 * (m - 1):
         return False
     return affine_rank(on, m) == 3 * (m - 1)
@@ -114,13 +114,13 @@ def check_admissible(h: HyperplaneCandidate, m: int) -> bool:
 
 def check_trace(h: HyperplaneCandidate, m: int) -> bool:
     """True iff #(negatively-pairing roots) = #(below-level weights)."""
-    _, below, _ = split_weights(h, m)
+    _, below = split_weights(h, m)
     return len(negative_roots_on(h, m)) == len(below)
 
 
 def build_det_matrix(h: HyperplaneCandidate, m: int) -> PolyMatrix:
     """Assemble the structured matrix of condition 3."""
-    on, below, _ = split_weights(h, m)
+    on, below = split_weights(h, m)
     roots = negative_roots_on(h, m)
     if len(below) != len(roots):
         raise KronkitError(

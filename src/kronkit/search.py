@@ -25,8 +25,8 @@ ranks 2 and 3 ship beside this module as ``facets_m2.json`` and
 ``facets_m3.json`` (the output of ``kronkit facets --m 2|3 --irredundant``);
 ``committed_system`` is their reader, called at most once per point: at r
 after an exact miss, at m where a rank inequality fails, not at all when the
-exact route decides.  No facet file is loaded by ``import kronkit``, and
-nothing here loads numpy.  Everything feeding a verifier decision is exact.
+exact route decides.  No facet file is loaded by ``import kronkit``.
+Everything feeding a verifier decision is exact.
 """
 
 from __future__ import annotations

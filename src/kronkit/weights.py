@@ -145,15 +145,16 @@ def weight_vector(w: tuple[int, int, int], m: int) -> list[int]:
 _ROOTS = tuple(tuple(negative_roots(m)) for m in range(WEIGHT_CAP + 1))
 
 
-def _level_split(h: HyperplaneCandidate) -> tuple[tuple, tuple, tuple]:
-    """(on, below, above) by the sign of φ·H − z over Φ(h.m), canonical order.
+def _level_split(h: HyperplaneCandidate) -> tuple[tuple, tuple]:
+    """(on, below) by the sign of φ·H − z over Φ(h.m), canonical order.
 
     φ·H = (H_A)_i + (H_B)_j + (H_C)_l for φ = (i, j, l); the loops run over
-    the three blocks, so Φ(m) itself is never built.
+    the three blocks, so Φ(m) itself is never built.  No check reads the
+    weights above the level, so they are not kept.
     """
     z = h.z
     last = tuple(enumerate(h.h_c, 1))
-    on, below, above = [], [], []
+    on, below = [], []
     for i, a in enumerate(h.h_a, 1):
         for j, b in enumerate(h.h_b, 1):
             rest = z - a - b
@@ -162,17 +163,7 @@ def _level_split(h: HyperplaneCandidate) -> tuple[tuple, tuple, tuple]:
                     on.append((i, j, l))
                 elif c < rest:
                     below.append((i, j, l))
-                else:
-                    above.append((i, j, l))
-    return tuple(on), tuple(below), tuple(above)
-
-
-def _pairing_roots(h: HyperplaneCandidate) -> tuple[tuple[int, int, int], ...]:
-    """The roots (b, i, j) with H_b[i] < H_b[j], in canonical order."""
-    m = h.m
-    roots = _ROOTS[m] if m <= WEIGHT_CAP else negative_roots(m)
-    blocks = h.blocks
-    return tuple([(b, i, j) for b, i, j in roots if blocks[b][i - 1] < blocks[b][j - 1]])
+    return tuple(on), tuple(below)
 
 
 def _check_rank(h: HyperplaneCandidate, m: int) -> None:
@@ -180,40 +171,38 @@ def _check_rank(h: HyperplaneCandidate, m: int) -> None:
         raise KronkitError(f"H has blocks of length {h.m}, expected m={m}")
 
 
-def split_weights(h: HyperplaneCandidate, m: int) -> tuple[list, list, list]:
-    """Partition Φ(m) by the sign of φ·H − z, canonical order preserved.
+def split_weights(h: HyperplaneCandidate, m: int) -> tuple[tuple, tuple]:
+    """The weights of Φ(m) on and below the level of ``h``, canonical order.
 
-    Returns fresh lists (on, below, above), copied from the split that ``h``
-    keeps as its plain attribute ``_split``: computed on the first call for
-    this object and read on every later one.  ``m`` must be the block length
-    of ``h`` and at most the weight cap.
+    Returns the tuples (on, below) that ``h`` keeps as its plain attribute
+    ``_split``: computed on the first call for this object and read on every
+    later one.  ``m`` must be the block length of ``h`` and at most the
+    weight cap.
     """
     check_weight_cap(m)
     _check_rank(h, m)
-    split = h._split
-    if split is None:
-        split = _level_split(h)
-        object.__setattr__(h, "_split", split)
-    on, below, above = split
-    return list(on), list(below), list(above)
+    if h._split is None:
+        object.__setattr__(h, "_split", _level_split(h))
+    return h._split
 
 
-def negative_roots_on(h: HyperplaneCandidate, m: int) -> list[tuple[int, int, int]]:
+def negative_roots_on(h: HyperplaneCandidate, m: int) -> tuple[tuple[int, int, int], ...]:
     """The negative roots with α·H < 0, canonical order preserved.
 
-    A fresh list, copied from the roots that ``h`` keeps as its plain
-    attribute ``_roots``: found on the first call for this object, filtered
-    from the one tuple of all roots of rank m, and read on every later one.
+    Returns the tuple that ``h`` keeps as its plain attribute ``_roots``:
+    the roots (b, i, j) with H_b[i] < H_b[j], filtered on the first call for
+    this object from the one tuple of all roots of rank m.
     """
     _check_rank(h, m)
-    roots = h._roots
-    if roots is None:
-        roots = _pairing_roots(h)
-        object.__setattr__(h, "_roots", roots)
-    return list(roots)
+    if h._roots is None:
+        blocks = h.blocks
+        roots = _ROOTS[m] if m <= WEIGHT_CAP else negative_roots(m)
+        pairing = [(b, i, j) for b, i, j in roots if blocks[b][i - 1] < blocks[b][j - 1]]
+        object.__setattr__(h, "_roots", tuple(pairing))
+    return h._roots
 
 
-def affine_rank(s: list[tuple[int, int, int]], m: int) -> int:
+def affine_rank(s: Sequence[tuple[int, int, int]], m: int) -> int:
     """Exact rank of the (3m+1)-row matrix with columns (φ_vec; −1).
 
     For nonempty s that is 1 + the rank of the differences φ − φ₀ (subtract

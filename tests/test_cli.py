@@ -1,6 +1,9 @@
 import argparse
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -294,6 +297,26 @@ def test_sample_stdout_and_determinism(tmp_path, capsys):
                  "--out", str(out_path)]) == 0
     assert out_path.read_bytes() == first
     capsys.readouterr()
+
+    for m in (2, 3, 4):
+        assert main(["sample", "--m", str(m), "--n", "50", "--seed", "5"]) == 0
+        for line in capsys.readouterr().out.strip().split("\n"):
+            values = [float(tok) for tok in line.split(",")]
+            assert len(values) == 3 * m
+            for spectrum in (values[:m], values[m:2 * m], values[2 * m:]):
+                assert spectrum == sorted(spectrum, reverse=True)
+                assert abs(sum(spectrum) - 1) <= 1e-12
+                assert min(spectrum) >= -1e-12
+
+    # the seed alone fixes the bytes: two fresh processes print the same CSV
+    argv = [sys.executable, "-m", "kronkit.cli", "sample", "--m", "3", "--n", "20",
+            "--seed", "7"]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    first, second = (
+        subprocess.run(argv, env=env, capture_output=True, check=True).stdout
+        for _ in range(2)
+    )
+    assert first == second and first.count(b"\n") == 20
 
 
 # exact values past CPython's 4300-digit int→str limit are printed in full

@@ -14,6 +14,18 @@ def test_parse_young_valid():
     assert d.boxes == 3 and d.height == 1
 
 
+class Row:
+    """An integer-like row length with no arithmetic but ``__index__``."""
+
+    def __index__(self):
+        return 2
+
+
+def test_parse_young_takes_what_operator_index_takes():
+    d = parse_young([Row(), 1])
+    assert d.rows == (2, 1) and all(type(r) is int for r in d.rows)
+
+
 def test_parse_young_rejects():
     with pytest.raises(KronkitError, match="not weakly decreasing"):
         parse_young([1, 2])
@@ -23,6 +35,15 @@ def test_parse_young_rejects():
         parse_young([-1])
     with pytest.raises(KronkitError, match="needs at least one row"):
         parse_young([])
+    # rows are not converted: a float, a string or a bool is refused by name
+    with pytest.raises(KronkitError, match="row length 2.9 is not an integer"):
+        parse_young([2.9, 1.2])
+    with pytest.raises(KronkitError, match="row length '3' is not an integer"):
+        parse_young(["3", "1"])
+    with pytest.raises(KronkitError, match="row length True is not an integer"):
+        parse_young([True])
+    with pytest.raises(KronkitError, match="row length 2.0 is not an integer"):
+        parse_young([3, 2.0])
 
 
 def test_parse_serialize_identity():

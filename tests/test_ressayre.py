@@ -94,8 +94,8 @@ def test_build_det_matrix_worked():
     mat = build_det_matrix(H_WORKED, 2)
     assert mat.n == 1 and mat.n_slots == 3
     assert mat.entries == ((0,),)  # slot of φ=(1,1,1), first on-level weight
-    assert split_weights(H_WORKED, 2)[1] == [(1, 1, 2)]  # the one row
-    assert negative_roots_on(H_WORKED, 2) == [(2, 2, 1)]  # e_2 − e_1 in block C
+    assert split_weights(H_WORKED, 2)[1] == ((1, 1, 2),)  # the one row
+    assert negative_roots_on(H_WORKED, 2) == ((2, 2, 1),)  # e_2 − e_1 in block C
 
 
 def test_build_det_matrix_empty():
@@ -414,19 +414,18 @@ def test_equal_candidates_are_split_apart(monkeypatch):
     second = HyperplaneCandidate.from_json(obj)
     assert first == second
     for h in (first, second, first):
-        assert split_weights(h, 2)[0] == [(1, 1, 1), (1, 2, 2), (2, 1, 2)]
+        assert split_weights(h, 2)[0] == ((1, 1, 1), (1, 2, 2), (2, 1, 2))
     assert len(calls) == 2
 
 
-def test_split_lists_are_copies():
+def test_split_and_roots_are_the_stored_tuples():
+    # callers only read them, so each call returns the object's own tuples,
+    # which cannot be changed in place
     h = HyperplaneCandidate((-1, 1), (-1, 1), (1, -1), -1)
-    split_weights(h, 2)[0].clear()
-    split_weights(h, 2)[1].append((2, 2, 2))
-    assert split_weights(h, 2) == (
-        [(1, 1, 1), (1, 2, 2), (2, 1, 2)],
-        [(1, 1, 2)],
-        [(1, 2, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2)],
-    )
+    split, roots = split_weights(h, 2), negative_roots_on(h, 2)
+    assert split == (((1, 1, 1), (1, 2, 2), (2, 1, 2)), ((1, 1, 2),))
+    assert roots == ((2, 2, 1),)
+    assert split_weights(h, 2) is split and negative_roots_on(h, 2) is roots
 
 
 def test_scale_invariance_of_final_inequality():

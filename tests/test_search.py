@@ -521,7 +521,7 @@ def test_m4_panel_miss_scales_at_its_own_threshold(monkeypatch):
 
 
 def on_level_set(cert, h):
-    on, _, _ = split_weights(h, cert.m)
+    on, _ = split_weights(h, cert.m)
     return set(cert.entries) <= set(on)
 
 

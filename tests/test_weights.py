@@ -60,19 +60,20 @@ def test_negative_roots_counts():
 
 
 def test_split_weights_worked_example():
-    on, below, above = split_weights(H_WORKED, 2)
-    assert on == [(1, 1, 1), (1, 2, 2), (2, 1, 2)]
-    assert below == [(1, 1, 2)]
-    assert len(above) == 4
+    on, below = split_weights(H_WORKED, 2)
+    assert on == ((1, 1, 1), (1, 2, 2), (2, 1, 2))
+    assert below == ((1, 1, 2),)
 
 
 def test_split_weights_zero_h():
     zero = HyperplaneCandidate((0, 0), (0, 0), (0, 0), 0)
-    on, below, above = split_weights(zero, 2)
-    assert len(on) == 8 and not below and not above
+    on, below = split_weights(zero, 2)
+    assert len(on) == 8 and not below
     one = HyperplaneCandidate((0, 0), (0, 0), (0, 0), 1)
-    on, below, above = split_weights(one, 2)
-    assert len(below) == 8 and not on and not above
+    on, below = split_weights(one, 2)
+    assert len(below) == 8 and not on
+    minus_one = HyperplaneCandidate((0, 0), (0, 0), (0, 0), -1)
+    assert split_weights(minus_one, 2) == ((), ())  # all eight above
 
 
 def test_split_sizes_partition_everything():
@@ -80,16 +81,17 @@ def test_split_sizes_partition_everything():
     for m in (1, 2, 3):
         for _ in range(40):
             h = random_candidate(rng, m)
-            parts = split_weights(h, m)
-            assert sum(len(p) for p in parts) == m**3
+            on, below = split_weights(h, m)
+            assert set(on).isdisjoint(below)
+            assert set(on) | set(below) <= set(weights(m))
 
 
 def test_negative_roots_on_worked_example():
-    assert negative_roots_on(H_WORKED, 2) == [(2, 2, 1)]  # C
+    assert negative_roots_on(H_WORKED, 2) == ((2, 2, 1),)  # C
     # and the sign-flipped candidate selects the complementary pair
-    assert negative_roots_on(H_FLIPPED, 2) == [(0, 2, 1), (1, 2, 1)]  # A, B
+    assert negative_roots_on(H_FLIPPED, 2) == ((0, 2, 1), (1, 2, 1))  # A, B
     zero = HyperplaneCandidate((0, 0), (0, 0), (0, 0), 0)
-    assert negative_roots_on(zero, 2) == []
+    assert negative_roots_on(zero, 2) == ()
 
 
 def test_negative_roots_on_negation_partition():
@@ -123,20 +125,19 @@ def test_pairings_match_naive_dot_products():
             h = random_candidate(rng, m)
             hv = [v for block in h.blocks for v in block]
             dot = lambda vec: sum(a * b for a, b in zip(vec, hv))
-            on, below, above = split_weights(h, m)
+            on, below = split_weights(h, m)
             ws = weights(m)
-            assert on == [w for w in ws if dot(weight_vector(w, m)) == h.z]
-            assert below == [w for w in ws if dot(weight_vector(w, m)) < h.z]
-            assert above == [w for w in ws if dot(weight_vector(w, m)) > h.z]
-            assert negative_roots_on(h, m) == [
+            assert on == tuple(w for w in ws if dot(weight_vector(w, m)) == h.z)
+            assert below == tuple(w for w in ws if dot(weight_vector(w, m)) < h.z)
+            assert negative_roots_on(h, m) == tuple(
                 r for r in negative_roots(m) if dot(root_vector(r, m)) < 0
-            ]
+            )
 
 
 def test_affine_rank_examples():
     assert affine_rank(weights(2), 2) == 4
     assert affine_rank(weights(2)[:1], 2) == 1
-    on, _, _ = split_weights(H_WORKED, 2)
+    on, _ = split_weights(H_WORKED, 2)
     assert affine_rank(on, 2) == 3
     assert affine_rank([], 2) == 0
 

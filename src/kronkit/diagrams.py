@@ -64,9 +64,16 @@ def parse_young(rows: Iterable[int]) -> YoungDiagram:
     return YoungDiagram(rows)
 
 
+def _natural_rank(a: YoungDiagram, b: YoungDiagram, c: YoungDiagram) -> int:
+    return max(a.height, b.height, c.height)
+
+
 @dataclass(frozen=True)
 class KronInstance:
-    """Triple of diagrams with k boxes each, plus ambient local dimension m."""
+    """Triple of diagrams with k boxes each, plus ambient local dimension m.
+
+    Construction, ``dataclasses.replace`` included, refuses a non-int k or m,
+    a diagram without k boxes, and an m below ``height``, the natural rank r."""
 
     lambda_A: YoungDiagram
     lambda_B: YoungDiagram
@@ -74,10 +81,23 @@ class KronInstance:
     k: int
     m: int
 
+    def __post_init__(self) -> None:
+        k, m = json_int(self.k), json_int(self.m)
+        for lam in self.diagrams:
+            if lam.boxes != k:
+                raise KronkitError(f"diagram {lam} has {lam.boxes} boxes, expected {k}")
+        if m < self.height:
+            raise KronkitError(f"m={m} is below the maximum height {self.height}")
+
+    @property
+    def height(self) -> int:
+        """The natural rank r: the largest of the three diagram heights."""
+        return _natural_rank(self.lambda_A, self.lambda_B, self.lambda_C)
+
     @property
     def m_overridden(self) -> bool:
         """True iff m differs from the largest diagram height."""
-        return self.m != max(d.height for d in self.diagrams)
+        return self.m != self.height
 
     @property
     def diagrams(self) -> tuple[YoungDiagram, YoungDiagram, YoungDiagram]:
@@ -85,10 +105,7 @@ class KronInstance:
 
     def padded_rows(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
         """The three diagrams as integer vectors in ℤ^m."""
-        m = self.m
-        return (
-            self.lambda_A.padded(m), self.lambda_B.padded(m), self.lambda_C.padded(m)
-        )
+        return tuple(d.padded(self.m) for d in self.diagrams)
 
     def normalized_point(self) -> tuple[tuple[Fraction, ...], ...]:
         """The rational point (rows/k, rows/k, rows/k), each block summing to 1."""
@@ -109,13 +126,11 @@ class KronInstance:
 
     @classmethod
     def from_json(cls, obj: dict) -> "KronInstance":
+        keys = ("lambda_A", "lambda_B", "lambda_C")
         return make_instance(
-            *(
-                parse_young([json_int(r) for r in obj[key]])
-                for key in ("lambda_A", "lambda_B", "lambda_C")
-            ),
-            json_int(obj["k"]),
-            m_override=json_int(obj["m"]) if "m" in obj else None,
+            *(parse_young(map(json_int, obj[key])) for key in keys),
+            obj["k"],
+            m_override=obj["m"] if "m" in obj else None,
         )
 
     def __str__(self) -> str:
@@ -126,19 +141,9 @@ class KronInstance:
 
 
 def make_instance(
-    lam_a: YoungDiagram,
-    lam_b: YoungDiagram,
-    lam_c: YoungDiagram,
-    k: int,
+    lam_a: YoungDiagram, lam_b: YoungDiagram, lam_c: YoungDiagram, k: int,
     m_override: int | None = None,
 ) -> KronInstance:
-    """Build a validated instance; m defaults to the maximum height."""
-    for lam in (lam_a, lam_b, lam_c):
-        if lam.boxes != k:
-            raise KronkitError(f"diagram {lam} has {lam.boxes} boxes, expected {k}")
-    max_height = max(lam_a.height, lam_b.height, lam_c.height)
-    if m_override is None:
-        return KronInstance(lam_a, lam_b, lam_c, k, max_height)
-    if m_override < max_height:
-        raise KronkitError(f"m={m_override} is below the maximum height {max_height}")
-    return KronInstance(lam_a, lam_b, lam_c, k, m_override)
+    """The instance at ``m_override``, by default at ``height``; KronInstance checks it."""
+    m = _natural_rank(lam_a, lam_b, lam_c) if m_override is None else m_override
+    return KronInstance(lam_a, lam_b, lam_c, k, m)

@@ -1,13 +1,10 @@
-"""The two exception classes of kronkit.
+"""The one exception class of kronkit, for bad input or an exceeded limit.
 
-* :class:`KronkitError` — bad input or an exceeded limit.  Each of
-  kronkit's own checks on input or on a limit raises it with a message that
-  names what went wrong, and the command line exits 2 on it, so "the input
-  was malformed" never reads as "the certificate was valid but rejected".
-* :class:`InternalNonInteger` — an exact count that came out non-integral.
-  That is a bug, so it is no :class:`KronkitError` and the command line
-  exits 3 on it.  Other failed internal consistency checks, such as LP
-  multipliers that do not prove a redundancy, raise built-in exceptions.
+Each of kronkit's own checks on input or on a limit raises
+:class:`KronkitError` with a message that names what went wrong; the command
+line exits 2 on it.  A failed internal consistency check, such as an exact
+count that comes out non-integral, is a bug and raises a built-in exception
+(exit 3), so a crash never reads as a rejection or as bad input.
 """
 
 from __future__ import annotations
@@ -15,7 +12,3 @@ from __future__ import annotations
 
 class KronkitError(Exception):
     """Bad input or an exceeded limit; the message says which."""
-
-
-class InternalNonInteger(RuntimeError):
-    """An exact count came out non-integral: a bug, hence no KronkitError."""

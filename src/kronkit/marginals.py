@@ -37,17 +37,18 @@ Gram = tuple[tuple[tuple[int, int], ...], ...]
 
 @dataclass(frozen=True)
 class MembershipCertificate:
-    """Sparse nonzero vector over the m×m×m grid; absent entries are zero."""
+    """Sparse nonzero vector on [m]³, m and indices plain ints; absent entries are 0."""
 
     m: int
     entries: dict[Entry, GaussianRational]
 
     def __post_init__(self) -> None:
+        json_int(self.m)
         cleaned = {}
         for idx, value in self.entries.items():
             a, b, c = idx
             for component in (a, b, c):
-                if not 1 <= component <= self.m:
+                if not 1 <= json_int(component) <= self.m:
                     raise KronkitError(f"index {idx} outside 1..{self.m}")
             if not value.is_zero():
                 cleaned[(a, b, c)] = value
@@ -69,11 +70,11 @@ class MembershipCertificate:
         """Read a certificate; an index given twice is refused, not merged."""
         entries = {}
         for item in json_list(obj["entries"], "entries"):
-            idx = json_ints(item["idx"], "idx")
+            idx = json_ints(item["idx"], "idx")  # hashable, for the check below
             if idx in entries:
                 raise KronkitError(f"index {list(idx)} appears twice")
             entries[idx] = GaussianRational.from_json(item)
-        return cls(json_int(obj["m"]), entries)
+        return cls(obj["m"], entries)
 
 
 @dataclass(frozen=True)

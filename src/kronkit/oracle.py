@@ -19,7 +19,7 @@ import math
 from functools import lru_cache
 
 from .diagrams import KronInstance, YoungDiagram, parse_young
-from .errors import InternalNonInteger, KronkitError
+from .errors import KronkitError
 
 # Brute-force stretching beyond 12 boxes explodes; raise deliberately.
 DEFAULT_ORACLE_CAP = 12
@@ -126,7 +126,7 @@ def kron_coeff(
             total += factorial_k // centralizer_order(rows) * chi * mn_character(lam_c, mu)
     g, rem = divmod(total, factorial_k)
     if rem or g < 0:
-        raise InternalNonInteger(f"class sum {total} / {k}! is not a natural number")
+        raise RuntimeError(f"class sum {total} / {k}! is not a natural number")
     return g
 
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from .diagrams import KronInstance
 from .errors import KronkitError
 from .intlinalg import det_bareiss
-from .scalars import json_ints
+from .scalars import json_int, json_list
 from .weights import HyperplaneCandidate, affine_rank, negative_roots_on, split_weights
 
 
@@ -87,8 +87,14 @@ class PolyMatrix:
 
 @dataclass(frozen=True)
 class RessayreCertificate:
+    """(H, z) and an integer point p: a non-int entry is refused when built."""
+
     h: HyperplaneCandidate
     witness_point: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        for v in self.witness_point:
+            json_int(v)
 
     def to_json(self) -> dict:
         return {**self.h.to_json(), "p": list(self.witness_point)}
@@ -96,7 +102,7 @@ class RessayreCertificate:
     @classmethod
     def from_json(cls, obj: dict) -> "RessayreCertificate":
         h = HyperplaneCandidate.from_json(obj)
-        return cls(h, json_ints(obj["p"], "p"))
+        return cls(h, tuple(json_list(obj["p"], "p")))
 
 
 def check_admissible(h: HyperplaneCandidate, m: int) -> bool:
@@ -150,10 +156,7 @@ def eval_determinant(matrix: PolyMatrix, p: tuple[int, ...]) -> int:
         raise KronkitError(
             f"evaluation point has length {len(p)}, expected {matrix.n_slots}"
         )
-    numeric = [
-        [0 if slot is None else int(p[slot]) for slot in row]
-        for row in matrix.entries
-    ]
+    numeric = [[0 if slot is None else p[slot] for slot in row] for row in matrix.entries]
     return det_bareiss(numeric)
 
 

@@ -14,8 +14,8 @@ leg's previous step left ρ_X diagonal, so one sweep from the identity is
 close to an exact eigendecomposition.
 
 The start is drawn by ``random.Random(seed).getrandbits`` over [r]³ in
-lexicographic order, real part first, and zeroed off the level set
-{(i,j,l) : H_A[i] + H_B[j] + H_C[l] = z} and on every row whose target is 0.
+lexicographic order, real part first, and zeroed off the level set of
+(H, z) (``weights.split_weights``) and on every row whose target is 0.
 It is complex because a real start can fall into a real orbit whose closure
 misses the target, and then the scaling stalls.  Two level-set indices
 that share the other two legs have equal h_X, so every marginal is
@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import isqrt
 from operator import mul
 
-from .weights import HyperplaneCandidate
+from .weights import HyperplaneCandidate, split_weights, weights
 
 # Passes of one seeded scaling: every plain and face point of the m = 3
 # sweep (k ≤ 12) stops within 337 and 81 passes at seeds 0–9
@@ -65,7 +65,7 @@ def _legs(
         blocks = []
         for value in sorted(set(h.blocks[axis])):
             indices = [
-                i for i, (lam, hx) in enumerate(zip(rows[axis], h.blocks[axis]))
+                i for i, (lam, hx) in enumerate(zip(rows[axis], h.blocks[axis]), 1)
                 if lam and hx == value
             ]
             if not indices:
@@ -81,7 +81,7 @@ def _legs(
                     s[axis], s[others[0]], s[others[1]] = i, a, b
                     row.append(position[tuple(s)])
                 positions.append(row)
-            lam = [rows[axis][i] for i in indices]
+            lam = [rows[axis][i - 1] for i in indices]
             blocks.append((
                 [(x << 4 * precision) // k for x in lam],
                 [x << 2 * precision for x in lam],
@@ -225,7 +225,8 @@ def scale(
 ) -> dict[tuple[int, int, int], tuple[int, int]] | None:
     """One seeded scaling within the face of (H, z), shifted down to ``bits``.
 
-    ``rows`` are the three diagrams padded to the rank r of ``h``.  The
+    ``rows`` are the three diagrams padded to the rank r of ``h``; the
+    start keeps the on-level weights of ``split_weights(h, r)``.  The
     scaling runs at P = ``bits + GUARD_BITS`` bits until its gap², the
     integer squared Frobenius distance of the three marginals to λ/k, is at
     most ``stop``, or for ``MAX_PASSES`` passes.  Returns the nonzero entries
@@ -235,21 +236,18 @@ def scale(
     test reuses ρ_A for the next pass's first step, and computes ρ_B and ρ_C
     only once the legs before them are within ``stop``.
     """
-    r = len(rows[0])
     precision = bits + GUARD_BITS
     limit = stop.numerator * (k << 2 * precision) ** 2 // stop.denominator
     rng = random.Random(seed)
-    ha, hb, hc = h.blocks
+    on = set(split_weights(h, h.m)[0])
     support, re, im = [], [], []
-    for i in range(r):
-        for j in range(r):
-            for l in range(r):
-                x = rng.getrandbits(precision + 1) - (1 << precision)
-                y = rng.getrandbits(precision + 1) - (1 << precision)
-                if ha[i] + hb[j] + hc[l] == h.z and rows[0][i] and rows[1][j] and rows[2][l]:
-                    support.append((i, j, l))
-                    re.append(x)
-                    im.append(y)
+    for w in weights(h.m):
+        x = rng.getrandbits(precision + 1) - (1 << precision)
+        y = rng.getrandbits(precision + 1) - (1 << precision)
+        if w in on and all(row[t - 1] for row, t in zip(rows, w)):
+            support.append(w)
+            re.append(x)
+            im.append(y)
     legs = _legs(rows, k, h, support, precision)
     grams_a = _grams(re, im, legs[0])
     for _ in range(MAX_PASSES):
@@ -263,8 +261,8 @@ def scale(
             gap += _deviation(k, leg, _grams(re, im, leg))
         if gap <= limit:
             return {
-                (i + 1, j + 1, l + 1): (x >> GUARD_BITS, y >> GUARD_BITS)
-                for (i, j, l), x, y in zip(support, re, im)
+                s: (x >> GUARD_BITS, y >> GUARD_BITS)
+                for s, x, y in zip(support, re, im)
                 if x >> GUARD_BITS or y >> GUARD_BITS
             }
     return None

@@ -60,12 +60,7 @@ from .ressayre import (
 )
 from .scalars import GaussianRational, json_int
 from .scaling import scale
-from .weights import (
-    SUBSYSTEMS,
-    HyperplaneCandidate,
-    check_weight_cap,
-    weights,
-)
+from .weights import SUBSYSTEMS, HyperplaneCandidate, check_weight_cap, weights
 
 # Weight subsets enumerate_ressayre may visit: admits m = 3 (C(27,6) =
 # 296,010 subsets, about 61 µs each) and refuses m = 4 (C(64,9) ≈ 2.75·10¹⁰).
@@ -193,10 +188,11 @@ def enumerate_ressayre(m: int, seed: int = 0) -> FacetSystem:
     Every admissible level hyperplane is affinely spanned by 3(m−1) of the
     m³ weights, so iterating over affinely independent subsets and solving
     the exact system H·φ = z in the 3(m−1) free coordinates of H and z finds
-    every candidate (H,z) up to scale.  It is checked admissible once (−H has
-    the same on-level weights); both orientations then run the trace and
-    determinant checks.  Survivors come with their evaluation points, in
-    order of first discovery.
+    every candidate (H,z) up to scale.  Each is admissible: nullity one makes
+    the subset's 3(m−1) weights affinely independent on its level, and H ≠ 0
+    (H = 0 forces z = 0), so a failed ``check_admissible``, run once as −H
+    has the same level set, is a bug.  Both orientations then run the trace
+    and determinant checks; survivors keep their points, in discovery order.
     """
     check_weight_cap(m)  # before comb(), which is slow for huge m
     subset_size = 3 * (m - 1)
@@ -222,7 +218,7 @@ def enumerate_ressayre(m: int, seed: int = 0) -> FacetSystem:
         seen.add(key)
         base = _traceless(key, m)
         if not check_admissible(base, m):
-            continue
+            raise RuntimeError(f"the kernel of a weight subset is not admissible: {base}")
         for h in (base, base.negated()):
             if not check_trace(h, m):
                 continue
@@ -338,7 +334,7 @@ def _exact_witness(inst: KronInstance) -> MembershipCertificate | None:
     not of m: indices in [r]³ are indices in [m]³, so an instance padded by
     an m override is decided exactly as at its natural rank.
     """
-    r = max(d.height for d in inst.diagrams)
+    r = inst.height
     bits = required_bits(inst.m, inst.k)
     b_eq = [v for d in inst.diagrams for v in d.padded(r)]
     rows = [(x, i) for x in range(3) for i in range(1, r + 1)]  # b_eq's order
@@ -369,7 +365,7 @@ def _rank_inequalities_hold(inst: KronInstance) -> bool:
     and λ_Z.  At r = 2 the (1, 1) cases are Higuchi–Sudbery–Szulc, under
     which the exact route decides every point, on {111, 122, 212, 221}.
     """
-    r = max(d.height for d in inst.diagrams)
+    r = inst.height
     tails = [[sum(d.rows[n:]) for n in range(r)] for d in inst.diagrams]
     return all(
         tails[x][a * b] <= tails[y][a] + tails[z][b]
@@ -451,7 +447,7 @@ def decide(
     counts only if verify_membership accepts it.  None: neither side certified.
     """
     check_weight_cap(inst.m)
-    r = max(d.height for d in inst.diagrams)
+    r = inst.height
     natural = replace(inst, m=r)
     if not _rank_inequalities_hold(natural):
         return _scan(inst, committed_system(inst.m))[0]
@@ -459,10 +455,11 @@ def decide(
     if cert is not None:
         return cert
     # A state on [m]³ with these spectra lives on [r]³, so a rank-r element
-    # that cuts the point off rules out every witness.  The rank-m system
-    # differs only under an override at m ≤ 3 (no other rank ships one), so
-    # at r ≤ 2, where the rank inequalities are Higuchi–Sudbery–Szulc and
-    # complete: no verified rank-m element cuts a point they admit.
+    # that cuts the point off rules out every witness.  Only the rank-r
+    # system is read.  The rank-m one differs only under an override with
+    # m ≤ 3, since no other rank ships a system, and then r ≤ 2.  At r ≤ 2
+    # the rank inequalities, Higuchi–Sudbery–Szulc, are complete, so no
+    # verified rank-m element cuts off a point that they admit.
     cut, faces = _scan(natural, committed_system(r))
     if cut is not None:
         return cut if r == inst.m else None

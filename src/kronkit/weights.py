@@ -21,7 +21,7 @@ from operator import mul
 
 from .errors import KronkitError
 from .intlinalg import integer_rank
-from .scalars import json_int, json_ints, json_list
+from .scalars import json_int, json_list
 
 # Materializing Φ(m) costs m³ memory; the cap keeps accidental
 # mega-instances from exhausting the machine.
@@ -35,8 +35,9 @@ class HyperplaneCandidate:
     """Blockwise-traceless integer test vector H plus integer level z.
 
     Construction refuses all but three blocks of one length m, each summing
-    to 0, so no consumer checks them again.  ``to_json`` and ``from_json``
-    alone write and read the ``{"H": …, "z": …}`` form.
+    to 0, and any entry or z that is not a plain int (``json_int``), so no
+    consumer checks them again.  ``to_json`` and ``from_json`` alone write
+    and read the ``{"H": …, "z": …}`` form.
 
     The level split of Φ(m) and the negatively pairing roots are kept as
     plain attributes of the object, ``_split`` and ``_roots``, each set on
@@ -63,6 +64,8 @@ class HyperplaneCandidate:
         return (self.h_a, self.h_b, self.h_c)
 
     def __post_init__(self) -> None:
+        for v in (*self.h_a, *self.h_b, *self.h_c, self.z):
+            json_int(v)
         m = len(self.h_a)
         for tag, block in zip(SUBSYSTEMS, self.blocks):
             if len(block) != m:
@@ -80,8 +83,8 @@ class HyperplaneCandidate:
         h = json_list(obj["H"], "H")
         if len(h) != 3:
             raise KronkitError("H must have exactly three components")
-        blocks = (json_ints(block, name) for block, name in zip(h, _COMPONENTS))
-        return cls(*blocks, json_int(obj["z"]))
+        blocks = (tuple(json_list(block, name)) for block, name in zip(h, _COMPONENTS))
+        return cls(*blocks, obj["z"])
 
     def negated(self) -> "HyperplaneCandidate":
         blocks = (tuple(-v for v in block) for block in self.blocks)
@@ -167,6 +170,7 @@ def _level_split(h: HyperplaneCandidate) -> tuple[tuple, tuple]:
 
 
 def _check_rank(h: HyperplaneCandidate, m: int) -> None:
+    check_weight_cap(m)
     if h.m != m:
         raise KronkitError(f"H has blocks of length {h.m}, expected m={m}")
 
@@ -179,7 +183,6 @@ def split_weights(h: HyperplaneCandidate, m: int) -> tuple[tuple, tuple]:
     later one.  ``m`` must be the block length of ``h`` and at most the
     weight cap.
     """
-    check_weight_cap(m)
     _check_rank(h, m)
     if h._split is None:
         object.__setattr__(h, "_split", _level_split(h))
@@ -191,13 +194,13 @@ def negative_roots_on(h: HyperplaneCandidate, m: int) -> tuple[tuple[int, int, i
 
     Returns the tuple that ``h`` keeps as its plain attribute ``_roots``:
     the roots (b, i, j) with H_b[i] < H_b[j], filtered on the first call for
-    this object from the one tuple of all roots of rank m.
+    this object from the one tuple of all roots of rank m.  ``m`` is checked
+    as in ``split_weights``.
     """
     _check_rank(h, m)
     if h._roots is None:
         blocks = h.blocks
-        roots = _ROOTS[m] if m <= WEIGHT_CAP else negative_roots(m)
-        pairing = [(b, i, j) for b, i, j in roots if blocks[b][i - 1] < blocks[b][j - 1]]
+        pairing = [(b, i, j) for b, i, j in _ROOTS[m] if blocks[b][i - 1] < blocks[b][j - 1]]
         object.__setattr__(h, "_roots", tuple(pairing))
     return h._roots
 

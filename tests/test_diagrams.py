@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -74,6 +75,30 @@ def test_make_instance_override_padding():
         make_instance(
             parse_young([1, 1]), parse_young([2]), parse_young([2]), 2, m_override=1
         )
+
+
+def test_kron_instance_checks_its_invariants():
+    one, two, pair = parse_young([1]), parse_young([2]), parse_young([1, 1])
+    with pytest.raises(KronkitError, match="diagram \\(2\\) has 2 boxes, expected 3"):
+        KronInstance(two, two, pair, 3, 2)
+    with pytest.raises(KronkitError, match="m=1 is below the maximum height 2"):
+        KronInstance(pair, two, two, 2, 1)
+    inst = make_instance(pair, two, two, 2)
+    assert inst.height == inst.m == 2
+    with pytest.raises(KronkitError, match="m=1 is below the maximum height 2"):
+        dataclasses.replace(inst, m=1)
+    with pytest.raises(KronkitError, match="diagram \\(1\\) has 1 boxes, expected 2"):
+        dataclasses.replace(inst, lambda_A=one)
+    for k, m, bad in ((2.0, 2, "2.0"), (2, 2.0, "2.0"), (True, 2, "True")):
+        with pytest.raises(KronkitError, match=f"expected an integer, got {bad}"):
+            KronInstance(pair, two, two, k, m)
+
+
+def test_height_is_the_natural_rank_under_an_override():
+    inst = make_instance(parse_young([2, 1]), parse_young([3]), parse_young([1, 1, 1]), 3,
+                         m_override=5)
+    assert inst.height == 3 and inst.m == 5 and inst.m_overridden
+    assert dataclasses.replace(inst, m=inst.height).m_overridden is False
 
 
 def test_normalized_point_blocks_sum_to_one():

@@ -1,8 +1,8 @@
-"""kronkit has two exception classes, both in ``kronkit.errors``.
+"""kronkit has one exception class, ``kronkit.errors.KronkitError``.
 
-Every bad-input or exceeded-limit condition raises ``KronkitError`` with a
-message that names it; the only other class is ``InternalNonInteger``, a
-bug that the command line reports by name.
+Every bad-input or exceeded-limit condition raises it with a message that
+names it; a bug raises a built-in exception, which the command line reports
+by name.
 """
 
 import ast
@@ -10,7 +10,7 @@ import builtins
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "kronkit"
-ERRORS = ["KronkitError", "InternalNonInteger"]
+ERRORS = ["KronkitError"]
 BUILTIN_EXCEPTIONS = {
     name
     for name, value in vars(builtins).items()
@@ -28,7 +28,7 @@ def base_names(node):
         yield base.attr if isinstance(base, ast.Attribute) else getattr(base, "id", None)
 
 
-def test_errors_defines_exactly_two_classes():
+def test_errors_defines_exactly_one_class():
     assert [node.name for node in classes(PACKAGE / "errors.py")] == ERRORS
 
 

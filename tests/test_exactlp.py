@@ -315,7 +315,7 @@ def free_support_lps(triple):
     support in order, built as it builds them: a row per block entry, a
     column per support entry."""
     inst = make_instance(*(parse_young(lam) for lam in triple), sum(triple[0]))
-    r = max(d.height for d in inst.diagrams)
+    r = inst.height
     b_eq = [v for d in inst.diagrams for v in d.padded(r)]
     rows = [(x, i) for x in range(3) for i in range(1, r + 1)]
     return [

@@ -83,6 +83,12 @@ def test_certificate_validation():
         cert_from(2, {(1, 3, 1): (1,)})
     with pytest.raises(KronkitError, match="no nonzero entry"):
         cert_from(2, {(1, 1, 1): (0,)})
+    # built in the library, each would verify and write JSON it cannot read
+    for m, idx, bad in [
+        (2, (True, 1, 1), "True"), (2, (1.5, 1, 1), "1.5"), (2.0, (1, 1, 1), "2.0"),
+    ]:
+        with pytest.raises(KronkitError, match=f"expected an integer, got {bad}"):
+            cert_from(m, {idx: (1,), (2, 2, 2): (1,)})
     # zero entries are dropped, nonzero ones survive
     c = cert_from(2, {(1, 1, 1): (1,), (2, 2, 2): (0,)})
     assert list(c.entries) == [(1, 1, 1)]

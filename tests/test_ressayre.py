@@ -474,3 +474,17 @@ def test_certificate_json_round_trip():
     obj = cert.to_json()
     assert obj == {"H": [[-1, 1], [-1, 1], [1, -1]], "z": -1, "p": [1, 0, 0]}
     assert RessayreCertificate.from_json(obj) == cert
+
+
+def test_certificate_refuses_non_integer_values():
+    # each would pass the verifier if built: the determinant is 1.9 or 1
+    with pytest.raises(KronkitError, match="expected an integer, got 1.9"):
+        RessayreCertificate(H_WORKED, (1.9, 0, 0))
+    with pytest.raises(KronkitError, match="expected an integer, got True"):
+        RessayreCertificate(H_WORKED, (True, False, False))
+    with pytest.raises(KronkitError, match="expected an integer, got -1.0"):
+        RessayreCertificate(HyperplaneCandidate((-1.0, 1.0), (-1, 1), (1, -1), -1), (1, 0, 0))
+    with pytest.raises(KronkitError, match="expected an integer, got 1.9"):
+        RessayreCertificate.from_json({**H_WORKED.to_json(), "p": [1.9, 0, 0]})
+    with pytest.raises(KronkitError, match="p must be a list, got int"):
+        RessayreCertificate.from_json({**H_WORKED.to_json(), "p": 1})

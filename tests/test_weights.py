@@ -94,6 +94,23 @@ def test_negative_roots_on_worked_example():
     assert negative_roots_on(zero, 2) == ()
 
 
+def test_negative_roots_on_enforces_the_weight_cap():
+    zero = (0,) * 13
+    with pytest.raises(KronkitError, match="m=13 exceeds the weight materialization"):
+        negative_roots_on(HyperplaneCandidate(zero, zero, zero, 0), 13)
+
+
+def test_hyperplane_refuses_non_integer_values():
+    for blocks, z, bad in [
+        (((-1.0, 1.0), (-1, 1), (1, -1)), -1, "-1.0"),
+        (((-1, 1), (-1, 1), (1, -1)), -1.5, "-1.5"),
+        (((False, False), (-1, 1), (1, -1)), -1, "False"),
+        (((-1, 1), (-1, 1), (1, -1)), True, "True"),
+    ]:
+        with pytest.raises(KronkitError, match=f"expected an integer, got {bad}"):
+            HyperplaneCandidate(*blocks, z)
+
+
 def test_negative_roots_on_negation_partition():
     rng = random.Random(43)
     for m in (2, 3):

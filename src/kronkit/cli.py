@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
 from contextlib import contextmanager
 
@@ -79,10 +81,23 @@ _nonnegative_int = _int_at_least(0, "non-negative")
 
 
 def _write(text: str, out: str | None, summary: str) -> None:
-    """Write text to the file out and print summary, or text to stdout."""
+    """Write text to the file out and print summary, or text to stdout.
+
+    The file is written in place, opened without ``O_TRUNC``, and a regular
+    file is then cut to the written length; a FIFO or a device such as
+    /dev/null cannot be cut and takes the text alone.  A regular file that
+    is truncated and then rewritten is flushed to disk on close by some
+    file systems (ext4 does so to protect replace-by-truncate), which costs
+    about eight times the write itself.  No durability promise changes:
+    kronkit never fsyncs, and a file torn by a crash, old bytes behind new
+    ones, fails to parse or to verify.
+    """
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
+        fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
         print(summary)
     else:
         sys.stdout.write(text)
@@ -265,13 +280,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Built once: every call of main in one process shares it.
+# Built once: every call of main in one process shares them.
 _PARSER = build_parser()
+_COMMANDS = next(
+    action.choices
+    for action in _PARSER._actions
+    if isinstance(action, argparse._SubParsersAction)
+)
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand; the single place that maps exceptions to exit codes."""
-    args = _PARSER.parse_args(argv)
+    """Run one subcommand; the single place that maps exceptions to exit codes.
+
+    ``argv`` defaults to ``sys.argv[1:]``.  The full parser hands every word
+    after a subcommand's name to that subcommand's parser, so an argv that
+    starts with a name is parsed by that parser alone, once.  Any other
+    argv, and one that leaves words over, goes to the full parser, which
+    prints the same usage, message and exit code as it always did.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    args = None
+    if argv and argv[0] in _COMMANDS:
+        args, extra = _COMMANDS[argv[0]].parse_known_args(argv[1:])
+        args.command = argv[0]
+        if extra:
+            args = None
+    if args is None:
+        args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (KronkitError, OSError) as exc:

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import index
+from operator import index, lt
 from typing import Iterable
 
 from .errors import KronkitError
-from .scalars import json_int
+from .scalars import json_int, json_ints
 
 
 @dataclass(frozen=True)
@@ -51,16 +51,17 @@ def parse_young(rows: Iterable[int]) -> YoungDiagram:
     rows = tuple(rows)
     if not rows:
         raise KronkitError("a diagram needs at least one row")
-    for r in rows:
-        if isinstance(r, bool) or not hasattr(type(r), "__index__"):
+    for r in rows:  # a plain int, as every JSON row is, needs no other test
+        if type(r) is not int and (
+            isinstance(r, bool) or not hasattr(type(r), "__index__")
+        ):
             raise KronkitError(f"row length {r!r} is not an integer")
     rows = tuple(map(index, rows))
-    for r in rows:
-        if r <= 0:
-            raise KronkitError(f"row length {r} is not strictly positive")
-    for a, b in zip(rows, rows[1:]):
-        if a < b:
-            raise KronkitError(f"rows {rows} are not weakly decreasing")
+    if min(rows) <= 0:
+        r = next(r for r in rows if r <= 0)
+        raise KronkitError(f"row length {r} is not strictly positive")
+    if any(map(lt, rows, rows[1:])):
+        raise KronkitError(f"rows {rows} are not weakly decreasing")
     return YoungDiagram(rows)
 
 
@@ -128,7 +129,7 @@ class KronInstance:
     def from_json(cls, obj: dict) -> "KronInstance":
         keys = ("lambda_A", "lambda_B", "lambda_C")
         return make_instance(
-            *(parse_young(map(json_int, obj[key])) for key in keys),
+            *(parse_young(json_ints(obj[key], key)) for key in keys),
             obj["k"],
             m_override=obj["m"] if "m" in obj else None,
         )

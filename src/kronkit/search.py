@@ -13,13 +13,14 @@ Two generators live here:
   integer multipliers alone decide, by one exact check, whether it is dropped.
 
 ``decide`` answers either way, in one order: the rank inequalities, which
-every state obeys; an exact witness (one rational LP per free support: the
-diagonal, then cyclic Latin supports); one scan of the committed system at
-r, the largest height, whose first violated element is a nonmembership
-certificate; and only then seeded fixed-point scalings
-(:mod:`kronkit.scaling`) that stop at the verifier's threshold, within the
-face of each committed facet tight at the point (the face route) and then on
-all of [r]³ (the plain route), gated by the exact verifier.
+every state obeys; an exact witness (the diagonal, which needs no LP and is
+tried only on three equal rows, then one rational LP per cyclic Latin
+support); one scan of the committed system at r, the largest height, whose
+first violated element is a nonmembership certificate; and only then seeded
+fixed-point scalings (:mod:`kronkit.scaling`) that stop at the verifier's
+threshold, within the face of each committed facet tight at the point (the
+face route) and then on all of [r]³ (the plain route), gated by the exact
+verifier.
 ``search_witness`` is its witness half.  The committed irredundant systems of
 ranks 2 and 3 ship beside this module as ``facets_m2.json`` and
 ``facets_m3.json`` (the output of ``kronkit facets --m 2|3 --irredundant``);
@@ -67,7 +68,8 @@ from .weights import SUBSYSTEMS, HyperplaneCandidate, check_weight_cap, weights
 SUBSET_BUDGET = 400_000
 
 # Free supports tried per witness search: the diagonal plus the 144 cyclic
-# Latin supports of m = 4, which bounds the LPs of find-witness at any m.
+# Latin supports of m = 4, one LP each, which bounds the LPs of find-witness
+# at any m.
 # Above m = 4 they are the first relabellings in order; BENCH_witness.json
 # records what they decide on seeded kron > 0 panels at m = 5 and 6.
 MAX_FREE_SUPPORTS = 145
@@ -330,15 +332,28 @@ def _exact_witness(inst: KronInstance) -> MembershipCertificate | None:
     entry i of block X being Σ_{s_X = i} x_s/k.  So x ≥ 0 with block sums
     λ_A, λ_B, λ_C is one standard-form feasibility LP (one row per block
     entry), and its rational solution, truncated to required_bits, is the
-    candidate.  The supports are those of r = the largest diagram height,
-    not of m: indices in [r]³ are indices in [m]³, so an instance padded by
-    an m override is decided exactly as at its natural rank.
+    candidate.  The diagonal needs no LP: its system says x = λ_A = λ_B =
+    λ_C, so it is tried only when the three rows are equal, and then x = λ,
+    that LP's one solution, gives its amplitudes.  The supports are
+    those of r = the largest diagram height, not of m: indices in [r]³ are
+    indices in [m]³, so an instance padded by an m override is decided
+    exactly as at its natural rank.
     """
     r = inst.height
     bits = required_bits(inst.m, inst.k)
+    supports = free_supports(r)
+    diagonal = next(supports)
+    lam = inst.lambda_A.rows
+    if lam == inst.lambda_B.rows == inst.lambda_C.rows:
+        cert = _verified(inst, {
+            s: GaussianRational(_dyadic_sqrt(x, inst.k, bits))
+            for s, x in zip(diagonal, lam)
+        })
+        if cert is not None:
+            return cert
     b_eq = [v for d in inst.diagrams for v in d.padded(r)]
     rows = [(x, i) for x in range(3) for i in range(1, r + 1)]  # b_eq's order
-    for support in free_supports(r):
+    for support in supports:
         a_eq = [[int(s[x] == i) for s in support] for x, i in rows]
         result = solve_lp(a_eq, b_eq)
         if result.status != "optimal":
@@ -439,12 +454,13 @@ def decide(
 
     Where a rank inequality fails (``_rank_inequalities_hold``) no witness
     is sought, and ``committed_system(inst.m)`` is read for a certificate
-    only.  Else one LP per free support runs (``free_supports``); after a
-    miss ``_scan`` reads ``committed_system(r)``, r the largest height: its
-    cut is the answer at r = m, and rules out every witness under an ``m``
-    override.  Only then does ``scaling.scale`` run at r, seeded, in the face
-    of each tight element the scan found, then on all of [r]³.  A vector
-    counts only if verify_membership accepts it.  None: neither side certified.
+    only.  Else the exact route runs (``_exact_witness``: the diagonal
+    without an LP, then one LP per Latin support); after a miss ``_scan``
+    reads ``committed_system(r)``, r the largest height: its cut is the
+    answer at r = m, and rules out every witness under an ``m`` override.
+    Only then does ``scaling.scale`` run at r, seeded, in the face of each
+    tight element the scan found, then on all of [r]³.  A vector counts only
+    if verify_membership accepts it.  None: neither side certified.
     """
     check_weight_cap(inst.m)
     r = inst.height

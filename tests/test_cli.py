@@ -438,6 +438,9 @@ REPEATED_INDEX_CERT = {
 }
 RANK_3 = {key: [1, 1, 1] for key in ("lambda_A", "lambda_B", "lambda_C")}
 RANK_3["k"] = 3
+# iterating these would read the characters "1", "1" or the key "1"
+STRING_LAMBDA_A = {**INSIDE, "lambda_A": "11"}
+OBJECT_LAMBDA_B = {**INSIDE, "lambda_B": {"1": 1}}
 # int() would truncate these to OUTSIDE and WORKED_CERT, which verify
 FRACTIONAL_INSTANCE = {
     "lambda_A": [2.5], "lambda_B": [2], "lambda_C": [1, 1], "k": 2.9,
@@ -548,6 +551,14 @@ MALFORMED = {
     "find-witness missing instance": lambda t: [
         "find-witness", str(t / "no-such-file.json"),
     ],
+    "find-witness lambda_A is a string": lambda t: [
+        "find-witness", jfile(t, "i.json", STRING_LAMBDA_A), "--out", str(t / "w.json"),
+    ],
+    "verify-membership lambda_B is an object": lambda t: [
+        "verify-membership",
+        jfile(t, "i.json", OBJECT_LAMBDA_B),
+        jfile(t, "c.json", GHZ_CERT),
+    ],
     "find-witness m=13": lambda t: [
         "find-witness", jfile(t, "i.json", RANK_13), "--out", str(t / "w.json"),
     ],
@@ -625,6 +636,21 @@ def test_a_field_that_is_no_list_is_refused_by_name(case, reason, tmp_path, caps
     assert err == f"error: bad certificate file {argv[2]}: {reason}\n"
 
 
+@pytest.mark.parametrize(
+    "case, reason",
+    [
+        ("find-witness lambda_A is a string", "lambda_A must be a list, got str"),
+        ("verify-membership lambda_B is an object", "lambda_B must be a list, got dict"),
+    ],
+)
+def test_a_diagram_that_is_no_list_is_refused_by_name(case, reason, tmp_path, capsys):
+    argv = MALFORMED[case](tmp_path)
+    code = run_cli(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: bad instance file {argv[1]}: {reason}\n"
+
+
 def test_every_subcommand_has_a_malformed_case():
     (sub,) = [
         action for action in build_parser()._actions
@@ -648,3 +674,183 @@ def test_non_integral_class_sum_exits_three(monkeypatch, capsys):
     monkeypatch.setattr(oracle, "mn_character", lambda lam, mu: len(mu.rows))
     assert main(["kron", "1,1", "1,1", "1,1"]) == 3
     assert "internal error:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# --out is written in place: opened without truncation, then cut to length
+
+def fresh_and_overwritten(tmp_path, argv):
+    """The --out bytes of argv on a new file, and on a longer file first."""
+    fresh, old = tmp_path / "fresh.out", tmp_path / "old.out"
+    old.write_bytes(b"x" * 100_000)
+    assert main([*argv, "--out", str(fresh)]) == 0
+    assert main([*argv, "--out", str(old)]) == 0
+    return fresh.read_bytes(), old.read_bytes()
+
+
+def test_a_shorter_witness_over_a_longer_one_leaves_the_new_bytes(tmp_path, capsys):
+    inst, out = jfile(tmp_path, "inst.json", INSIDE), tmp_path / "w.json"
+    longer = jfile(tmp_path, "long.json", RANK_3)  # three entries, not two
+    fresh, overwritten = fresh_and_overwritten(tmp_path, ["find-witness", inst])
+    assert overwritten == fresh
+    assert main(["find-witness", longer, "--out", str(out)]) == 0
+    assert len(out.read_bytes()) > len(fresh)
+    assert main(["find-witness", inst, "--out", str(out)]) == 0
+    assert out.read_bytes() == fresh
+    assert main(["verify-membership", inst, str(out)]) == 0
+
+
+def test_facets_out_writes_the_committed_system(tmp_path, capsys):
+    from importlib.resources import files
+
+    committed = files("kronkit").joinpath("facets_m2.json").read_bytes()
+    argv = ["facets", "--m", "2", "--irredundant"]
+    assert fresh_and_overwritten(tmp_path, argv) == (committed, committed)
+
+
+def test_sample_out_writes_the_stdout_bytes(tmp_path, capsys):
+    argv = ["sample", "--m", "3", "--n", "10", "--seed", "3"]
+    capsys.readouterr()
+    assert main(argv) == 0
+    printed = capsys.readouterr().out.encode("utf-8")
+    assert fresh_and_overwritten(tmp_path, argv) == (printed, printed)
+
+
+def test_out_onto_dev_null_is_not_truncated(tmp_path, capsys):
+    inst = jfile(tmp_path, "inst.json", INSIDE)
+    assert main(["find-witness", inst, "--out", os.devnull]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == f"Accept: verified witness written to {os.devnull}\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_out_onto_a_fifo_writes_the_witness(tmp_path, capsys):
+    import threading
+
+    inst, fifo = jfile(tmp_path, "inst.json", INSIDE), tmp_path / "pipe"
+    fresh = tmp_path / "w.json"
+    assert main(["find-witness", inst, "--out", str(fresh)]) == 0
+    os.mkfifo(fifo)
+    drained = []
+    reader = threading.Thread(
+        target=lambda: drained.append(fifo.read_bytes()), daemon=True
+    )
+    reader.start()
+    try:
+        code = main(["find-witness", inst, "--out", str(fifo)])
+    finally:
+        reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert code == 0 and "error" not in capsys.readouterr().err
+    assert drained == [fresh.read_bytes()]
+
+
+def test_out_onto_a_directory_exits_two(tmp_path, capsys):
+    inst = jfile(tmp_path, "inst.json", INSIDE)
+    assert main(["find-witness", inst, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "geteuid") or os.geteuid() == 0,
+    reason="the superuser may write a read-only file",
+)
+def test_out_onto_a_read_only_file_exits_two_and_keeps_it(tmp_path, capsys):
+    inst, out = jfile(tmp_path, "inst.json", INSIDE), tmp_path / "w.json"
+    out.write_bytes(b"keep")
+    out.chmod(0o444)
+    assert main(["find-witness", inst, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 13] Permission denied: '{out}'\n"
+    assert out.read_bytes() == b"keep"
+
+
+# ---------------------------------------------------------------------------
+# one parse per command: a subcommand's parser alone, the full one otherwise
+
+PARSE_CASES = {
+    "verify-nonmembership": ["verify-nonmembership", "OUTSIDE", "CERT"],
+    "verify-nonmembership --json": ["verify-nonmembership", "OUTSIDE", "CERT", "--json"],
+    "verify-nonmembership -h": ["verify-nonmembership", "-h"],
+    "verify-nonmembership missing certificate": ["verify-nonmembership", "OUTSIDE"],
+    "verify-membership": ["verify-membership", "INSIDE", "GHZ"],
+    "verify-membership --json first": ["verify-membership", "--json", "INSIDE", "GHZ"],
+    "verify-membership --help": ["verify-membership", "--help"],
+    "verify-membership leftover": ["verify-membership", "INSIDE", "GHZ", "more"],
+    "find-witness": ["find-witness", "INSIDE", "--seed", "3", "--out", "OUT"],
+    "find-witness --out=": ["find-witness", "INSIDE", "--out=OUT"],
+    "find-witness -h after": ["find-witness", "INSIDE", "-h"],
+    "find-witness bad --seed": ["find-witness", "INSIDE", "--seed", "x"],
+    "find-witness --seed -1": ["find-witness", "INSIDE", "--seed", "-1"],
+    "find-witness no instance": ["find-witness"],
+    "find-witness unknown option": ["find-witness", "INSIDE", "--outt", "OUT"],
+    "facets": ["facets", "--m", "1", "--seed", "2", "--irredundant"],
+    "facets -h": ["facets", "-h"],
+    "facets no --m": ["facets", "--irredundant"],
+    "facets --m=x": ["facets", "--m=x"],
+    "kron": ["kron", "2,1", "2,1", "2,1", "--cap", "5"],
+    "kron -h": ["kron", "-h"],
+    "kron missing diagram": ["kron", "2,1", "2,1"],
+    "kron leftover": ["kron", "2,1", "2,1", "2,1", "extra"],
+    "kron leftover option": ["kron", "2,1", "2,1", "2,1", "--json"],
+    "kron -- then leftover": ["kron", "--", "2,1", "2,1", "2,1", "1"],
+    "member-bruteforce": ["member-bruteforce", "INSIDE", "--lmax", "1", "--cap", "6"],
+    "member-bruteforce -h": ["member-bruteforce", "-h"],
+    "member-bruteforce bad --lmax": ["member-bruteforce", "INSIDE", "--lmax", "0"],
+    "sample": ["sample", "--m", "2", "--n", "3", "--seed", "1"],
+    "sample -h": ["sample", "-h"],
+    "sample bad --seed": ["sample", "--m", "2", "--seed", "-3"],
+    "empty argv": [],
+    "-h": ["-h"],
+    "--help then a subcommand": ["--help", "kron"],
+    "unknown subcommand": ["no-such-command", "1"],
+    "a subcommand's prefix": ["kro", "1", "1", "1"],
+    "an option first": ["--json", "verify-membership", "INSIDE", "GHZ"],
+    "-- first": ["--", "kron", "1", "1", "1"],
+}
+
+
+def run_captured(argv, capsys):
+    code = run_cli(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_CASES))
+def test_one_parse_matches_the_full_parser(case, tmp_path, capsys, monkeypatch):
+    files = {
+        "OUTSIDE": jfile(tmp_path, "outside.json", OUTSIDE),
+        "CERT": jfile(tmp_path, "cert.json", WORKED_CERT),
+        "INSIDE": jfile(tmp_path, "inside.json", INSIDE),
+        "GHZ": jfile(tmp_path, "ghz.json", GHZ_CERT),
+        "OUT": str(tmp_path / "out.json"),
+    }
+    files["--out=OUT"] = "--out=" + files["OUT"]
+    argv = [files.get(a, a) for a in PARSE_CASES[case]]
+    one_pass = run_captured(argv, capsys)
+    monkeypatch.setattr(cli, "_COMMANDS", {})  # every argv to the full parser
+    assert run_captured(argv, capsys) == one_pass
+
+
+@pytest.mark.parametrize(
+    "argv", [["kron", "2,1", "2,1", "2,1"], ["sample", "--m", "1", "--n", "1"]]
+)
+def test_a_subcommand_is_parsed_by_its_own_parser_alone(argv, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the full parser ran")
+
+    monkeypatch.setattr(cli._PARSER, "parse_args", refuse)
+    monkeypatch.setattr(cli._PARSER, "parse_known_args", refuse)
+    assert main(argv) == 0
+
+
+def test_main_reads_sys_argv_in_a_fresh_process():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    run = [sys.executable, "-m", "kronkit.cli", "kron", "2,1", "2,1", "2,1"]
+    ok = subprocess.run(run, env=env, capture_output=True, text=True, timeout=60)
+    assert (ok.returncode, ok.stdout, ok.stderr) == (0, "1\n", "")
+    extra = subprocess.run(
+        [*run, "extra"], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert extra.returncode == 2 and extra.stdout == ""
+    assert extra.stderr.endswith("kronkit: error: unrecognized arguments: extra\n")

@@ -20,12 +20,15 @@ from kronkit.exactlp import LPResult, solve_lp
 from kronkit.floats import sample_spectra, spectra_csv
 from kronkit.intlinalg import kernel_vector_if_unique
 from kronkit.marginals import (
+    MembershipCertificate,
     accept_threshold2,
     frobenius_gap2,
     reduced_densities,
+    required_bits,
     verify_membership,
 )
 from kronkit.oracle import kron_coeff, partitions
+from kronkit.scalars import GaussianRational
 from kronkit.ressayre import (
     Decision,
     Reason,
@@ -856,7 +859,8 @@ def test_free_supports_list_each_shift_class_once():
 
 
 def test_exact_witness_rows_are_the_transposed_weight_vectors(monkeypatch):
-    # every LP refused, so _exact_witness tries each support up to the cap
+    # every candidate and every LP refused, so _exact_witness tries each
+    # support up to the cap: the diagonal without an LP, then one LP each
     calls = []
 
     def record(a_eq, b_eq):
@@ -864,15 +868,74 @@ def test_exact_witness_rows_are_the_transposed_weight_vectors(monkeypatch):
         return LPResult("infeasible", None, 1)
 
     monkeypatch.setattr(search, "solve_lp", record)
+    monkeypatch.setattr(search, "_verified", lambda inst, entries: None)
     for r in range(1, 6):
         calls.clear()
         assert search._exact_witness(inst([1] * r, [1] * r, [1] * r, r)) is None
-        supports = free_supports_by_dropping_repeats(r)
+        supports = free_supports_by_dropping_repeats(r)[1:]
         assert len(calls) == len(supports)
         for (a_eq, b_eq), support in zip(calls, supports):
             columns = [weight_vector(s, r) for s in support]
             assert a_eq == [list(col) for col in zip(*columns)]
             assert b_eq == [1] * (3 * r)
+
+
+def diagonal_lp_witness(point):
+    """The diagonal's certificate as its LP gives it: x/d, amplitudes
+    √(x/(k·d)) truncated to required_bits."""
+    r, bits = point.height, required_bits(point.m, point.k)
+    support = tuple((i, i, i) for i in range(1, r + 1))
+    a_eq = [[int(s[x] == i) for s in support] for x in range(3) for i in range(1, r + 1)]
+    lp = solve_lp(a_eq, [v for d in point.diagrams for v in d.padded(r)])
+    assert lp.status == "optimal"
+    return MembershipCertificate(point.m, {
+        s: GaussianRational(search._dyadic_sqrt(x, point.k * lp.d, bits))
+        for s, x in zip(support, lp.x)
+    })
+
+
+EQUAL_ROWS = [
+    ((1,), 1, None),
+    ((2, 1), 3, None),  # k = 3 is no square: truncated amplitudes
+    ((1, 1), 2, None),
+    ((4, 1), 5, 4),
+    ((9, 4, 1, 1), 15, None),
+    ((5, 3, 2), 10, 6),
+    ((2**499, 2**499), 2**500, None),
+]
+
+
+@pytest.mark.parametrize("rows, k, m", EQUAL_ROWS, ids=lambda v: str(v)[:20])
+def test_equal_rows_take_the_diagonal_lps_witness_without_an_lp(rows, k, m, monkeypatch):
+    point = inst(rows, rows, rows, k, m)
+    expected = diagonal_lp_witness(point)
+    assert verify_membership(point, expected).accepted
+
+    def refuse(a_eq, b_eq):
+        raise AssertionError("an LP ran for three equal rows")
+
+    monkeypatch.setattr(search, "solve_lp", refuse)
+    cert = search._exact_witness(point)
+    assert cert == expected and cert.to_json() == expected.to_json()
+
+
+@pytest.mark.parametrize(
+    "rows_a, rows_b, rows_c, k",
+    [((1, 1), (1, 1), (2,), 2), ((2, 1), (2, 1), (1, 1, 1), 3), ((3, 1), (2, 2), (2, 1, 1), 4)],
+)
+def test_unequal_rows_solve_no_diagonal_lp(rows_a, rows_b, rows_c, k, monkeypatch):
+    # a Latin support has r² entries, so its LP has r² columns; the
+    # diagonal's would have r
+    point = inst(rows_a, rows_b, rows_c, k)
+    columns = []
+
+    def record(a_eq, b_eq):
+        columns.append(len(a_eq[0]))
+        return solve_lp(a_eq, b_eq)
+
+    monkeypatch.setattr(search, "solve_lp", record)
+    search._exact_witness(point)
+    assert columns and set(columns) == {point.height**2}
 
 
 def rank_elements(m):

@@ -128,17 +128,19 @@ def test_bench_lp_panel_keeps_its_witness_pivots(bench_lp):
     # the free-support LPs of the rank-4 panel pivot exactly as recorded in
     # BENCH_lp.json: a change to the pricing, the ratio test or the start
     # shows here
+    # (the diagonal takes no LP, so no instance of the panel, whose rows
+    # are never all equal, spends one there)
     lps = bench_lp.recorded_lps(bench_lp.runs()["panel"])
-    assert len(lps) == 988
-    assert bench_lp.count_pivots(lps) == {"degenerate": 4138, "total": 8662}
+    assert len(lps) == 948
+    assert bench_lp.count_pivots(lps) == {"degenerate": 4089, "total": 8502}
 
 
 def test_bench_lp_certify_records_the_find_witness_lps(bench_lp):
     # the certify panel's instances that no committed facet cuts, those the
-    # certify workload sends to find-witness, make 158 solve_lp calls
-    # (BENCH_lp.json)
+    # certify workload sends to find-witness, make 92 solve_lp calls, none
+    # on the diagonal (BENCH_lp.json)
     lps = bench_lp.recorded_lps(bench_lp.runs()["certify"])
-    assert len(lps) == 158
+    assert len(lps) == 92
 
 
 def test_bench_verify_lists_every_class():

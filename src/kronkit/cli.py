@@ -49,31 +49,35 @@ _FOREIGN = (OSError, KeyError, TypeError, ValueError, ZeroDivisionError, Recursi
 def _load_json(path: str, build, what: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return build(json.load(fh))
+            obj = json.load(fh)
+        if type(obj) is not dict:
+            raise KronkitError(f"expected an object, got {type(obj).__name__}")
+        return build(obj)
     except (KronkitError, *_FOREIGN) as exc:
         raise KronkitError(f"bad {what} file {path}: {exc}") from exc
 
 
 def _parse_partition(text: str):
+    """Comma-separated rows.  Only ASCII decimal digits are converted, where
+    int() would also read "+2", " 3", "1_0" and "٢": ``parse_young`` refuses
+    any other token, "" too."""
     try:
-        return parse_young([int(tok) for tok in text.split(",") if tok.strip()])
-    except (KronkitError, *_FOREIGN) as exc:
+        rows = [int(t) if t.isascii() and t.isdigit() else t for t in text.split(",")]
+        return parse_young(rows)
+    except (KronkitError, ValueError) as exc:  # ValueError: past the digit limit
         raise KronkitError(f"bad partition {text!r}: {exc}") from exc
 
 
 def _int_at_least(low: int, what: str):
-    """An argparse type for integers ≥ low; anything else exits 2."""
+    """An argparse type for ASCII decimal integers ≥ low; anything else exits 2."""
 
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = low - 1
+    def decimal(text: str) -> int:  # named in argparse's message past the digit limit
+        value = int(text) if text.isascii() and text.isdigit() else low - 1
         if value < low:
             raise argparse.ArgumentTypeError(f"expected a {what} integer, got {text!r}")
         return value
 
-    return parse
+    return decimal
 
 
 _positive_int = _int_at_least(1, "positive")
@@ -292,21 +296,20 @@ _COMMANDS = next(
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand; the single place that maps exceptions to exit codes.
 
-    ``argv`` defaults to ``sys.argv[1:]``.  The full parser hands every word
-    after a subcommand's name to that subcommand's parser, so an argv that
-    starts with a name is parsed by that parser alone, once.  Any other
-    argv, and one that leaves words over, goes to the full parser, which
-    prints the same usage, message and exit code as it always did.
+    ``argv`` defaults to ``sys.argv[1:]`` and is parsed once.  The full
+    parser hands every word after a subcommand's name to that subcommand's
+    parser, so an argv that starts with a name is parsed by that parser
+    alone; words it leaves over are refused with the full parser's own
+    usage and ``unrecognized arguments`` message, exit 2.  Any other argv
+    goes to the full parser.
     """
     if argv is None:
         argv = sys.argv[1:]
-    args = None
     if argv and argv[0] in _COMMANDS:
         args, extra = _COMMANDS[argv[0]].parse_known_args(argv[1:])
-        args.command = argv[0]
         if extra:
-            args = None
-    if args is None:
+            _PARSER.error(f"unrecognized arguments: {' '.join(extra)}")
+    else:
         args = _PARSER.parse_args(argv)
     try:
         return args.func(args)

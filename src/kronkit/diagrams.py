@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import index, lt
+from operator import lt
 from typing import Iterable
 
 from .errors import KronkitError
-from .scalars import json_int, json_ints
+from .scalars import json_int, json_list
 
 
 @dataclass(frozen=True)
@@ -46,17 +46,17 @@ class YoungDiagram:
 
 
 def parse_young(rows: Iterable[int]) -> YoungDiagram:
-    """Validate row lengths as a Young diagram; a row that ``operator.index``
-    refuses, or a bool, is refused too, not converted."""
+    """Validate row lengths as a Young diagram.
+
+    Each row must be a plain int, the rule of ``scalars.json_int``: a bool, a
+    float, a string or any other type, an integer-like one too, is refused,
+    not converted."""
     rows = tuple(rows)
     if not rows:
         raise KronkitError("a diagram needs at least one row")
-    for r in rows:  # a plain int, as every JSON row is, needs no other test
-        if type(r) is not int and (
-            isinstance(r, bool) or not hasattr(type(r), "__index__")
-        ):
+    for r in rows:
+        if type(r) is not int:
             raise KronkitError(f"row length {r!r} is not an integer")
-    rows = tuple(map(index, rows))
     if min(rows) <= 0:
         r = next(r for r in rows if r <= 0)
         raise KronkitError(f"row length {r} is not strictly positive")
@@ -129,7 +129,7 @@ class KronInstance:
     def from_json(cls, obj: dict) -> "KronInstance":
         keys = ("lambda_A", "lambda_B", "lambda_C")
         return make_instance(
-            *(parse_young(json_ints(obj[key], key)) for key in keys),
+            *(parse_young(json_list(obj[key], key)) for key in keys),
             obj["k"],
             m_override=obj["m"] if "m" in obj else None,
         )

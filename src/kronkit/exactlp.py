@@ -20,11 +20,12 @@ basic is 0, and x is read straight off the basis.  The statuses are
 Pricing is Dantzig's rule, with Bland's (Math. Oper. Res. 1977) after a
 degenerate pivot, which rules out cycling: see ``_simplex``.
 
-Coefficients must be integers (a rational of integral value is accepted,
-any other value raises ``ValueError``).  The tableau holds ints over one
-common denominator d = det B > 0 of the basis B (Edmonds' integer pivoting),
-so each pivot divides exactly by Sylvester's identity.  The returned
-:class:`LPResult` keeps that form: integer numerators x over d.
+Coefficients must be plain ints, the rule of ``scalars.json_int``: any other
+value, an integral float, a bool or a ``Fraction`` too, raises ``ValueError``.
+The tableau holds ints over one common denominator d = det B > 0 of the
+basis B (Edmonds' integer pivoting), so each pivot divides exactly by
+Sylvester's identity.  The returned :class:`LPResult` keeps that form:
+integer numerators x over d.
 
 ``search._exact_witness`` asks for x ≥ 0 on a free support whose block sums
 are the three diagrams.
@@ -49,6 +50,7 @@ when z_e > 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 Row = Sequence[int]
@@ -60,12 +62,6 @@ class LPResult:
     status: str  # "optimal" (feasible) | "infeasible"
     x: tuple[int, ...] | None  # numerators of the basic solution x/d
     d: int  # det B > 0, the tableau's denominator
-
-
-def _integer(v) -> int:
-    if int(v) != v:
-        raise ValueError(f"LP coefficient {v} is not an integer")
-    return int(v)
 
 
 def _pivot(tab: Tableau, basis: list[int], row: int, col: int, d: int) -> int:
@@ -134,8 +130,9 @@ def _simplex(tab: Tableau, basis: list[int]) -> int:
 def solve_lp(a_eq: Sequence[Row], b_eq: Row) -> LPResult:
     """Exact phase-1 simplex: is there x ≥ 0 with A x = b, and which?
 
-    Raises ``ValueError`` on a non-integer coefficient, on rows of A of
-    unequal length, and when b and A differ in length.
+    Raises ``ValueError`` on a coefficient that is not a plain int (nothing
+    is converted), on rows of A of unequal length, and when b and A differ
+    in length.
     """
     n_rows = len(a_eq)
     if len(b_eq) != n_rows:
@@ -145,14 +142,11 @@ def solve_lp(a_eq: Sequence[Row], b_eq: Row) -> LPResult:
         if len(arow) != n:
             raise ValueError(f"row {i} of A has {len(arow)} entries for {n} columns")
 
-    # normalize to b ≥ 0; an int needs no integer check
-    rows = [
-        [
-            (-1 if b < 0 else 1) * (v if type(v) is int else _integer(v))
-            for v in (*arow, b)
-        ]
-        for arow, b in zip(a_eq, b_eq)
-    ]
+    rows = [[*arow, b] for arow, b in zip(a_eq, b_eq)]
+    for v in chain.from_iterable(rows):
+        if type(v) is not int:
+            raise ValueError(f"LP coefficient {v!r} is not an integer")
+    rows = [[-v for v in row] if row[-1] < 0 else row for row in rows]  # b ≥ 0
 
     # a real column that is +eᵢ starts row i's basis; every other row starts
     # on an artificial of its own, basic index n + k for the k-th, no column

@@ -70,6 +70,8 @@ class MembershipCertificate:
         """Read a certificate; an index given twice is refused, not merged."""
         entries = {}
         for item in json_list(obj["entries"], "entries"):
+            if type(item) is not dict:
+                raise KronkitError(f"an entry is a {type(item).__name__}, not an object")
             idx = json_ints(item["idx"], "idx")  # hashable, for the check below
             if idx in entries:
                 raise KronkitError(f"index {list(idx)} appears twice")

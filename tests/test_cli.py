@@ -448,6 +448,12 @@ FRACTIONAL_INSTANCE = {
 FRACTIONAL_CERT = {"H": [[-1.9, 1.9], [-1, 1], [1, -1]], "z": -1.5, "p": [1.7, 0, 0]}
 
 
+# an entry that is no object would fail on its first key
+STRING_ENTRY_CERT = {"m": 2, "entries": ["abc"]}
+# ASCII digits that int() refuses, past CPython's int→str digit limit
+PAST_DIGIT_LIMIT = "1" * 5000
+
+
 NOT_TRACELESS_CERT = {**WORKED_CERT, "H": [[0, 1], [-1, 1], [1, -1]]}
 TWO_COMPONENT_CERT = {**WORKED_CERT, "H": [[-1, 1], [-1, 1]]}
 LONG_B_CERT = {**WORKED_CERT, "H": [[-1, 1], [-1, 0, 1], [1, -1]]}
@@ -538,6 +544,15 @@ MALFORMED = {
     "verify-membership certificate is a list": lambda t: [
         "verify-membership", jfile(t, "i.json", INSIDE), jfile(t, "c.json", [1]),
     ],
+    "verify-membership entry is a string": lambda t: [
+        "verify-membership",
+        jfile(t, "i.json", INSIDE),
+        jfile(t, "c.json", STRING_ENTRY_CERT),
+    ],
+    "find-witness instance is a list": lambda t: [
+        "find-witness", jfile(t, "i.json", [[1, 1], [1, 1], [1, 1]]),
+        "--out", str(t / "w.json"),
+    ],
     "verify-membership rank mismatch": lambda t: [
         "verify-membership", jfile(t, "i.json", OUTSIDE), jfile(t, "c.json", {
             "m": 1, "entries": [{"idx": [1, 1, 1], "re": "1/1"}],
@@ -570,17 +585,29 @@ MALFORMED = {
         "find-witness", jfile(t, "i.json", RANK_3), "--seed", "-1",
         "--out", str(t / "w.json"),
     ],
+    "find-witness --seed ' 3'": lambda t: [
+        "find-witness", jfile(t, "i.json", RANK_3), "--seed", " 3",
+        "--out", str(t / "w.json"),
+    ],
     "facets --m 0": lambda t: ["facets", "--m", "0"],
     "facets --m abc": lambda t: ["facets", "--m", "abc"],
     "facets unwritable --out": lambda t: [
         "facets", "--m", "1", "--out", str(t / "no-such-dir" / "f.json"),
     ],
     "kron --cap 0": lambda t: ["kron", "1", "1", "1", "--cap", "0"],
+    "kron 2,,1 2,1 2,1": lambda t: ["kron", "2,,1", "2,1", "2,1"],
+    "kron 2,1, 2,1 2,1": lambda t: ["kron", "2,1,", "2,1", "2,1"],
+    "kron 1_0 1_0 1_0": lambda t: ["kron", "1_0", "1_0", "1_0"],
+    "kron ٢ ٢ ٢": lambda t: ["kron", "٢", "٢", "٢"],
+    "kron a row past the digit limit": lambda t: ["kron", PAST_DIGIT_LIMIT, "1", "1"],
     "member-bruteforce --lmax 0": lambda t: [
         "member-bruteforce", jfile(t, "i.json", INSIDE), "--lmax", "0",
     ],
     "sample --m 0": lambda t: ["sample", "--m", "0"],
     "sample --m 13": lambda t: ["sample", "--m", "13"],
+    "sample --m 1_0": lambda t: ["sample", "--m", "1_0"],
+    "sample --m +2": lambda t: ["sample", "--m", "+2"],
+    "sample --m past the digit limit": lambda t: ["sample", "--m", PAST_DIGIT_LIMIT],
     "sample --n -1": lambda t: ["sample", "--m", "2", "--n", "-1"],
     "sample --seed -1": lambda t: ["sample", "--m", "2", "--seed", "-1"],
     "sample unwritable --out": lambda t: [
@@ -649,6 +676,42 @@ def test_a_diagram_that_is_no_list_is_refused_by_name(case, reason, tmp_path, ca
     err = capsys.readouterr().err
     assert code == 2
     assert err == f"error: bad instance file {argv[1]}: {reason}\n"
+
+
+@pytest.mark.parametrize(
+    "case, at, what, reason",
+    [
+        ("verify-nonmembership fractional instance", 1, "instance",
+         "row length 2.5 is not an integer"),
+        ("find-witness instance is a list", 1, "instance",
+         "expected an object, got list"),
+        ("verify-membership certificate is a list", 2, "certificate",
+         "expected an object, got list"),
+        ("verify-membership entry is a string", 2, "certificate",
+         "an entry is a str, not an object"),
+    ],
+)
+def test_a_reader_refuses_by_name(case, at, what, reason, tmp_path, capsys):
+    argv = MALFORMED[case](tmp_path)
+    code = run_cli(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: bad {what} file {argv[at]}: {reason}\n"
+
+
+@pytest.mark.parametrize(
+    "row, reason",
+    [
+        ("2,,1", "row length '' is not an integer"),
+        ("2,1,", "row length '' is not an integer"),
+        ("+2,1", "row length '+2' is not an integer"),
+        (" 2,1", "row length ' 2' is not an integer"),
+        ("٢,1", "row length '٢' is not an integer"),
+    ],
+)
+def test_a_partition_row_is_ascii_decimal_digits(row, reason, capsys):
+    assert main(["kron", row, "2,1", "2,1"]) == 2
+    assert capsys.readouterr().err == f"error: bad partition {row!r}: {reason}\n"
 
 
 def test_every_subcommand_has_a_malformed_case():
@@ -816,8 +879,7 @@ def run_captured(argv, capsys):
     return code, captured.out, captured.err
 
 
-@pytest.mark.parametrize("case", sorted(PARSE_CASES))
-def test_one_parse_matches_the_full_parser(case, tmp_path, capsys, monkeypatch):
+def parse_case_argv(case, tmp_path):
     files = {
         "OUTSIDE": jfile(tmp_path, "outside.json", OUTSIDE),
         "CERT": jfile(tmp_path, "cert.json", WORKED_CERT),
@@ -826,7 +888,12 @@ def test_one_parse_matches_the_full_parser(case, tmp_path, capsys, monkeypatch):
         "OUT": str(tmp_path / "out.json"),
     }
     files["--out=OUT"] = "--out=" + files["OUT"]
-    argv = [files.get(a, a) for a in PARSE_CASES[case]]
+    return [files.get(a, a) for a in PARSE_CASES[case]]
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_CASES))
+def test_one_parse_matches_the_full_parser(case, tmp_path, capsys, monkeypatch):
+    argv = parse_case_argv(case, tmp_path)
     one_pass = run_captured(argv, capsys)
     monkeypatch.setattr(cli, "_COMMANDS", {})  # every argv to the full parser
     assert run_captured(argv, capsys) == one_pass
@@ -842,6 +909,24 @@ def test_a_subcommand_is_parsed_by_its_own_parser_alone(argv, monkeypatch, capsy
     monkeypatch.setattr(cli._PARSER, "parse_args", refuse)
     monkeypatch.setattr(cli._PARSER, "parse_known_args", refuse)
     assert main(argv) == 0
+
+
+NAMED = sorted(c for c, a in PARSE_CASES.items() if a and a[0] in cli._COMMANDS)
+
+
+@pytest.mark.parametrize("case", NAMED)
+def test_a_named_subcommand_is_parsed_once(case, tmp_path, monkeypatch, capsys):
+    # no full parse, also when words are left over ("kron leftover" and others)
+    calls = []
+    full_parse = cli._PARSER.parse_args
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return full_parse(*args, **kwargs)
+
+    monkeypatch.setattr(cli._PARSER, "parse_args", spy)
+    run_captured(parse_case_argv(case, tmp_path), capsys)
+    assert calls == []
 
 
 def test_main_reads_sys_argv_in_a_fresh_process():

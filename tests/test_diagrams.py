@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 
+import numpy as np
 import pytest
 
 from kronkit.diagrams import KronInstance, make_instance, parse_young
@@ -22,9 +23,11 @@ class Row:
         return 2
 
 
-def test_parse_young_takes_what_operator_index_takes():
-    d = parse_young([Row(), 1])
-    assert d.rows == (2, 1) and all(type(r) is int for r in d.rows)
+def test_parse_young_refuses_what_operator_index_takes():
+    # a row is a plain int, as in every reader: nothing is converted
+    for row in (Row(), np.int64(2), True):
+        with pytest.raises(KronkitError, match="row length .* is not an integer"):
+            parse_young([row, 1])
 
 
 def test_parse_young_rejects():

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kronkit import exactlp, search
@@ -92,9 +93,17 @@ def test_known_bounded_lp():
 
 def test_equality_constrained_lp():
     # x + y = 1: x is the row's unit column, so the answer is (1, 0)
-    res = solve_lp([[Fraction(1), 1]], [1])
+    res = solve_lp([[1, 1]], [1])
     assert_solves([[1, 1]], [1], res)
     assert point(res) == (1, 0)
+
+
+@pytest.mark.parametrize("value", [Fraction(1), 2.0, True, np.int64(1)])
+def test_integral_non_int_coefficient_is_refused(value):
+    # nothing is converted: only a plain int is a coefficient, in A and in b
+    for a_eq, b_eq in (([[value, 1]], [1]), ([[1, 1]], [value])):
+        with pytest.raises(ValueError, match="not an integer"):
+            solve_lp(a_eq, b_eq)
 
 
 def test_redundant_equation_is_dropped():

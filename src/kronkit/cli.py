@@ -40,10 +40,10 @@ EXIT_REJECT = 1
 EXIT_MALFORMED = 2
 EXIT_INTERNAL = 3
 
-# What malformed input raises before kronkit's own checks see it
-# (json.JSONDecodeError is a ValueError; json.load raises RecursionError on
-# arrays or objects nested past the interpreter's recursion limit).
-_FOREIGN = (OSError, KeyError, TypeError, ValueError, ZeroDivisionError, RecursionError)
+# What open and json.load raise on a bad file: a JSONDecodeError or an integer
+# past the digit limit is a ValueError, nesting past the recursion limit a
+# RecursionError.  Any other exception from a from_json is a bug: exit 3.
+_FOREIGN = (OSError, ValueError, RecursionError)
 
 
 def _load_json(path: str, build, what: str):

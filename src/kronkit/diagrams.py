@@ -15,7 +15,7 @@ from operator import lt
 from typing import Iterable
 
 from .errors import KronkitError
-from .scalars import json_int, json_list
+from .scalars import json_field, json_int, json_list
 
 
 @dataclass(frozen=True)
@@ -129,9 +129,9 @@ class KronInstance:
     def from_json(cls, obj: dict) -> "KronInstance":
         keys = ("lambda_A", "lambda_B", "lambda_C")
         return make_instance(
-            *(parse_young(json_list(obj[key], key)) for key in keys),
-            obj["k"],
-            m_override=obj["m"] if "m" in obj else None,
+            *(parse_young(json_list(json_field(obj, key), key)) for key in keys),
+            json_field(obj, "k"),
+            m_override=json_int(obj["m"]) if "m" in obj else None,
         )
 
     def __str__(self) -> str:

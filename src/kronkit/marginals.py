@@ -27,7 +27,7 @@ from fractions import Fraction
 from .diagrams import KronInstance
 from .errors import KronkitError
 from .ressayre import Decision, Reason, Verdict, min_gap
-from .scalars import GaussianRational, json_int, json_ints, json_list
+from .scalars import GaussianRational, json_field, json_int, json_ints, json_list
 from .weights import check_weight_cap, weights
 
 Entry = tuple[int, int, int]
@@ -46,12 +46,13 @@ class MembershipCertificate:
         json_int(self.m)
         cleaned = {}
         for idx, value in self.entries.items():
-            a, b, c = idx
-            for component in (a, b, c):
+            if len(idx) != 3:
+                raise KronkitError(f"idx {list(idx)} does not have three indices")
+            for component in idx:
                 if not 1 <= json_int(component) <= self.m:
                     raise KronkitError(f"index {idx} outside 1..{self.m}")
             if not value.is_zero():
-                cleaned[(a, b, c)] = value
+                cleaned[idx] = value
         if not cleaned:
             raise KronkitError("certificate has no nonzero entry")
         object.__setattr__(self, "entries", cleaned)
@@ -69,14 +70,14 @@ class MembershipCertificate:
     def from_json(cls, obj: dict) -> "MembershipCertificate":
         """Read a certificate; an index given twice is refused, not merged."""
         entries = {}
-        for item in json_list(obj["entries"], "entries"):
+        for item in json_list(json_field(obj, "entries"), "entries"):
             if type(item) is not dict:
                 raise KronkitError(f"an entry is a {type(item).__name__}, not an object")
-            idx = json_ints(item["idx"], "idx")  # hashable, for the check below
+            idx = json_ints(json_field(item, "idx"), "idx")  # hashable, for the check
             if idx in entries:
                 raise KronkitError(f"index {list(idx)} appears twice")
             entries[idx] = GaussianRational.from_json(item)
-        return cls(obj["m"], entries)
+        return cls(json_field(obj, "m"), entries)
 
 
 @dataclass(frozen=True)

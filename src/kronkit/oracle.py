@@ -21,7 +21,8 @@ from functools import lru_cache
 from .diagrams import KronInstance, YoungDiagram, parse_young
 from .errors import KronkitError
 
-# Brute-force stretching beyond 12 boxes explodes; raise deliberately.
+# A contract, not a speed limit: kron and member-bruteforce exit 2 from
+# k = 13, and tools/bench_witness.py reads this cap for its panels' k.
 DEFAULT_ORACLE_CAP = 12
 
 

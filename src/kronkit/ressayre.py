@@ -26,7 +26,7 @@ from fractions import Fraction
 from .diagrams import KronInstance
 from .errors import KronkitError
 from .intlinalg import det_bareiss
-from .scalars import json_int, json_list
+from .scalars import json_field, json_int, json_list
 from .weights import HyperplaneCandidate, affine_rank, negative_roots_on, split_weights
 
 
@@ -102,7 +102,7 @@ class RessayreCertificate:
     @classmethod
     def from_json(cls, obj: dict) -> "RessayreCertificate":
         h = HyperplaneCandidate.from_json(obj)
-        return cls(h, tuple(json_list(obj["p"], "p")))
+        return cls(h, tuple(json_list(json_field(obj, "p"), "p")))
 
 
 def check_admissible(h: HyperplaneCandidate, m: int) -> bool:

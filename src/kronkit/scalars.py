@@ -18,36 +18,34 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .errors import KronkitError
-
-RationalLike = Union[Fraction, int, str]
 
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def as_fraction(value: RationalLike) -> Fraction:
-    """Coerce ints, ``"p/q"`` or ``"p"`` strings, or Fractions to Fraction.
+def json_field(obj: dict, name: str):
+    """The field ``name`` of a JSON object; a missing one raises KronkitError."""
+    try:
+        return obj[name]
+    except KeyError:
+        raise KronkitError(f"missing field {name!r}") from None
 
-    A ``bool`` is an ``int`` in Python, but JSON ``true`` is no amplitude,
-    so it is refused like any other junk.  A string must match
-    ``-?[0-9]+(/[0-9]+)?``: ``Fraction`` alone would also read ``"0.5"``,
-    ``"1_0"`` and ``"1e1000000"``, a nine-character 3.3-million-bit integer.
-    The string is parsed once: the Fraction is built from the integers of
-    that one match, and a zero denominator raises ZeroDivisionError.
-    """
-    if isinstance(value, str):
-        match = _RATIONAL.fullmatch(value)
-        if match is None:
-            raise ValueError(f"expected num/den or an integer, got {value!r}")
-        num, den = match.groups()
-        return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as a rational")
+
+def json_rational(value) -> Fraction:
+    """The JSON string ``"num/den"`` or ``"num"`` as a Fraction, else KronkitError.
+
+    A JSON number, bool or null is refused, as is a zero denominator or a
+    string that ``Fraction`` alone would read: ``"0.5"``, ``"1_0"`` or
+    ``"1e1000000"``, a nine-character 3.3-million-bit integer."""
+    match = _RATIONAL.fullmatch(value) if type(value) is str else None
+    if match is None:
+        raise KronkitError(f"expected a num/den string, got {value!r}")
+    num, den = match.groups()
+    den = int(den or 1)
+    if den == 0:
+        raise KronkitError(f"rational {value!r} has a zero denominator")
+    return Fraction(int(num), den)
 
 
 def json_int(value) -> int:
@@ -93,14 +91,14 @@ def format_rational(q: Fraction) -> str:
 
 @dataclass(frozen=True)
 class GaussianRational:
-    """A complex number with exact rational real and imaginary parts."""
+    """re + i·im with both parts Fractions; an int, str or bool part is refused."""
 
     re: Fraction = Fraction(0)
     im: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "re", as_fraction(self.re))
-        object.__setattr__(self, "im", as_fraction(self.im))
+        if not (isinstance(self.re, Fraction) and isinstance(self.im, Fraction)):
+            raise KronkitError(f"parts {self.re!r}, {self.im!r} are not both Fractions")
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
@@ -110,5 +108,5 @@ class GaussianRational:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GaussianRational":
-        return cls(obj["re"], obj.get("im", "0"))
-
+        im = json_rational(obj["im"]) if "im" in obj else Fraction(0)
+        return cls(json_rational(json_field(obj, "re")), im)

@@ -59,7 +59,7 @@ from .ressayre import (
     siegel_bound,
     verify_nonmembership,
 )
-from .scalars import GaussianRational, json_int
+from .scalars import GaussianRational, json_field, json_int, json_list
 from .scaling import scale
 from .weights import SUBSYSTEMS, HyperplaneCandidate, check_weight_cap, weights
 
@@ -149,10 +149,9 @@ class FacetSystem:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FacetSystem":
-        m = json_int(obj["m"])
-        elements = tuple(
-            RessayreCertificate.from_json(e) for e in obj["nontrivial"]
-        )
+        m = json_int(json_field(obj, "m"))
+        nontrivial = json_list(json_field(obj, "nontrivial"), "nontrivial")
+        elements = tuple(map(RessayreCertificate.from_json, nontrivial))
         return cls(m, elements, chamber_inequalities(m))
 
 
@@ -301,9 +300,10 @@ def free_supports(m: int) -> Iterator[tuple[Entry, ...]]:
     σ(1) = τ(1) = 1 lists each once, m·((m−1)!)² in all (at m = 1 it is the
     diagonal), in the lexicographic order of (σ, τ, c), which is their order
     of first occurrence over all (σ, τ, c).  At most ``MAX_FREE_SUPPORTS``
-    are yielded: every relabelling up to m = 4, the first ones in this order
-    above.  Supports are built lazily, so a witness on the diagonal costs no
-    Latin square; each is sorted, which fixes its LP's column order.
+    are yielded: at m = 4 the diagonal and all 144 cyclic supports, whose
+    symbol map is fixed up to a shift, not all 576 Latin squares of order 4;
+    above, the first ones in this order.  Built lazily, a witness on the
+    diagonal costs no Latin square; each is sorted, fixing its LP's column order.
     """
     yield tuple((i, i, i) for i in range(1, m + 1))
     if m == 1:

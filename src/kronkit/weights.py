@@ -21,7 +21,7 @@ from operator import mul
 
 from .errors import KronkitError
 from .intlinalg import integer_rank
-from .scalars import json_int, json_list
+from .scalars import json_field, json_int, json_list
 
 # Materializing Φ(m) costs m³ memory; the cap keeps accidental
 # mega-instances from exhausting the machine.
@@ -80,11 +80,11 @@ class HyperplaneCandidate:
 
     @classmethod
     def from_json(cls, obj: dict) -> "HyperplaneCandidate":
-        h = json_list(obj["H"], "H")
+        h = json_list(json_field(obj, "H"), "H")
         if len(h) != 3:
             raise KronkitError("H must have exactly three components")
         blocks = (tuple(json_list(block, name)) for block, name in zip(h, _COMPONENTS))
-        return cls(*blocks, obj["z"])
+        return cls(*blocks, json_field(obj, "z"))
 
     def negated(self) -> "HyperplaneCandidate":
         blocks = (tuple(-v for v in block) for block in self.blocks)

@@ -448,6 +448,15 @@ FRACTIONAL_INSTANCE = {
 FRACTIONAL_CERT = {"H": [[-1.9, 1.9], [-1, 1], [1, -1]], "z": -1.5, "p": [1.7, 0, 0]}
 
 
+# a field missing, or present with a value of the wrong type
+WITHOUT_K = {key: value for key, value in INSIDE.items() if key != "k"}
+NULL_M = {**INSIDE, "m": None}
+WITHOUT_RE_CERT = {"m": 2, "entries": [{"idx": [1, 1, 1], "im": "0/1"}]}
+TWO_INDEX_CERT = {"m": 2, "entries": [{"idx": [1, 1], "re": "1/1"}]}
+# a rational is a "num/den" string, never a JSON number
+NUMBER_CERT = {"m": 2, "entries": [{"idx": [1, 1, 1], "re": 1}]}
+
+
 # an entry that is no object would fail on its first key
 STRING_ENTRY_CERT = {"m": 2, "entries": ["abc"]}
 # ASCII digits that int() refuses, past CPython's int→str digit limit
@@ -523,6 +532,31 @@ MALFORMED = {
         "verify-membership",
         jfile(t, "i.json", INSIDE),
         jfile(t, "c.json", BOOL_CERT),
+    ],
+    "verify-membership instance without k": lambda t: [
+        "verify-membership",
+        jfile(t, "i.json", WITHOUT_K),
+        jfile(t, "c.json", GHZ_CERT),
+    ],
+    "verify-membership instance with m null": lambda t: [
+        "verify-membership",
+        jfile(t, "i.json", NULL_M),
+        jfile(t, "c.json", GHZ_CERT),
+    ],
+    "verify-membership entry without re": lambda t: [
+        "verify-membership",
+        jfile(t, "i.json", INSIDE),
+        jfile(t, "c.json", WITHOUT_RE_CERT),
+    ],
+    "verify-membership idx of two indices": lambda t: [
+        "verify-membership",
+        jfile(t, "i.json", INSIDE),
+        jfile(t, "c.json", TWO_INDEX_CERT),
+    ],
+    "verify-membership number amplitude": lambda t: [
+        "verify-membership",
+        jfile(t, "i.json", INSIDE),
+        jfile(t, "c.json", NUMBER_CERT),
     ],
     "verify-membership repeated index": lambda t: [
         "verify-membership",
@@ -689,6 +723,18 @@ def test_a_diagram_that_is_no_list_is_refused_by_name(case, reason, tmp_path, ca
          "expected an object, got list"),
         ("verify-membership entry is a string", 2, "certificate",
          "an entry is a str, not an object"),
+        ("verify-membership instance without k", 1, "instance", "missing field 'k'"),
+        ("verify-membership entry without re", 2, "certificate", "missing field 're'"),
+        ("verify-nonmembership certificate without p", 2, "certificate",
+         "missing field 'p'"),
+        ("verify-membership instance with m null", 1, "instance",
+         "expected an integer, got None"),
+        ("verify-membership idx of two indices", 2, "certificate",
+         "idx [1, 1] does not have three indices"),
+        ("verify-membership number amplitude", 2, "certificate",
+         "expected a num/den string, got 1"),
+        ("verify-membership 1/0 amplitude", 2, "certificate",
+         "rational '1/0' has a zero denominator"),
     ],
 )
 def test_a_reader_refuses_by_name(case, at, what, reason, tmp_path, capsys):

@@ -6,10 +6,10 @@ import pytest
 from kronkit.errors import KronkitError
 from kronkit.scalars import (
     GaussianRational,
-    as_fraction,
     format_rational,
     json_int,
     json_ints,
+    json_rational,
 )
 
 
@@ -40,42 +40,47 @@ def test_rational_parse_format_round_trip():
     rng = random.Random(11)
     for _ in range(200):
         q = random_fraction(rng, digits=12)
-        assert as_fraction(format_rational(q)) == q
-    assert as_fraction("3") == 3
-    assert as_fraction("-3/7") == Fraction(-3, 7)
+        assert json_rational(format_rational(q)) == q
+    assert json_rational("3") == 3
+    assert json_rational("-3/7") == Fraction(-3, 7)
 
 
-def test_as_fraction_rejects_junk():
-    with pytest.raises(TypeError):
-        as_fraction(0.5)
+def test_json_rational_rejects_junk():
+    # a JSON number is no rational: a rational is always a string
+    for value in (0.5, 1, 0, None, [], {}):
+        with pytest.raises(KronkitError, match="^expected a num/den string, got "):
+            json_rational(value)
 
 
-def test_as_fraction_reads_only_num_den_strings():
+def test_json_rational_reads_only_num_den_strings():
     # Fraction alone reads all of these; the last is a 3.3-million-bit integer
     for text in ("0.5", "+1/2", "1_0/1", " 1/2", "1/-2", "1e1000000"):
-        with pytest.raises(ValueError):
-            as_fraction(text)
+        with pytest.raises(KronkitError, match="^expected a num/den string, got "):
+            json_rational(text)
 
 
-def test_single_parse_as_fraction_refuses_what_it_refused():
+def test_single_parse_json_rational_refuses_what_it_refused():
     # the Fraction is built from the regex match alone, so the match must
     # still be the whole gate
-    with pytest.raises(TypeError):
-        as_fraction(True)
+    with pytest.raises(KronkitError):
+        json_rational(True)
     for text in ("0.5", "1_0", "1e1000000", " 1/2", "1/-2", "+1"):
-        with pytest.raises(ValueError):
-            as_fraction(text)
-    with pytest.raises(ZeroDivisionError):
-        as_fraction("1/0")
-    assert as_fraction("-6/4") == Fraction(-3, 2)
-    assert as_fraction("0/7") == 0 and as_fraction("-0") == 0
+        with pytest.raises(KronkitError):
+            json_rational(text)
+    for text in ("1/0", "0/00"):
+        reason = f"^rational '{text}' has a zero denominator$"
+        with pytest.raises(KronkitError, match=reason):
+            json_rational(text)
+    assert json_rational("-6/4") == Fraction(-3, 2)
+    assert json_rational("0/7") == 0 and json_rational("-0") == 0
 
 
-def test_as_fraction_rejects_bool():
+def test_json_rational_rejects_bool():
     # bool is an int subclass; JSON true must not read as the amplitude 1
     for value in (True, False):
-        with pytest.raises(TypeError):
-            as_fraction(value)
+        reason = f"^expected a num/den string, got {value}$"
+        with pytest.raises(KronkitError, match=reason):
+            json_rational(value)
 
 
 def test_gaussian_json_round_trip():
@@ -83,11 +88,26 @@ def test_gaussian_json_round_trip():
     assert a.to_json() == {"re": "-3/7", "im": "11/3"}
     assert GaussianRational.from_json(a.to_json()) == a
     assert GaussianRational().is_zero()
-    assert not a.is_zero() and not GaussianRational(0, 1).is_zero()
+    assert not a.is_zero() and not GaussianRational(Fraction(0), Fraction(1)).is_zero()
     # omitted imaginary part reads as zero
     assert GaussianRational.from_json({"re": "2/5"}) == GaussianRational(
         Fraction(2, 5), Fraction(0)
     )
+
+
+def test_gaussian_rational_takes_only_fractions():
+    # nothing is converted where it is built: JSON values go through json_rational
+    for re, im in ((0, Fraction(1)), (Fraction(1), "0/1"), (True, Fraction(0))):
+        with pytest.raises(KronkitError, match="are not both Fractions$"):
+            GaussianRational(re, im)
+
+
+def test_gaussian_from_json_names_a_missing_real_part():
+    with pytest.raises(KronkitError, match="^missing field 're'$"):
+        GaussianRational.from_json({"im": "1/2"})
+    # a present imaginary part follows its type: null is no zero
+    with pytest.raises(KronkitError, match="^expected a num/den string, got None$"):
+        GaussianRational.from_json({"re": "1/2", "im": None})
 
 
 def test_json_int_takes_only_integers():

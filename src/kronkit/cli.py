@@ -32,7 +32,7 @@ from .floats import sample_spectra, spectra_csv
 from .marginals import MembershipCertificate, accept_threshold2, verify_membership
 from .oracle import DEFAULT_ORACLE_CAP, kron_coeff, semigroup_member
 from .ressayre import RessayreCertificate, verify_nonmembership
-from .scalars import format_rational
+from .scalars import decimal_int, format_rational
 from .search import enumerate_ressayre, reduce_irredundant, search_witness
 
 EXIT_ACCEPT = 0
@@ -62,9 +62,10 @@ def _parse_partition(text: str):
     int() would also read "+2", " 3", "1_0" and "٢": ``parse_young`` refuses
     any other token, "" too."""
     try:
-        rows = [int(t) if t.isascii() and t.isdigit() else t for t in text.split(",")]
+        tokens = text.split(",")
+        rows = [decimal_int(t) if t.isascii() and t.isdigit() else t for t in tokens]
         return parse_young(rows)
-    except (KronkitError, ValueError) as exc:  # ValueError: past the digit limit
+    except KronkitError as exc:
         raise KronkitError(f"bad partition {text!r}: {exc}") from exc
 
 
@@ -223,58 +224,58 @@ def cmd_sample(args) -> int:
     return EXIT_ACCEPT
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(commands: dict | None = None) -> argparse.ArgumentParser:
+    """The full parser; each subcommand's parser also goes in ``commands``."""
+    commands = {} if commands is None else commands
     parser = argparse.ArgumentParser(
         prog="kronkit",
         description="Exact certificates for the polytope of marginal spectra.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "verify-nonmembership", help="check a hyperplane certificate exactly"
-    )
+    def add(name: str, **kwargs) -> argparse.ArgumentParser:
+        commands[name] = sub.add_parser(name, **kwargs)
+        return commands[name]
+
+    p = add("verify-nonmembership", help="check a hyperplane certificate exactly")
     p.add_argument("instance", help="instance JSON file")
     p.add_argument("certificate", help="certificate JSON file")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_verify_nonmembership)
 
-    p = sub.add_parser(
-        "verify-membership", help="check a witness-vector certificate exactly"
-    )
+    p = add("verify-membership", help="check a witness-vector certificate exactly")
     p.add_argument("instance", help="instance JSON file")
     p.add_argument("certificate", help="certificate JSON file")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_verify_membership)
 
-    p = sub.add_parser("find-witness", help="search for a verified witness vector")
+    p = add("find-witness", help="search for a verified witness vector")
     p.add_argument("instance", help="instance JSON file")
     p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out", default="witness.json", help="output certificate path")
     p.set_defaults(func=cmd_find_witness)
 
-    p = sub.add_parser("facets", help="enumerate hyperplane certificates")
+    p = add("facets", help="enumerate hyperplane certificates")
     p.add_argument("--m", type=_positive_int, required=True)
     p.add_argument("--irredundant", action="store_true")
     p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out", default=None, help="output JSON path (default stdout)")
     p.set_defaults(func=cmd_facets)
 
-    p = sub.add_parser("kron", help="exact multiplicity of a diagram triple")
+    p = add("kron", help="exact multiplicity of a diagram triple")
     p.add_argument("lam_a", help="comma-separated rows, e.g. 2,1")
     p.add_argument("lam_b")
     p.add_argument("lam_c")
     p.add_argument("--cap", type=_positive_int, default=DEFAULT_ORACLE_CAP)
     p.set_defaults(func=cmd_kron)
 
-    p = sub.add_parser(
-        "member-bruteforce", help="stretched-multiplicity membership probe"
-    )
+    p = add("member-bruteforce", help="stretched-multiplicity membership probe")
     p.add_argument("instance", help="instance JSON file")
     p.add_argument("--lmax", type=_positive_int, default=4)
     p.add_argument("--cap", type=_positive_int, default=DEFAULT_ORACLE_CAP)
     p.set_defaults(func=cmd_member_bruteforce)
 
-    p = sub.add_parser("sample", help="Monte-Carlo spectra as CSV")
+    p = add("sample", help="Monte-Carlo spectra as CSV")
     p.add_argument("--m", type=_positive_int, required=True)
     p.add_argument("--n", type=_positive_int, default=1000)
     p.add_argument("--seed", type=_nonnegative_int, default=0)
@@ -285,12 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # Built once: every call of main in one process shares them.
-_PARSER = build_parser()
-_COMMANDS = next(
-    action.choices
-    for action in _PARSER._actions
-    if isinstance(action, argparse._SubParsersAction)
-)
+_COMMANDS: dict[str, argparse.ArgumentParser] = {}
+_PARSER = build_parser(_COMMANDS)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -17,8 +17,8 @@ minimum is 0 iff the system is feasible.  Then every artificial still
 basic is 0, and x is read straight off the basis.  The statuses are
 ``"optimal"`` (feasible, with that basic solution) and ``"infeasible"``.
 
-Pricing is Dantzig's rule, with Bland's (Math. Oper. Res. 1977) after a
-degenerate pivot, which rules out cycling: see ``_simplex``.
+Pricing is Bland's rule (Math. Oper. Res. 1977) on every pivot, which rules
+out cycling: see ``_simplex``.
 
 Coefficients must be plain ints, the rule of ``scalars.json_int``: any other
 value, an integral float, a bool or a ``Fraction`` too, raises ``ValueError``.
@@ -89,29 +89,18 @@ def _simplex(tab: Tableau, basis: list[int]) -> int:
     """Minimize the last tableau row, a sum of artificials; return d.
 
     The tableau starts over d = 1 and holds the real columns only, so an
-    artificial is never priced and never enters.  The entering column is
-    the one with the most negative reduced cost (Dantzig's rule, the lowest
-    index among ties).  After a degenerate pivot, one whose leaving row has
-    right-hand side 0, Bland's rule picks the entering column (the lowest
-    index with a negative reduced cost) until a pivot is non-degenerate
-    again.  The leaving row is always the lowest ratio, ties broken by the
-    lowest basic index, as Bland's rule has it.
+    artificial is never priced and never enters.  Every pivot follows
+    Bland's rule: the entering column is the lowest index with a negative
+    reduced cost, and the leaving row is the lowest ratio, ties broken by
+    the lowest basic index.
 
-    This terminates.  A non-degenerate pivot strictly lowers the objective,
-    so no basis recurs across one.  Every pivot of a degenerate streak but
-    its first is Bland's, so a streak that returned to a basis would go on
-    by Bland's rule alone from that basis, and Bland's rule never cycles.
-    No artificial comes back, so a return keeps the same artificials basic
-    throughout, and the streak runs on one fixed column set.
+    This terminates.  No artificial comes back, so a cycle would keep the
+    same artificials basic throughout and run on one fixed column set, and
+    Bland's rule never cycles on a fixed column set.
     """
-    d, bland = 1, False
+    d = 1
     while True:
-        priced = tab[-1][:-1]
-        if bland:
-            col = next((j for j, v in enumerate(priced) if v < 0), None)
-        else:
-            low = min(priced, default=0)
-            col = priced.index(low) if low < 0 else None
+        col = next((j for j, v in enumerate(tab[-1][:-1]) if v < 0), None)
         if col is None:
             return d
         row = None
@@ -123,7 +112,6 @@ def _simplex(tab: Tableau, basis: list[int]) -> int:
                     lhs, rhs = b * best_a, best_b * a
                 if row is None or lhs < rhs or (lhs == rhs and basis[i] < basis[row]):
                     row, best_b, best_a = i, b, a
-        bland = best_b == 0
         d = _pivot(tab, basis, row, col, d)
 
 

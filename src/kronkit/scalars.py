@@ -42,10 +42,24 @@ def json_rational(value) -> Fraction:
     if match is None:
         raise KronkitError(f"expected a num/den string, got {value!r}")
     num, den = match.groups()
-    den = int(den or 1)
+    den = decimal_int(den) if den else 1
     if den == 0:
         raise KronkitError(f"rational {value!r} has a zero denominator")
-    return Fraction(int(num), den)
+    return Fraction(decimal_int(num), den)
+
+
+def decimal_int(digits: str) -> int:
+    """ASCII decimal digits, a minus allowed first, as an int; past CPython's
+    digit limit, a KronkitError in ``format_rational``'s words."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise _past_digit_limit("an integer") from None
+
+
+def _past_digit_limit(what: str) -> KronkitError:
+    limit = sys.get_int_max_str_digits()
+    return KronkitError(f"{what} exceeds the {limit}-digit limit on integers")
 
 
 def json_int(value) -> int:
@@ -85,8 +99,7 @@ def format_rational(q: Fraction) -> str:
     try:
         return f"{q.numerator}/{q.denominator}"
     except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise KronkitError(f"a rational exceeds the {limit}-digit limit on integers")
+        raise _past_digit_limit("a rational") from None
 
 
 @dataclass(frozen=True)

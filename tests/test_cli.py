@@ -461,6 +461,16 @@ NUMBER_CERT = {"m": 2, "entries": [{"idx": [1, 1, 1], "re": 1}]}
 STRING_ENTRY_CERT = {"m": 2, "entries": ["abc"]}
 # ASCII digits that int() refuses, past CPython's int→str digit limit
 PAST_DIGIT_LIMIT = "1" * 5000
+HAS_DIGIT_LIMIT = hasattr(sys, "get_int_max_str_digits")
+PAST_LIMIT = "an integer exceeds the {}-digit limit on integers".format(
+    sys.get_int_max_str_digits() if HAS_DIGIT_LIMIT else None
+)
+NEEDS_DIGIT_LIMIT = pytest.mark.skipif(not HAS_DIGIT_LIMIT, reason="no digit limit")
+PAST_LIMIT_NUM_CERT = {"m": 2, "entries": [{"idx": [1, 1, 1], "re": PAST_DIGIT_LIMIT}]}
+PAST_LIMIT_DEN_CERT = {
+    "m": 2,
+    "entries": [{"idx": [1, 1, 1], "re": "1/" + PAST_DIGIT_LIMIT}],
+}
 
 
 NOT_TRACELESS_CERT = {**WORKED_CERT, "H": [[0, 1], [-1, 1], [1, -1]]}
@@ -557,6 +567,16 @@ MALFORMED = {
         "verify-membership",
         jfile(t, "i.json", INSIDE),
         jfile(t, "c.json", NUMBER_CERT),
+    ],
+    "verify-membership numerator past the digit limit": lambda t: [
+        "verify-membership",
+        jfile(t, "i.json", INSIDE),
+        jfile(t, "c.json", PAST_LIMIT_NUM_CERT),
+    ],
+    "verify-membership denominator past the digit limit": lambda t: [
+        "verify-membership",
+        jfile(t, "i.json", INSIDE),
+        jfile(t, "c.json", PAST_LIMIT_DEN_CERT),
     ],
     "verify-membership repeated index": lambda t: [
         "verify-membership",
@@ -735,6 +755,10 @@ def test_a_diagram_that_is_no_list_is_refused_by_name(case, reason, tmp_path, ca
          "expected a num/den string, got 1"),
         ("verify-membership 1/0 amplitude", 2, "certificate",
          "rational '1/0' has a zero denominator"),
+        pytest.param("verify-membership numerator past the digit limit", 2,
+                     "certificate", PAST_LIMIT, marks=NEEDS_DIGIT_LIMIT),
+        pytest.param("verify-membership denominator past the digit limit", 2,
+                     "certificate", PAST_LIMIT, marks=NEEDS_DIGIT_LIMIT),
     ],
 )
 def test_a_reader_refuses_by_name(case, at, what, reason, tmp_path, capsys):
@@ -753,6 +777,9 @@ def test_a_reader_refuses_by_name(case, at, what, reason, tmp_path, capsys):
         ("+2,1", "row length '+2' is not an integer"),
         (" 2,1", "row length ' 2' is not an integer"),
         ("٢,1", "row length '٢' is not an integer"),
+        pytest.param(
+            PAST_DIGIT_LIMIT, PAST_LIMIT, marks=NEEDS_DIGIT_LIMIT, id="past-limit"
+        ),
     ],
 )
 def test_a_partition_row_is_ascii_decimal_digits(row, reason, capsys):

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from kronkit.errors import KronkitError
 from kronkit.scalars import (
     GaussianRational,
+    decimal_int,
     format_rational,
     json_int,
     json_ints,
@@ -73,6 +75,19 @@ def test_single_parse_json_rational_refuses_what_it_refused():
             json_rational(text)
     assert json_rational("-6/4") == Fraction(-3, 2)
     assert json_rational("0/7") == 0 and json_rational("-0") == 0
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int→str digit limit"
+)
+def test_the_digit_limit_is_refused_in_kronkit_words():
+    # Python's own text would advise calling sys.set_int_max_str_digits()
+    limit = sys.get_int_max_str_digits()
+    reason = f"^an integer exceeds the {limit}-digit limit on integers$"
+    for text in ("1" * (limit + 1), "-" + "1" * (limit + 1), "1/" + "1" * (limit + 1)):
+        with pytest.raises(KronkitError, match=reason):
+            json_rational(text)
+    assert decimal_int("-" + "1" * limit) == -int("1" * limit)
 
 
 def test_json_rational_rejects_bool():

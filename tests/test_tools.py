@@ -121,7 +121,7 @@ def test_bench_lp_counts_the_sample_pivots(bench_lp):
     lps = bench_lp.recorded_lps(bench_lp.runs()["reduce_m3_sample"])
     row = bench_lp.measure(lps, 1)
     assert row["lps"] == 40
-    assert row["pivots"] == {"degenerate": 55, "total": 152}
+    assert row["pivots"] == {"degenerate": 43, "total": 161}
 
 
 def test_bench_lp_panel_keeps_its_witness_pivots(bench_lp):
@@ -132,7 +132,7 @@ def test_bench_lp_panel_keeps_its_witness_pivots(bench_lp):
     # are never all equal, spends one there)
     lps = bench_lp.recorded_lps(bench_lp.runs()["panel"])
     assert len(lps) == 948
-    assert bench_lp.count_pivots(lps) == {"degenerate": 4089, "total": 8502}
+    assert bench_lp.count_pivots(lps) == {"degenerate": 4212, "total": 8637}
 
 
 def test_bench_lp_certify_records_the_find_witness_lps(bench_lp):

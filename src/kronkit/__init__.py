@@ -63,7 +63,6 @@ from .weights import (
     negative_roots,
     negative_roots_on,
     split_weights,
-    weight_index,
     weight_vector,
     weights,
 )
@@ -113,7 +112,6 @@ __all__ = [
     "negative_roots",
     "negative_roots_on",
     "split_weights",
-    "weight_index",
     "weight_vector",
     "weights",
 ]

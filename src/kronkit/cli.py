@@ -9,7 +9,7 @@ Exit-code discipline, used by every subcommand:
   valid rejection,
 * 3 — internal error: an unexpected exception, i.e. a bug in kronkit.
 
-The loaders below are the only code that turns foreign exceptions into a
+The loaders below turn what ``open`` and ``json.load`` raise into a
 :class:`~kronkit.errors.KronkitError`, and :func:`main` is the only place that
 maps exceptions to exit codes, so a crash never reads as a rejection.
 
@@ -49,33 +49,45 @@ _FOREIGN = (OSError, ValueError, RecursionError)
 def _load_json(path: str, build, what: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        if type(obj) is not dict:
-            raise KronkitError(f"expected an object, got {type(obj).__name__}")
-        return build(obj)
+            return build(json.load(fh))
     except (KronkitError, *_FOREIGN) as exc:
         raise KronkitError(f"bad {what} file {path}: {exc}") from exc
 
 
+def _quoted(token: str) -> str:
+    """The token in quotes for an error message, cut to its first 20
+    characters, so that an oversized token leaves one short line."""
+    if len(token) <= 20:
+        return repr(token)
+    return f"{token[:20]!r}... ({len(token)} characters)"
+
+
 def _parse_partition(text: str):
     """Comma-separated rows.  Only ASCII decimal digits are converted, where
-    int() would also read "+2", " 3", "1_0" and "٢": ``parse_young`` refuses
-    any other token, "" too."""
+    int() would also read "+2", " 3", "1_0" and "٢"; any other token, ""
+    too, is refused."""
     try:
-        tokens = text.split(",")
-        rows = [decimal_int(t) if t.isascii() and t.isdigit() else t for t in tokens]
+        rows = []
+        for token in text.split(","):
+            if not (token.isascii() and token.isdigit()):
+                raise KronkitError(f"row length {_quoted(token)} is not an integer")
+            rows.append(decimal_int(token))
         return parse_young(rows)
     except KronkitError as exc:
-        raise KronkitError(f"bad partition {text!r}: {exc}") from exc
+        raise KronkitError(f"bad partition {_quoted(text)}: {exc}") from exc
 
 
 def _int_at_least(low: int, what: str):
     """An argparse type for ASCII decimal integers ≥ low; anything else exits 2."""
 
-    def decimal(text: str) -> int:  # named in argparse's message past the digit limit
-        value = int(text) if text.isascii() and text.isdigit() else low - 1
+    def decimal(text: str) -> int:
+        refusal = f"expected a {what} integer, got {_quoted(text)}"
+        try:
+            value = decimal_int(text) if text.isascii() and text.isdigit() else low - 1
+        except KronkitError as exc:
+            raise argparse.ArgumentTypeError(f"{refusal}: {exc}") from None
         if value < low:
-            raise argparse.ArgumentTypeError(f"expected a {what} integer, got {text!r}")
+            raise argparse.ArgumentTypeError(refusal)
         return value
 
     return decimal
@@ -224,9 +236,8 @@ def cmd_sample(args) -> int:
     return EXIT_ACCEPT
 
 
-def build_parser(commands: dict | None = None) -> argparse.ArgumentParser:
+def build_parser(commands: dict) -> argparse.ArgumentParser:
     """The full parser; each subcommand's parser also goes in ``commands``."""
-    commands = {} if commands is None else commands
     parser = argparse.ArgumentParser(
         prog="kronkit",
         description="Exact certificates for the polytope of marginal spectra.",

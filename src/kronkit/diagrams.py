@@ -10,7 +10,6 @@ side of the relevant polytope that point lies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import lt
 from typing import Iterable
 
@@ -107,12 +106,6 @@ class KronInstance:
     def padded_rows(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
         """The three diagrams as integer vectors in ℤ^m."""
         return tuple(d.padded(self.m) for d in self.diagrams)
-
-    def normalized_point(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The rational point (rows/k, rows/k, rows/k), each block summing to 1."""
-        return tuple(
-            tuple(Fraction(r, self.k) for r in vec) for vec in self.padded_rows()
-        )
 
     def to_json(self) -> dict:
         obj = {

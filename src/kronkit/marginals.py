@@ -71,8 +71,6 @@ class MembershipCertificate:
         """Read a certificate; an index given twice is refused, not merged."""
         entries = {}
         for item in json_list(json_field(obj, "entries"), "entries"):
-            if type(item) is not dict:
-                raise KronkitError(f"an entry is a {type(item).__name__}, not an object")
             idx = json_ints(json_field(item, "idx"), "idx")  # hashable, for the check
             if idx in entries:
                 raise KronkitError(f"index {list(idx)} appears twice")

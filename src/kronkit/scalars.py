@@ -25,11 +25,14 @@ _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def json_field(obj: dict, name: str):
-    """The field ``name`` of a JSON object; a missing one raises KronkitError."""
+    """The field ``name`` of a JSON object; a missing field, or a value that
+    is no object, raises KronkitError."""
     try:
         return obj[name]
     except KeyError:
         raise KronkitError(f"missing field {name!r}") from None
+    except TypeError:  # a list, a string, a number, a bool or null
+        raise KronkitError(f"expected an object, got {type(obj).__name__}") from None
 
 
 def json_rational(value) -> Fraction:
@@ -121,5 +124,5 @@ class GaussianRational:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GaussianRational":
-        im = json_rational(obj["im"]) if "im" in obj else Fraction(0)
-        return cls(json_rational(json_field(obj, "re")), im)
+        real = json_rational(json_field(obj, "re"))  # obj is an object from here on
+        return cls(real, json_rational(obj["im"]) if "im" in obj else Fraction(0))

@@ -230,12 +230,13 @@ def enumerate_ressayre(m: int, seed: int = 0) -> FacetSystem:
     return FacetSystem(m, tuple(elements), chamber_inequalities(m))
 
 
-def _implied(columns, y, d: int, h: HyperplaneCandidate) -> bool:
-    """Whether y/d proves r·H ≥ z: Σ yᵢzᵢ ≥ d·z, given y ≥ 0 and Σ yᵢHᵢ = d·H.
+def _implied(columns, y, d: int, h: HyperplaneCandidate) -> None:
+    """Check that y/d proves r·H ≥ z: y ≥ 0, Σ yᵢHᵢ = d·H and Σ yᵢzᵢ ≥ d·z.
 
-    The givens are checked on all 3m coordinates, summing the columns with
-    yᵢ ≠ 0 only.  A failure is the LP solver's fault, not the input's, so it
-    raises a non-KronkitError.
+    The equality is checked on all 3m coordinates, summing the columns with
+    yᵢ ≠ 0 only.  A feasible Farkas system's multipliers pass every check
+    (its z row reads Σ yᵢzᵢ = d·z + s, s ≥ 0), so a failure is the LP
+    solver's fault, not the input's, and raises a non-KronkitError.
     """
     combined = [0] * (3 * h.m)
     for yi, c in zip(y, columns):
@@ -243,7 +244,8 @@ def _implied(columns, y, d: int, h: HyperplaneCandidate) -> bool:
             combined = [a + yi * v for a, v in zip(combined, _flat(c))]
     if min(y, default=0) < 0 or combined != [d * v for v in _flat(h)]:
         raise RuntimeError(f"LP multipliers do not solve Σ yᵢHᵢ = d·H for {h}")
-    return sum(yi * c.z for yi, c in zip(y, columns)) >= d * h.z
+    if sum(yi * c.z for yi, c in zip(y, columns)) < d * h.z:
+        raise RuntimeError(f"LP multipliers do not prove Σ yᵢzᵢ ≥ d·z for {h}")
 
 
 def reduce_irredundant(fs: FacetSystem) -> FacetSystem:
@@ -256,12 +258,9 @@ def reduce_irredundant(fs: FacetSystem) -> FacetSystem:
     column per other element, per chamber inequality, then s.  The chamber
     columns and s are unit vectors, so phase 1 starts on them in every row
     where c(H_e) is ≥ 0, and an element with c(H_e) ≥ 0, which holds on the
-    whole chamber, drops with no pivot.  e is dropped iff the system is feasible
-    and its integer multipliers pass ``_implied``.  A drop needs that proof,
-    so the reduction keeps the set that the system cuts out.  Where that set
-    is not empty, as for every verified system (each element holds on the
-    moment polytope, which holds the uniform point), every implied element
-    has one.
+    whole chamber, drops with no pivot.  e is dropped iff the system is
+    feasible, and ``_implied`` re-checks its integer multipliers as the
+    proof of the drop, raising if they are none.
     """
     active = [(e, _chamber_coordinates(e.h)) for e in fs.nontrivial]
     chamber = [_chamber_coordinates(h) for h in fs.chamber]
@@ -272,7 +271,8 @@ def reduce_irredundant(fs: FacetSystem) -> FacetSystem:
         a_eq = list(zip(*(c for _, c in others), *chamber, s_col))
         lp = solve_lp(a_eq, target)
         columns = [e.h for e, _ in others] + list(fs.chamber)
-        if lp.status == "optimal" and _implied(columns, lp.x[:-1], lp.d, element.h):
+        if lp.status == "optimal":
+            _implied(columns, lp.x[:-1], lp.d, element.h)
             active.remove(pair)
     return FacetSystem(fs.m, tuple(e for e, _ in active), fs.chamber)
 
@@ -319,52 +319,44 @@ def free_supports(m: int) -> Iterator[tuple[Entry, ...]]:
     yield from islice(latin, MAX_FREE_SUPPORTS - 1)
 
 
-def _verified(inst: KronInstance, entries: dict) -> MembershipCertificate | None:
-    """The rank-``inst.m`` witness on ``entries``, if verify_membership accepts it."""
-    cert = MembershipCertificate(inst.m, entries)
-    return cert if verify_membership(inst, cert).accepted else None
-
-
 def _exact_witness(inst: KronInstance) -> MembershipCertificate | None:
-    """The first free-support witness that verify_membership accepts, or None.
+    """The witness on the first free support that carries the point, or None.
 
     On a free support S the marginals of Σ_{s∈S} √(x_s/k)|s⟩ are diagonal,
     entry i of block X being Σ_{s_X = i} x_s/k.  So x ≥ 0 with block sums
     λ_A, λ_B, λ_C is one standard-form feasibility LP (one row per block
     entry), and its rational solution, truncated to required_bits, is the
-    candidate.  The diagonal needs no LP: its system says x = λ_A = λ_B =
-    λ_C, so it is tried only when the three rows are equal, and then x = λ,
-    that LP's one solution, gives its amplitudes.  The supports are
-    those of r = the largest diagram height, not of m: indices in [r]³ are
-    indices in [m]³, so an instance padded by an m override is decided
-    exactly as at its natural rank.
+    witness.  The diagonal needs no LP: its system says x = λ_A = λ_B =
+    λ_C, so it is taken exactly when the three rows are equal, and then x =
+    λ, that LP's one solution, gives its amplitudes; otherwise the first
+    Latin support whose LP is feasible gives them.  required_bits makes
+    verify_membership accept every such truncation, so a rejection is a
+    bug and raises a non-KronkitError.  The supports are those of r = the
+    largest diagram height, not of m: indices in [r]³ are indices in [m]³,
+    so an instance padded by an m override is decided exactly as at its
+    natural rank.
     """
     r = inst.height
-    bits = required_bits(inst.m, inst.k)
     supports = free_supports(r)
-    diagonal = next(supports)
-    lam = inst.lambda_A.rows
-    if lam == inst.lambda_B.rows == inst.lambda_C.rows:
-        cert = _verified(inst, {
-            s: GaussianRational(_dyadic_sqrt(x, inst.k, bits))
-            for s, x in zip(diagonal, lam)
-        })
-        if cert is not None:
-            return cert
-    b_eq = [v for d in inst.diagrams for v in d.padded(r)]
-    rows = [(x, i) for x in range(3) for i in range(1, r + 1)]  # b_eq's order
-    for support in supports:
-        a_eq = [[int(s[x] == i) for s in support] for x, i in rows]
-        result = solve_lp(a_eq, b_eq)
-        if result.status != "optimal":
-            continue
-        cert = _verified(inst, {
-            s: GaussianRational(_dyadic_sqrt(x, inst.k * result.d, bits))
-            for s, x in zip(support, result.x)
-        })
-        if cert is not None:
-            return cert
-    return None
+    support, x, d = next(supports), inst.lambda_A.rows, 1
+    if not (x == inst.lambda_B.rows == inst.lambda_C.rows):
+        b_eq = [v for diagram in inst.diagrams for v in diagram.padded(r)]
+        rows = [(b, i) for b in range(3) for i in range(1, r + 1)]  # b_eq's order
+        for support in supports:
+            result = solve_lp([[int(s[b] == i) for s in support] for b, i in rows], b_eq)
+            if result.status == "optimal":
+                x, d = result.x, result.d
+                break
+        else:
+            return None
+    bits = required_bits(inst.m, inst.k)
+    cert = MembershipCertificate(inst.m, {
+        s: GaussianRational(_dyadic_sqrt(xs, inst.k * d, bits))
+        for s, xs in zip(support, x)
+    })
+    if not verify_membership(inst, cert).accepted:
+        raise RuntimeError(f"verify_membership rejects the exact witness for {inst}")
+    return cert
 
 
 def _rank_inequalities_hold(inst: KronInstance) -> bool:
@@ -410,11 +402,13 @@ def _scan(
     """(cut, faces): each element of ``system`` paired with the point once.
 
     ``system`` has rank ``inst.m`` or is None.  The cut is the first element
-    violated (H·λ < k·z on the padded rows) if verify_nonmembership accepts
-    it, else None.  The faces are the elements tight at the point (H·λ =
-    k·z) with at least two nonzero blocks, in committed order.  A positivity
-    element such as λ_A[3] ≥ 0 opens no face: its level set only drops a row
-    whose target is 0, which the plain scaling's start already zeroes.
+    violated (H·λ < k·z on the padded rows), or None.  Every committed
+    element is a verified certificate, so verify_nonmembership accepts the
+    cut, and a refusal is a bug that raises a non-KronkitError.  The faces
+    are the elements tight at the point (H·λ = k·z) with at least two
+    nonzero blocks, in committed order.  A positivity element such as
+    λ_A[3] ≥ 0 opens no face: its level set only drops a row whose target
+    is 0, which the plain scaling's start already zeroes.
     """
     rows, cut, faces = inst.padded_rows(), None, []
     for e in system.nontrivial if system else ():
@@ -423,8 +417,9 @@ def _scan(
             cut = e
         elif gap == 0 and sum(map(any, e.h.blocks)) >= 2:
             faces.append(e.h)
-    accepted = cut is not None and verify_nonmembership(inst, cut).accepted
-    return (cut if accepted else None), faces
+    if cut is not None and not verify_nonmembership(inst, cut).accepted:
+        raise RuntimeError(f"verify_nonmembership refuses the committed cut {cut.h}")
+    return cut, faces
 
 
 def _scaled_witness(
@@ -441,10 +436,11 @@ def _scaled_witness(
     vector = scale(rows, inst.k, h, seed, bits, accept_threshold2(inst.m, inst.k) / 4)
     if not vector:
         return None
-    return _verified(inst, {
+    cert = MembershipCertificate(inst.m, {
         s: GaussianRational(Fraction(x, 1 << bits), Fraction(y, 1 << bits))
         for s, (x, y) in vector.items()
     })
+    return cert if verify_membership(inst, cert).accepted else None
 
 
 def decide(

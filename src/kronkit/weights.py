@@ -4,8 +4,7 @@ The ambient space is ℝ^{3m}, three blocks of length m, one per subsystem.
 A weight is a tuple (i, j, l) of 1-based basis indices; its vector is the
 concatenation (e_i, e_j, e_l).  There are exactly m³ weights, kept in
 lexicographic order on (i, j, l) throughout — this order is part of the
-certificate format, not an implementation detail.  ``weight_index`` gives a
-weight's zero-based position in it.
+certificate format, not an implementation detail.
 
 A negative root is a tuple (block, i, j) with block 0, 1, 2 for A, B, C and
 i > j: the vector e_i − e_j inside that block, zero elsewhere.  Roots are
@@ -114,15 +113,6 @@ def weights(m: int) -> list[tuple[int, int, int]]:
     check_weight_cap(m)
     rng = range(1, m + 1)
     return list(product(rng, rng, rng))
-
-
-def weight_index(m: int, w: Sequence[int]) -> int:
-    """Zero-based position of the weight (i, j, l) in ``weights(m)``."""
-    i, j, l = w
-    for idx in (i, j, l):
-        if not 1 <= idx <= m:
-            raise KronkitError(f"index {idx} outside 1..{m}")
-    return (i - 1) * m * m + (j - 1) * m + (l - 1)
 
 
 def negative_roots(m: int) -> list[tuple[int, int, int]]:

@@ -201,8 +201,8 @@ def test_criterion_5_oracle_consistency():
                     if g == 0:
                         continue
                     positive += 1
-                    point = inst(rows_a, rows_b, rows_c, k, m=2).normalized_point()
-                    flat = [x for spectrum in point for x in spectrum]
+                    rows = inst(rows_a, rows_b, rows_c, k, m=2).padded_rows()
+                    flat = [Fraction(x, k) for row in rows for x in row]
                     for e in system:
                         coeffs = [v for block in e.h.blocks for v in block]
                         value = sum(c * x for c, x in zip(coeffs, flat))

@@ -1,4 +1,3 @@
-import argparse
 import json
 import os
 import subprocess
@@ -7,10 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from kronkit import cli, oracle
-from kronkit.cli import build_parser, main
+from kronkit import cli, oracle, search
+from kronkit.cli import main
 from kronkit.diagrams import KronInstance
 from kronkit.marginals import MembershipCertificate, verify_membership
+from kronkit.ressayre import Decision, Reason, Verdict
 from kronkit.scalars import format_rational
 
 OUTSIDE = {"lambda_A": [2], "lambda_B": [2], "lambda_C": [1, 1], "k": 2}
@@ -654,6 +654,10 @@ MALFORMED = {
     "kron 1_0 1_0 1_0": lambda t: ["kron", "1_0", "1_0", "1_0"],
     "kron ٢ ٢ ٢": lambda t: ["kron", "٢", "٢", "٢"],
     "kron a row past the digit limit": lambda t: ["kron", PAST_DIGIT_LIMIT, "1", "1"],
+    "kron a long row of letters": lambda t: ["kron", "x" * 5000, "1", "1"],
+    "kron --cap past the digit limit": lambda t: [
+        "kron", "1", "1", "1", "--cap", PAST_DIGIT_LIMIT,
+    ],
     "member-bruteforce --lmax 0": lambda t: [
         "member-bruteforce", jfile(t, "i.json", INSIDE), "--lmax", "0",
     ],
@@ -662,6 +666,7 @@ MALFORMED = {
     "sample --m 1_0": lambda t: ["sample", "--m", "1_0"],
     "sample --m +2": lambda t: ["sample", "--m", "+2"],
     "sample --m past the digit limit": lambda t: ["sample", "--m", PAST_DIGIT_LIMIT],
+    "sample --m a long word": lambda t: ["sample", "--m", "x" * 5000],
     "sample --n -1": lambda t: ["sample", "--m", "2", "--n", "-1"],
     "sample --seed -1": lambda t: ["sample", "--m", "2", "--seed", "-1"],
     "sample unwritable --out": lambda t: [
@@ -742,7 +747,7 @@ def test_a_diagram_that_is_no_list_is_refused_by_name(case, reason, tmp_path, ca
         ("verify-membership certificate is a list", 2, "certificate",
          "expected an object, got list"),
         ("verify-membership entry is a string", 2, "certificate",
-         "an entry is a str, not an object"),
+         "expected an object, got str"),
         ("verify-membership instance without k", 1, "instance", "missing field 'k'"),
         ("verify-membership entry without re", 2, "certificate", "missing field 're'"),
         ("verify-nonmembership certificate without p", 2, "certificate",
@@ -784,15 +789,37 @@ def test_a_reader_refuses_by_name(case, at, what, reason, tmp_path, capsys):
 )
 def test_a_partition_row_is_ascii_decimal_digits(row, reason, capsys):
     assert main(["kron", row, "2,1", "2,1"]) == 2
-    assert capsys.readouterr().err == f"error: bad partition {row!r}: {reason}\n"
+    # a row past 20 characters is quoted by its first 20 and its length
+    quoted = repr(row) if len(row) <= 20 else f"{row[:20]!r}... ({len(row)} characters)"
+    assert capsys.readouterr().err == f"error: bad partition {quoted}: {reason}\n"
+
+
+@NEEDS_DIGIT_LIMIT
+@pytest.mark.parametrize(
+    "case, past_limit",
+    [
+        ("kron a row past the digit limit", True),
+        ("kron a long row of letters", False),
+        ("kron --cap past the digit limit", True),
+        ("sample --m past the digit limit", True),
+        ("sample --m a long word", False),
+    ],
+)
+def test_an_oversized_token_leaves_short_lines(case, past_limit, tmp_path, capsys):
+    # the 5000-character token is quoted by its first 20 characters, in
+    # kronkit's words, not argparse's "invalid decimal value"
+    token = next(arg for arg in MALFORMED[case](tmp_path) if len(arg) == 5000)
+    assert run_cli(MALFORMED[case](tmp_path)) == 2
+    err = capsys.readouterr().err
+    (line,) = [line for line in err.splitlines() if "error:" in line]
+    assert f"{token[:20]!r}... (5000 characters)" in line
+    assert max(len(line) for line in err.splitlines()) < 200
+    assert line.endswith(f"(5000 characters): {PAST_LIMIT}") == past_limit
+    assert "invalid" not in err and "set_int_max_str_digits" not in err
 
 
 def test_every_subcommand_has_a_malformed_case():
-    (sub,) = [
-        action for action in build_parser()._actions
-        if isinstance(action, argparse._SubParsersAction)
-    ]
-    assert {case.split()[0] for case in MALFORMED} == set(sub.choices)
+    assert {case.split()[0] for case in MALFORMED} == set(cli._COMMANDS)
 
 
 def test_unexpected_exception_exits_three(monkeypatch, capsys):
@@ -803,6 +830,19 @@ def test_unexpected_exception_exits_three(monkeypatch, capsys):
     assert main(["kron", "1", "1", "1"]) == 3
     err = capsys.readouterr().err
     assert "internal error:" in err and "boom" in err
+
+
+def test_a_rejected_exact_witness_exits_three(monkeypatch, tmp_path, capsys):
+    # three equal rows take the diagonal's witness, which required_bits
+    # makes verify: a rejection is a bug, not NotFound (exit 1)
+    rejected = Verdict(Decision.REJECT, Reason.OUT_OF_THRESHOLD)
+    monkeypatch.setattr(search, "verify_membership", lambda *args: rejected)
+    triple = {key: [2, 1] for key in ("lambda_A", "lambda_B", "lambda_C")}
+    instance, out = jfile(tmp_path, "i.json", {**triple, "k": 3}), tmp_path / "w.json"
+    assert main(["find-witness", instance, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("internal error: RuntimeError: ")
+    assert captured.out == "" and not out.exists()
 
 
 def test_non_integral_class_sum_exits_three(monkeypatch, capsys):

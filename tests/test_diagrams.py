@@ -1,12 +1,10 @@
 import dataclasses
-import itertools
 
 import numpy as np
 import pytest
 
 from kronkit.diagrams import KronInstance, make_instance, parse_young
 from kronkit.errors import KronkitError
-from kronkit.weights import weight_index
 
 
 def test_parse_young_valid():
@@ -104,12 +102,6 @@ def test_height_is_the_natural_rank_under_an_override():
     assert dataclasses.replace(inst, m=inst.height).m_overridden is False
 
 
-def test_normalized_point_blocks_sum_to_one():
-    inst = make_instance(parse_young([3, 1]), parse_young([2, 2]), parse_young([4]), 4)
-    for block in inst.normalized_point():
-        assert sum(block) == 1
-
-
 def test_instance_json_round_trip():
     inst = make_instance(
         parse_young([1]), parse_young([1]), parse_young([1]), 1, m_override=2
@@ -120,24 +112,3 @@ def test_instance_json_round_trip():
     assert "m" not in plain.to_json()  # only overrides are flagged
     assert KronInstance.from_json(plain.to_json()) == plain
 
-
-def test_weight_index_examples():
-    assert weight_index(2, (1, 1, 1)) == 0
-    assert weight_index(2, (2, 2, 2)) == 7
-    assert weight_index(2, (1, 2, 1)) == 2
-
-
-def test_weight_index_bijection():
-    for m in (1, 2, 3, 4):
-        seen = sorted(
-            weight_index(m, w)
-            for w in itertools.product(range(1, m + 1), repeat=3)
-        )
-        assert seen == list(range(m**3))
-
-
-def test_weight_index_out_of_range():
-    with pytest.raises(KronkitError, match=r"index 0 outside 1\.\.2"):
-        weight_index(2, (0, 1, 1))
-    with pytest.raises(KronkitError, match=r"index 3 outside 1\.\.2"):
-        weight_index(2, (1, 3, 1))

@@ -267,7 +267,7 @@ def test_chamber_implied_elements_drop_with_no_pivot(monkeypatch):
         n_cols, basis = log.starts[-1]
         assert n_cols == len(a_eq[0]) and max(basis) < n_cols
         assert_solves(a_eq, b_eq, res)
-        assert search._implied(columns, res.x[:-1], res.d, element.h)
+        search._implied(columns, res.x[:-1], res.d, element.h)  # raises if no proof
     assert log.counts["total"] == 0
     kept = set(reduce_irredundant(system).nontrivial)
     assert not kept.intersection(implied)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from kronkit.errors import KronkitError
+from kronkit.search import FacetSystem
 from kronkit.scalars import (
     GaussianRational,
     decimal_int,
@@ -123,6 +124,24 @@ def test_gaussian_from_json_names_a_missing_real_part():
     # a present imaginary part follows its type: null is no zero
     with pytest.raises(KronkitError, match="^expected a num/den string, got None$"):
         GaussianRational.from_json({"re": "1/2", "im": None})
+
+
+@pytest.mark.parametrize(
+    "read, value, kind",
+    [
+        (lambda v: FacetSystem.from_json({"m": 2, "nontrivial": [v]}), [1, 2], "list"),
+        (lambda v: FacetSystem.from_json({"m": 2, "nontrivial": [v]}), "x", "str"),
+        (GaussianRational.from_json, ["re"], "list"),
+        (GaussianRational.from_json, "xim", "str"),
+        (GaussianRational.from_json, 3, "int"),
+    ],
+    ids=["element-list", "element-str", "re-list", "re-str", "re-int"],
+)
+def test_a_value_that_is_no_object_is_refused_by_json_field(read, value, kind):
+    # a list or a string holding a field's name, or a number: Python's
+    # TypeError does not reach the reader's caller
+    with pytest.raises(KronkitError, match=f"^expected an object, got {kind}$"):
+        read(value)
 
 
 def test_json_int_takes_only_integers():

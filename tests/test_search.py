@@ -328,7 +328,7 @@ def test_drop_check_proves_the_first_m3_drop_and_refuses_mutations(m3_system):
     lp = solve_lp(a_eq, b_eq)
     assert lp.status == "optimal"
     x = lp.x[:-1]  # the multipliers y, without s
-    assert search._implied(columns, x, lp.d, dropped.h)
+    search._implied(columns, x, lp.d, dropped.h)  # raises unless they prove the drop
     i = next(i for i, v in enumerate(x) if v)
     for bad in (x[i] + 1, -x[i]):
         assert_refused(columns, x[:i] + (bad,) + x[i + 1 :], lp.d, dropped.h)
@@ -357,7 +357,9 @@ def test_drop_check_keeps_a_facet_on_its_own_optimum(m3_system):
     # refuses its y: Σ yᵢzᵢ falls short of z_e
     lp = solve_lp(a_eq[:-1], b_eq[:-1])
     assert lp.status == "optimal"
-    assert not search._implied(columns, lp.x[:-1], lp.d, facet.h)
+    x = lp.x[:-1]
+    assert sum(y * c.z for y, c in zip(x, columns)) < lp.d * facet.h.z
+    assert_refused(columns, x, lp.d, facet.h)
 
 
 def test_facet_system_json_round_trip():
@@ -859,8 +861,9 @@ def test_free_supports_list_each_shift_class_once():
 
 
 def test_exact_witness_rows_are_the_transposed_weight_vectors(monkeypatch):
-    # every candidate and every LP refused, so _exact_witness tries each
-    # support up to the cap: the diagonal without an LP, then one LP each
+    # every LP infeasible, so _exact_witness tries each support up to the
+    # cap; the rows are not all equal, so the diagonal is skipped and every
+    # Latin support takes one LP
     calls = []
 
     def record(a_eq, b_eq):
@@ -868,16 +871,36 @@ def test_exact_witness_rows_are_the_transposed_weight_vectors(monkeypatch):
         return LPResult("infeasible", None, 1)
 
     monkeypatch.setattr(search, "solve_lp", record)
-    monkeypatch.setattr(search, "_verified", lambda inst, entries: None)
-    for r in range(1, 6):
+    for r in range(2, 6):
         calls.clear()
-        assert search._exact_witness(inst([1] * r, [1] * r, [1] * r, r)) is None
+        rows = (2,) + (1,) * (r - 1)
+        point = inst(rows, rows, (3,) + (1,) * (r - 2), r + 1)
+        assert search._exact_witness(point) is None
         supports = free_supports_by_dropping_repeats(r)[1:]
         assert len(calls) == len(supports)
+        padded = [v for d in point.diagrams for v in d.padded(r)]
         for (a_eq, b_eq), support in zip(calls, supports):
             columns = [weight_vector(s, r) for s in support]
             assert a_eq == [list(col) for col in zip(*columns)]
-            assert b_eq == [1] * (3 * r)
+            assert b_eq == padded
+
+
+REJECT = Verdict(Decision.REJECT, Reason.OUT_OF_THRESHOLD)
+
+
+@pytest.mark.parametrize(
+    "triple", [((2, 1), (2, 1), (2, 1)), FREE_SUPPORT_M3[0]], ids=triple_id
+)
+def test_a_rejected_exact_witness_raises(triple, monkeypatch):
+    # required_bits makes every truncated exact witness verify, on the
+    # diagonal (three equal rows) and on a Latin support alike: a rejection
+    # is a bug, not a miss to pass on
+    target = triple_instance(triple)
+    assert search._exact_witness(target) is not None
+    monkeypatch.setattr(search, "verify_membership", lambda *args: REJECT)
+    with pytest.raises(RuntimeError, match="rejects the exact witness") as exc:
+        search._exact_witness(target)
+    assert not isinstance(exc.value, KronkitError)
 
 
 def diagonal_lp_witness(point):
@@ -1085,14 +1108,16 @@ def test_rank_three_slice_is_decided_both_ways():
 
 
 def test_decide_searches_when_the_violated_element_is_refused(monkeypatch):
-    # an outside point: its violated element is the answer unless the
-    # verifier refuses it; a rank inequality fails there, so no witness is
-    # sought either, and decide answers None
+    # an outside point: its violated element is the answer, a committed
+    # certificate that the verifier accepts; a refusal is a bug, so decide
+    # raises where it once searched on and answered None
     outside = inst([2], [2], [1, 1], 2)
     assert isinstance(decide(outside), RessayreCertificate)
     refused = Verdict(Decision.REJECT, Reason.DETERMINANT_VANISHES)
     monkeypatch.setattr(search, "verify_nonmembership", lambda *args: refused)
-    assert decide(outside) is None
+    with pytest.raises(RuntimeError, match="refuses the committed cut") as exc:
+        decide(outside)
+    assert not isinstance(exc.value, KronkitError)
 
 
 def count_system_reads(monkeypatch):

@@ -14,7 +14,7 @@ recorded once and then solved again on their own:
 * ``reduction_m3`` — the full 114 → 39 reduction of the same enumeration;
 * ``panel`` — ``search._exact_witness`` on each instance of the seeded
   kron > 0 panel of ``tools/bench_witness.py --panel 4 --seed 0``: its
-  free-support LPs, up to the first accepted witness;
+  free-support LPs, up to the first feasible one;
 * ``certify`` — ``search.search_witness(inst, seed=0)`` on each instance of
   the perfbench certify panel that no committed facet cuts
   (``workloads.violated`` is None), the instances that the certify workload
@@ -23,15 +23,19 @@ recorded once and then solved again on their own:
 
 Every solve is phase 1 alone, so pivots are counted in one untimed pass by
 wrapping ``exactlp._pivot`` from outside: ``total`` and ``degenerate`` (the
-leaving row's right-hand side is 0).  The time is the median of five passes
-without the wrapper.  Prints one JSON object: per input, the number of LPs,
-the pivot counts, and the total and per-LP time.
+leaving row's right-hand side is 0).  The time is the median of nine passes
+without the wrapper, with the process pinned to one CPU where the platform
+allows it, and its interquartile range says how far a difference between
+two runs can be told from the spread.  Prints one JSON object: per input,
+the number of LPs, the pivot counts, the total time and its interquartile
+range, and the per-LP time.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import sys
 import time
@@ -46,7 +50,7 @@ from kronkit.search import FacetSystem  # noqa: E402
 from workloads import load_facets, reduce_sample, violated  # noqa: E402
 
 PANEL_RANK, PANEL_SEED = 4, 0
-REPEAT = 5
+REPEAT = 9
 
 
 def recorded_lps(run) -> list[tuple]:
@@ -92,10 +96,12 @@ def measure(lps: list[tuple], repeat: int) -> dict:
             exactlp.solve_lp(*lp)
         times.append(time.perf_counter() - start)
     total = statistics.median(times)
+    q1, _, q3 = statistics.quantiles(times, n=4) if repeat > 1 else (total,) * 3
     return {
         "lps": len(lps),
         "pivots": pivots,
         "total_s": round(total, 4),
+        "iqr_s": round(q3 - q1, 4),
         "ms_per_lp": round(1000 * total / len(lps), 3),
     }
 
@@ -126,6 +132,8 @@ def runs() -> dict:
 
 def main() -> None:
     argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
+    if hasattr(os, "sched_setaffinity"):  # one CPU: no migration mid-pass
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     report = {name: measure(recorded_lps(run), REPEAT) for name, run in runs().items()}
     print(json.dumps(report, indent=2))
 

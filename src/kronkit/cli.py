@@ -13,6 +13,10 @@ The loaders below turn what ``open`` and ``json.load`` raise into a
 :class:`~kronkit.errors.KronkitError`, and :func:`main` is the only place that
 maps exceptions to exit codes, so a crash never reads as a rejection.
 
+Every integer read, JSON literals too, goes through ``scalars.decimal_int``
+and its digit cap, so :func:`main` lifts CPython's int↔str limit while a
+command runs: exact results print in full, and no message raises on one.
+
 All file formats are JSON with rationals as ``"num/den"`` strings, so
 certificates are bit-exact across platforms.
 """
@@ -24,7 +28,6 @@ import json
 import os
 import stat
 import sys
-from contextlib import contextmanager
 
 from .diagrams import KronInstance, parse_young
 from .errors import KronkitError
@@ -32,7 +35,7 @@ from .floats import sample_spectra, spectra_csv
 from .marginals import MembershipCertificate, accept_threshold2, verify_membership
 from .oracle import DEFAULT_ORACLE_CAP, kron_coeff, semigroup_member
 from .ressayre import RessayreCertificate, verify_nonmembership
-from .scalars import decimal_int, format_rational
+from .scalars import decimal_int, format_rational, quoted
 from .search import enumerate_ressayre, reduce_irredundant, search_witness
 
 EXIT_ACCEPT = 0
@@ -40,8 +43,8 @@ EXIT_REJECT = 1
 EXIT_MALFORMED = 2
 EXIT_INTERNAL = 3
 
-# What open and json.load raise on a bad file: a JSONDecodeError or an integer
-# past the digit limit is a ValueError, nesting past the recursion limit a
+# What open and json.load raise on a bad file: a JSONDecodeError or a
+# UnicodeDecodeError is a ValueError, nesting past the recursion limit a
 # RecursionError.  Any other exception from a from_json is a bug: exit 3.
 _FOREIGN = (OSError, ValueError, RecursionError)
 
@@ -49,17 +52,9 @@ _FOREIGN = (OSError, ValueError, RecursionError)
 def _load_json(path: str, build, what: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return build(json.load(fh))
+            return build(json.load(fh, parse_int=decimal_int))
     except (KronkitError, *_FOREIGN) as exc:
         raise KronkitError(f"bad {what} file {path}: {exc}") from exc
-
-
-def _quoted(token: str) -> str:
-    """The token in quotes for an error message, cut to its first 20
-    characters, so that an oversized token leaves one short line."""
-    if len(token) <= 20:
-        return repr(token)
-    return f"{token[:20]!r}... ({len(token)} characters)"
 
 
 def _parse_partition(text: str):
@@ -70,18 +65,18 @@ def _parse_partition(text: str):
         rows = []
         for token in text.split(","):
             if not (token.isascii() and token.isdigit()):
-                raise KronkitError(f"row length {_quoted(token)} is not an integer")
+                raise KronkitError(f"row length {quoted(token)} is not an integer")
             rows.append(decimal_int(token))
         return parse_young(rows)
     except KronkitError as exc:
-        raise KronkitError(f"bad partition {_quoted(text)}: {exc}") from exc
+        raise KronkitError(f"bad partition {quoted(text)}: {exc}") from exc
 
 
 def _int_at_least(low: int, what: str):
     """An argparse type for ASCII decimal integers ≥ low; anything else exits 2."""
 
     def decimal(text: str) -> int:
-        refusal = f"expected a {what} integer, got {_quoted(text)}"
+        refusal = f"expected a {what} integer, got {quoted(text)}"
         try:
             value = decimal_int(text) if text.isascii() and text.isdigit() else low - 1
         except KronkitError as exc:
@@ -120,23 +115,6 @@ def _write(text: str, out: str | None, summary: str) -> None:
         sys.stdout.write(text)
 
 
-@contextmanager
-def _all_digits():
-    """Print exact integers in full, past CPython's int→str digit limit.
-
-    The limit (4300 digits by default) stays in force while input is read,
-    where it bounds the work a file can ask for.  Pythons before 3.10.7 have
-    no limit and no setter.
-    """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    setter = getattr(sys, "set_int_max_str_digits", lambda n: None)
-    setter(0)
-    try:
-        yield
-    finally:
-        setter(limit)
-
-
 def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
     if as_json:
         print(json.dumps(payload, indent=2))
@@ -154,11 +132,10 @@ def cmd_verify_nonmembership(args) -> int:
         lhs = cert.h.pair_instance(inst.padded_rows())
         rhs = inst.k * cert.h.z
         payload["violated_inequality"] = {"H.lambda": lhs, "k.z": rhs}
-        with _all_digits():
-            _emit(payload, args.json, [
-                f"Accept: certified non-membership for {inst}",
-                f"  violated inequality: H·lambda = {lhs} < k·z = {rhs}",
-            ])
+        _emit(payload, args.json, [
+            f"Accept: certified non-membership for {inst}",
+            f"  violated inequality: H·lambda = {lhs} < k·z = {rhs}",
+        ])
         return EXIT_ACCEPT
     _emit(payload, args.json, [f"Reject ({verdict.reason.value}) for {inst}"])
     return EXIT_REJECT
@@ -168,9 +145,8 @@ def cmd_verify_membership(args) -> int:
     inst = _load_json(args.instance, KronInstance.from_json, "instance")
     cert = _load_json(args.certificate, MembershipCertificate.from_json, "certificate")
     verdict = verify_membership(inst, cert)
-    with _all_digits():
-        gap2 = format_rational(verdict.gap2)
-        thr2 = format_rational(accept_threshold2(inst.m, inst.k))
+    gap2 = format_rational(verdict.gap2)
+    thr2 = format_rational(accept_threshold2(inst.m, inst.k))
     payload = {
         "instance": inst.to_json(),
         "verdict": str(verdict),
@@ -214,7 +190,7 @@ def cmd_kron(args) -> int:
     diagrams = [_parse_partition(t) for t in (args.lam_a, args.lam_b, args.lam_c)]
     k = diagrams[0].boxes
     if k > args.cap:
-        raise KronkitError(f"k={k} exceeds the oracle cap {args.cap}")
+        raise KronkitError(f"k={quoted(k)} exceeds the oracle cap {quoted(args.cap)}")
     g = kron_coeff(*diagrams)
     print(g)
     return EXIT_ACCEPT if g > 0 else EXIT_REJECT
@@ -310,16 +286,21 @@ def main(argv: list[str] | None = None) -> int:
     alone; words it leaves over are refused with the full parser's own
     usage and ``unrecognized arguments`` message, exit 2.  Any other argv
     goes to the full parser.
+    CPython's int↔str limit (none before 3.10.7) is lifted meanwhile and
+    then restored, for callers in the same process.
     """
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] in _COMMANDS:
-        args, extra = _COMMANDS[argv[0]].parse_known_args(argv[1:])
-        if extra:
-            _PARSER.error(f"unrecognized arguments: {' '.join(extra)}")
-    else:
-        args = _PARSER.parse_args(argv)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda n: None)
+    set_limit(0)
     try:
+        if argv and argv[0] in _COMMANDS:
+            args, extra = _COMMANDS[argv[0]].parse_known_args(argv[1:])
+            if extra:
+                _PARSER.error(f"unrecognized arguments: {' '.join(extra)}")
+        else:
+            args = _PARSER.parse_args(argv)
         return args.func(args)
     except (KronkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -327,6 +308,8 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        set_limit(limit)
 
 
 if __name__ == "__main__":

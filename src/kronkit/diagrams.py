@@ -10,11 +10,10 @@ side of the relevant polytope that point lies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import lt
 from typing import Iterable
 
 from .errors import KronkitError
-from .scalars import json_field, json_int, json_list
+from .scalars import json_field, json_int, json_list, quoted
 
 
 @dataclass(frozen=True)
@@ -49,19 +48,22 @@ def parse_young(rows: Iterable[int]) -> YoungDiagram:
 
     Each row must be a plain int, the rule of ``scalars.json_int``: a bool, a
     float, a string or any other type, an integer-like one too, is refused,
-    not converted."""
+    not converted.  A refusal names the first offending row by its position,
+    counted from 1."""
     rows = tuple(rows)
     if not rows:
         raise KronkitError("a diagram needs at least one row")
-    for r in rows:
+    for n, r in enumerate(rows, 1):
         if type(r) is not int:
-            raise KronkitError(f"row length {r!r} is not an integer")
-    if min(rows) <= 0:
-        r = next(r for r in rows if r <= 0)
-        raise KronkitError(f"row length {r} is not strictly positive")
-    if any(map(lt, rows, rows[1:])):
-        raise KronkitError(f"rows {rows} are not weakly decreasing")
+            raise KronkitError(f"row {n} is not an integer: {quoted(r)}")
+        if r <= 0:
+            raise KronkitError(f"row {n} is not strictly positive: {quoted(r)}")
+        if n > 1 and r > rows[n - 2]:
+            raise KronkitError(f"row {n} is longer than row {n - 1}")
     return YoungDiagram(rows)
+
+
+_FIELDS = ("lambda_A", "lambda_B", "lambda_C")
 
 
 def _natural_rank(a: YoungDiagram, b: YoungDiagram, c: YoungDiagram) -> int:
@@ -83,11 +85,12 @@ class KronInstance:
 
     def __post_init__(self) -> None:
         k, m = json_int(self.k), json_int(self.m)
-        for lam in self.diagrams:
+        for name, lam in zip(_FIELDS, self.diagrams):
             if lam.boxes != k:
-                raise KronkitError(f"diagram {lam} has {lam.boxes} boxes, expected {k}")
+                got, want = quoted(lam.boxes), quoted(k)
+                raise KronkitError(f"{name} has {got} boxes, expected {want}")
         if m < self.height:
-            raise KronkitError(f"m={m} is below the maximum height {self.height}")
+            raise KronkitError(f"m={quoted(m)} is below the maximum height {self.height}")
 
     @property
     def height(self) -> int:
@@ -120,9 +123,8 @@ class KronInstance:
 
     @classmethod
     def from_json(cls, obj: dict) -> "KronInstance":
-        keys = ("lambda_A", "lambda_B", "lambda_C")
         return make_instance(
-            *(parse_young(json_list(json_field(obj, key), key)) for key in keys),
+            *(parse_young(json_list(json_field(obj, key), key)) for key in _FIELDS),
             json_field(obj, "k"),
             m_override=json_int(obj["m"]) if "m" in obj else None,
         )

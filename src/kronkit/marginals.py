@@ -27,7 +27,7 @@ from fractions import Fraction
 from .diagrams import KronInstance
 from .errors import KronkitError
 from .ressayre import Decision, Reason, Verdict, min_gap
-from .scalars import GaussianRational, json_field, json_int, json_ints, json_list
+from .scalars import GaussianRational, json_field, json_int, json_ints, json_list, quoted
 from .weights import check_weight_cap, weights
 
 Entry = tuple[int, int, int]
@@ -47,10 +47,10 @@ class MembershipCertificate:
         cleaned = {}
         for idx, value in self.entries.items():
             if len(idx) != 3:
-                raise KronkitError(f"idx {list(idx)} does not have three indices")
+                raise KronkitError(f"idx {quoted(list(idx))} does not have three indices")
             for component in idx:
                 if not 1 <= json_int(component) <= self.m:
-                    raise KronkitError(f"index {idx} outside 1..{self.m}")
+                    raise KronkitError(f"index {quoted(idx)} outside 1..{quoted(self.m)}")
             if not value.is_zero():
                 cleaned[idx] = value
         if not cleaned:
@@ -73,7 +73,7 @@ class MembershipCertificate:
         for item in json_list(json_field(obj, "entries"), "entries"):
             idx = json_ints(json_field(item, "idx"), "idx")  # hashable, for the check
             if idx in entries:
-                raise KronkitError(f"index {list(idx)} appears twice")
+                raise KronkitError(f"index {quoted(list(idx))} appears twice")
             entries[idx] = GaussianRational.from_json(item)
         return cls(json_field(obj, "m"), entries)
 
@@ -196,7 +196,7 @@ def verify_membership(inst: KronInstance, cert: MembershipCertificate) -> Verdic
     check_weight_cap(inst.m)
     if cert.m != inst.m:
         raise KronkitError(
-            f"certificate rank {cert.m} does not match instance m={inst.m}"
+            f"certificate rank {quoted(cert.m)} does not match instance m={inst.m}"
         )
     gap2 = frobenius_gap2(reduced_densities(cert), inst)
     if gap2 <= accept_threshold2(inst.m, inst.k):

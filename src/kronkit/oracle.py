@@ -20,6 +20,7 @@ from functools import lru_cache
 
 from .diagrams import KronInstance, YoungDiagram, parse_young
 from .errors import KronkitError
+from .scalars import quoted
 
 # A contract, not a speed limit: kron and member-bruteforce exit 2 from
 # k = 13, and tools/bench_witness.py reads this cap for its panels' k.
@@ -143,7 +144,8 @@ def semigroup_member(
     nothing)."""
     if l_max * inst.k > cap:
         raise KronkitError(
-            f"stretching up to l={l_max} needs {l_max * inst.k} boxes, cap is {cap}"
+            f"stretching up to l={quoted(l_max)} needs {quoted(l_max * inst.k)}"
+            f" boxes, cap is {quoted(cap)}"
         )
     for l in range(1, l_max + 1):
         g = kron_coeff(*(_stretched(lam, l) for lam in inst.diagrams))

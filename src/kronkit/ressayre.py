@@ -26,7 +26,7 @@ from fractions import Fraction
 from .diagrams import KronInstance
 from .errors import KronkitError
 from .intlinalg import det_bareiss
-from .scalars import json_field, json_int, json_list
+from .scalars import json_field, json_int, json_list, quoted
 from .weights import HyperplaneCandidate, affine_rank, negative_roots_on, split_weights
 
 
@@ -173,7 +173,7 @@ def verify_nonmembership(inst: KronInstance, cert: RessayreCertificate) -> Verdi
     h = cert.h
     m = inst.m
     if h.m != m:
-        raise KronkitError(f"certificate rank {h.m} does not match instance m={m}")
+        raise KronkitError(f"certificate rank {h.m} does not match instance m={quoted(m)}")
     if not check_admissible(h, m):
         return _NOT_ADMISSIBLE
     if not check_trace(h, m):

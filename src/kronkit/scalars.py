@@ -10,18 +10,24 @@ to integers over their common denominator and computes there.
 Serialization is string-based so that certificates survive JSON without loss:
 a rational is written ``"num/den"`` in lowest terms, a Gaussian rational as
 ``{"re": "num/den", "im": "num/den"}``.
+
+Every integer read has at most ``DIGIT_CAP`` digits, counted here, not by
+CPython's int↔str limit, which ``cli.main`` lifts while a command runs.
 """
 
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import KronkitError
 
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+DIGIT_CAP = 4300  # CPython's default int↔str limit, so defaults read alike
+_PAST_CAP = 10**DIGIT_CAP  # the least integer of DIGIT_CAP + 1 digits
+_LIMIT = f"the {DIGIT_CAP}-digit limit on integers"
 
 
 def json_field(obj: dict, name: str):
@@ -35,6 +41,18 @@ def json_field(obj: dict, name: str):
         raise KronkitError(f"expected an object, got {type(obj).__name__}") from None
 
 
+def quoted(value) -> str:
+    """repr(value) for an error message, so that an oversized value leaves one
+    short line: a str or a repr past 20 characters is cut to its first 20 and
+    its length, and an int past the cap is shown by its size, never in digits."""
+    if type(value) is int and abs(value) >= _PAST_CAP:
+        return f"<a {value.bit_length()}-bit integer>"
+    text, show = (value, repr) if type(value) is str else (repr(value), str)
+    if len(text) <= 20:
+        return show(text)
+    return f"{show(text[:20])}... ({len(text)} characters)"
+
+
 def json_rational(value) -> Fraction:
     """The JSON string ``"num/den"`` or ``"num"`` as a Fraction, else KronkitError.
 
@@ -43,26 +61,21 @@ def json_rational(value) -> Fraction:
     ``"1e1000000"``, a nine-character 3.3-million-bit integer."""
     match = _RATIONAL.fullmatch(value) if type(value) is str else None
     if match is None:
-        raise KronkitError(f"expected a num/den string, got {value!r}")
+        raise KronkitError(f"expected a num/den string, got {quoted(value)}")
     num, den = match.groups()
     den = decimal_int(den) if den else 1
     if den == 0:
-        raise KronkitError(f"rational {value!r} has a zero denominator")
+        raise KronkitError(f"rational {quoted(value)} has a zero denominator")
     return Fraction(decimal_int(num), den)
 
 
 def decimal_int(digits: str) -> int:
-    """ASCII decimal digits, a minus allowed first, as an int; past CPython's
-    digit limit, a KronkitError in ``format_rational``'s words."""
-    try:
-        return int(digits)
-    except ValueError:
-        raise _past_digit_limit("an integer") from None
-
-
-def _past_digit_limit(what: str) -> KronkitError:
-    limit = sys.get_int_max_str_digits()
-    return KronkitError(f"{what} exceeds the {limit}-digit limit on integers")
+    """ASCII decimal digits, a minus allowed first, as an int; more than
+    ``DIGIT_CAP`` digits raise KronkitError.  ``cli`` also reads every JSON
+    integer literal through it."""
+    if len(digits) - digits.startswith("-") > DIGIT_CAP:
+        raise KronkitError(f"an integer exceeds {_LIMIT}")
+    return int(digits)
 
 
 def json_int(value) -> int:
@@ -73,7 +86,7 @@ def json_int(value) -> int:
     """
     if type(value) is int:
         return value
-    raise KronkitError(f"expected an integer, got {value!r}")
+    raise KronkitError(f"expected an integer, got {quoted(value)}")
 
 
 def json_list(value, name: str) -> list:
@@ -93,16 +106,8 @@ def json_ints(value, name: str) -> tuple[int, ...]:
 
 
 def format_rational(q: Fraction) -> str:
-    """Canonical ``"num/den"`` form, e.g. ``-3/7``, ``0/1``, ``5/1``.
-
-    Under CPython's int→str digit limit, which also bounds every integer
-    read, a longer numerator or denominator raises KronkitError: no file is
-    written that could not be read back.
-    """
-    try:
-        return f"{q.numerator}/{q.denominator}"
-    except ValueError:
-        raise _past_digit_limit("a rational") from None
+    """Canonical ``"num/den"`` form, e.g. ``-3/7``, ``0/1``, ``5/1``."""
+    return f"{q.numerator}/{q.denominator}"
 
 
 @dataclass(frozen=True)
@@ -120,6 +125,9 @@ class GaussianRational:
         return self.re == 0 and self.im == 0
 
     def to_json(self) -> dict:
+        for part in (self.re, self.im):  # refuse what from_json could not read
+            if abs(part.numerator) >= _PAST_CAP or part.denominator >= _PAST_CAP:
+                raise KronkitError(f"a rational exceeds {_LIMIT}")
         return {"re": format_rational(self.re), "im": format_rational(self.im)}
 
     @classmethod

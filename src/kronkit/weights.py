@@ -20,7 +20,7 @@ from operator import mul
 
 from .errors import KronkitError
 from .intlinalg import integer_rank
-from .scalars import json_field, json_int, json_list
+from .scalars import json_field, json_int, json_list, quoted
 
 # Materializing Φ(m) costs m³ memory; the cap keeps accidental
 # mega-instances from exhausting the machine.
@@ -72,7 +72,8 @@ class HyperplaneCandidate:
                     f"component {tag} has length {len(block)}, expected {m}"
                 )
             if sum(block) != 0:
-                raise KronkitError(f"component {tag} of H sums to {sum(block)}, not 0")
+                total = quoted(sum(block))
+                raise KronkitError(f"component {tag} of H sums to {total}, not 0")
 
     def to_json(self) -> dict:
         return {"H": [list(b) for b in self.blocks], "z": self.z}
@@ -105,7 +106,9 @@ _COMPONENTS = tuple(f"component {tag} of H" for tag in SUBSYSTEMS)
 def check_weight_cap(m: int) -> None:
     """Raise KronkitError when work dense in m³ would exceed the rank cap."""
     if m > WEIGHT_CAP:
-        raise KronkitError(f"m={m} exceeds the weight materialization cap {WEIGHT_CAP}")
+        raise KronkitError(
+            f"m={quoted(m)} exceeds the weight materialization cap {WEIGHT_CAP}"
+        )
 
 
 def weights(m: int) -> list[tuple[int, int, int]]:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ from kronkit.cli import main
 from kronkit.diagrams import KronInstance
 from kronkit.marginals import MembershipCertificate, verify_membership
 from kronkit.ressayre import Decision, Reason, Verdict
-from kronkit.scalars import format_rational
+from kronkit.scalars import DIGIT_CAP
 
 OUTSIDE = {"lambda_A": [2], "lambda_B": [2], "lambda_C": [1, 1], "k": 2}
 INSIDE = {"lambda_A": [1, 1], "lambda_B": [1, 1], "lambda_C": [1, 1], "k": 2}
@@ -38,6 +39,13 @@ BELL_CERT = {
 def jfile(tmp_path, name, obj):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def literal_k_file(tmp_path, name, digits):
+    """INSIDE with k written as a JSON integer literal of these digits."""
+    path = tmp_path / name
+    path.write_text(json.dumps(INSIDE).replace('"k": 2', f'"k": {digits}'))
     return str(path)
 
 
@@ -319,7 +327,7 @@ def test_sample_stdout_and_determinism(tmp_path, capsys):
     assert first == second and first.count(b"\n") == 20
 
 
-# exact values past CPython's 4300-digit int→str limit are printed in full
+# exact values past the 4300-digit cap on what is read are printed in full
 HUGE = 10**4299  # 4300 digits, the most a JSON integer may have
 
 
@@ -341,8 +349,8 @@ def test_verify_membership_prints_a_gap_past_4300_digits(tmp_path, capsys, flags
     verdict = verify_membership(
         KronInstance.from_json(INSIDE), MembershipCertificate.from_json(cert)
     )
-    with cli._all_digits():
-        gap2 = format_rational(verdict.gap2)
+    # Decimal prints an int's digits without CPython's int→str limit
+    gap2 = f"{Decimal(verdict.gap2.numerator)}/{Decimal(verdict.gap2.denominator)}"
     assert len(gap2) > 4300 and gap2 in out
 
 
@@ -373,12 +381,9 @@ def test_verify_nonmembership_refuses_a_4301_digit_integer(tmp_path, capsys):
     code = main(["verify-nonmembership", jfile(tmp_path, "i.json", OUTSIDE), str(cert)])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith(f"error: bad certificate file {cert}:")
+    assert err == f"error: bad certificate file {cert}: {PAST_LIMIT}\n"
 
 
-@pytest.mark.skipif(
-    not hasattr(sys, "get_int_max_str_digits"), reason="no int→str digit limit"
-)
 @pytest.mark.parametrize("to_stdout", [False, True], ids=["--out PATH", '--out ""'])
 def test_find_witness_writes_no_witness_past_the_digit_limit(tmp_path, capsys, to_stdout):
     # every integer of the instance has at most 2201 digits, but the exact
@@ -391,7 +396,7 @@ def test_find_witness_writes_no_witness_past_the_digit_limit(tmp_path, capsys, t
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error: ")
-    assert f"{sys.get_int_max_str_digits()}-digit limit" in captured.err
+    assert f"{DIGIT_CAP}-digit limit" in captured.err
     assert captured.out == "" and not out_path.exists()
 
 
@@ -459,13 +464,14 @@ NUMBER_CERT = {"m": 2, "entries": [{"idx": [1, 1, 1], "re": 1}]}
 
 # an entry that is no object would fail on its first key
 STRING_ENTRY_CERT = {"m": 2, "entries": ["abc"]}
-# ASCII digits that int() refuses, past CPython's int→str digit limit
+# ASCII digits past kronkit's cap on the digits of an integer
 PAST_DIGIT_LIMIT = "1" * 5000
-HAS_DIGIT_LIMIT = hasattr(sys, "get_int_max_str_digits")
-PAST_LIMIT = "an integer exceeds the {}-digit limit on integers".format(
-    sys.get_int_max_str_digits() if HAS_DIGIT_LIMIT else None
-)
-NEEDS_DIGIT_LIMIT = pytest.mark.skipif(not HAS_DIGIT_LIMIT, reason="no digit limit")
+PAST_LIMIT = f"an integer exceeds the {DIGIT_CAP}-digit limit on integers"
+# 4300 nines, the largest integer that is read; two of them sum past the cap
+NINES = 10**DIGIT_CAP - 1
+NINES_ROWS_INSTANCE = {"lambda_A": [NINES, NINES], "lambda_B": [1], "lambda_C": [1], "k": 1}
+NINES_BLOCK_CERT = {**WORKED_CERT, "H": [[NINES, NINES], [-1, 1], [1, -1]]}
+LONG_STRING_K = {**INSIDE, "k": "x" * 100_000}
 PAST_LIMIT_NUM_CERT = {"m": 2, "entries": [{"idx": [1, 1, 1], "re": PAST_DIGIT_LIMIT}]}
 PAST_LIMIT_DEN_CERT = {
     "m": 2,
@@ -552,6 +558,26 @@ MALFORMED = {
         "verify-membership",
         jfile(t, "i.json", NULL_M),
         jfile(t, "c.json", GHZ_CERT),
+    ],
+    "verify-membership rows summing past the digit limit": lambda t: [
+        "verify-membership",
+        jfile(t, "i.json", NINES_ROWS_INSTANCE),
+        jfile(t, "c.json", GHZ_CERT),
+    ],
+    "verify-membership k a long string": lambda t: [
+        "verify-membership",
+        jfile(t, "i.json", LONG_STRING_K),
+        jfile(t, "c.json", GHZ_CERT),
+    ],
+    "verify-membership k a literal past the digit limit": lambda t: [
+        "verify-membership",
+        literal_k_file(t, "i.json", PAST_DIGIT_LIMIT),
+        jfile(t, "c.json", GHZ_CERT),
+    ],
+    "verify-nonmembership H block summing past the digit limit": lambda t: [
+        "verify-nonmembership",
+        jfile(t, "i.json", OUTSIDE),
+        jfile(t, "c.json", NINES_BLOCK_CERT),
     ],
     "verify-membership entry without re": lambda t: [
         "verify-membership",
@@ -655,11 +681,20 @@ MALFORMED = {
     "kron ٢ ٢ ٢": lambda t: ["kron", "٢", "٢", "٢"],
     "kron a row past the digit limit": lambda t: ["kron", PAST_DIGIT_LIMIT, "1", "1"],
     "kron a long row of letters": lambda t: ["kron", "x" * 5000, "1", "1"],
+    "kron rows summing past the digit limit": lambda t: [
+        "kron", f"{NINES},{NINES}", "1", "1",
+    ],
+    "kron long rows out of order": lambda t: [
+        "kron", f"1,{'1' * 4000},{'1' * 4000}", "1", "1",
+    ],
     "kron --cap past the digit limit": lambda t: [
         "kron", "1", "1", "1", "--cap", PAST_DIGIT_LIMIT,
     ],
     "member-bruteforce --lmax 0": lambda t: [
         "member-bruteforce", jfile(t, "i.json", INSIDE), "--lmax", "0",
+    ],
+    "member-bruteforce --lmax of 4300 digits": lambda t: [
+        "member-bruteforce", jfile(t, "i.json", INSIDE), "--lmax", str(NINES),
     ],
     "sample --m 0": lambda t: ["sample", "--m", "0"],
     "sample --m 13": lambda t: ["sample", "--m", "13"],
@@ -741,7 +776,7 @@ def test_a_diagram_that_is_no_list_is_refused_by_name(case, reason, tmp_path, ca
     "case, at, what, reason",
     [
         ("verify-nonmembership fractional instance", 1, "instance",
-         "row length 2.5 is not an integer"),
+         "row 1 is not an integer: 2.5"),
         ("find-witness instance is a list", 1, "instance",
          "expected an object, got list"),
         ("verify-membership certificate is a list", 2, "certificate",
@@ -760,10 +795,10 @@ def test_a_diagram_that_is_no_list_is_refused_by_name(case, reason, tmp_path, ca
          "expected a num/den string, got 1"),
         ("verify-membership 1/0 amplitude", 2, "certificate",
          "rational '1/0' has a zero denominator"),
-        pytest.param("verify-membership numerator past the digit limit", 2,
-                     "certificate", PAST_LIMIT, marks=NEEDS_DIGIT_LIMIT),
-        pytest.param("verify-membership denominator past the digit limit", 2,
-                     "certificate", PAST_LIMIT, marks=NEEDS_DIGIT_LIMIT),
+        ("verify-membership numerator past the digit limit", 2, "certificate",
+         PAST_LIMIT),
+        ("verify-membership denominator past the digit limit", 2, "certificate",
+         PAST_LIMIT),
     ],
 )
 def test_a_reader_refuses_by_name(case, at, what, reason, tmp_path, capsys):
@@ -782,9 +817,7 @@ def test_a_reader_refuses_by_name(case, at, what, reason, tmp_path, capsys):
         ("+2,1", "row length '+2' is not an integer"),
         (" 2,1", "row length ' 2' is not an integer"),
         ("٢,1", "row length '٢' is not an integer"),
-        pytest.param(
-            PAST_DIGIT_LIMIT, PAST_LIMIT, marks=NEEDS_DIGIT_LIMIT, id="past-limit"
-        ),
+        pytest.param(PAST_DIGIT_LIMIT, PAST_LIMIT, id="past-limit"),
     ],
 )
 def test_a_partition_row_is_ascii_decimal_digits(row, reason, capsys):
@@ -794,7 +827,6 @@ def test_a_partition_row_is_ascii_decimal_digits(row, reason, capsys):
     assert capsys.readouterr().err == f"error: bad partition {quoted}: {reason}\n"
 
 
-@NEEDS_DIGIT_LIMIT
 @pytest.mark.parametrize(
     "case, past_limit",
     [
@@ -816,6 +848,71 @@ def test_an_oversized_token_leaves_short_lines(case, past_limit, tmp_path, capsy
     assert max(len(line) for line in err.splitlines()) < 200
     assert line.endswith(f"(5000 characters): {PAST_LIMIT}") == past_limit
     assert "invalid" not in err and "set_int_max_str_digits" not in err
+
+
+SUM_PAST_CAP = "<a 14286-bit integer>"  # 2 · (10^4300 − 1), shown by its size
+
+
+@pytest.mark.parametrize(
+    "case, at, reason",
+    [
+        ("verify-membership rows summing past the digit limit", 1,
+         f"lambda_A has {SUM_PAST_CAP} boxes, expected 1"),
+        ("verify-membership k a long string", 1,
+         "expected an integer, got 'xxxxxxxxxxxxxxxxxxxx'... (100000 characters)"),
+        ("verify-membership k a literal past the digit limit", 1, PAST_LIMIT),
+        ("verify-nonmembership H block summing past the digit limit", 2,
+         f"component A of H sums to {SUM_PAST_CAP}, not 0"),
+        ("kron rows summing past the digit limit", None,
+         f"k={SUM_PAST_CAP} exceeds the oracle cap 12"),
+        ("kron long rows out of order", None,
+         "bad partition '1,111111111111111111'... (8003 characters): "
+         "row 2 is longer than row 1"),
+        ("member-bruteforce --lmax of 4300 digits", None,
+         f"stretching up to l=99999999999999999999... (4300 characters) needs "
+         f"{SUM_PAST_CAP} boxes, cap is 12"),
+    ],
+)
+def test_an_oversized_value_is_refused_on_one_short_line(
+    case, at, reason, tmp_path, capsys
+):
+    # a value from a file or an argument, or a sum of such values, is echoed
+    # through quoted(): exit 2, in kronkit's words, on one short line
+    argv = MALFORMED[case](tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    what = "instance" if at == 1 else "certificate"
+    prefix = "error: " if at is None else f"error: bad {what} file {argv[at]}: "
+    assert err == f"{prefix}{reason}\n"
+    assert len(err) - len(prefix) < 150
+
+
+def test_the_digit_cap_ignores_the_interpreter_setting():
+    # kronkit's cap, not CPython's int↔str limit, decides what is read
+    src = str(Path(__file__).resolve().parents[1] / "src")
+
+    def kron_cap(digits, limit):
+        argv = [sys.executable, "-m", "kronkit.cli", "kron", "--cap", "1" * digits,
+                "2,1", "2,1", "2,1"]
+        env = dict(os.environ, PYTHONPATH=src, PYTHONINTMAXSTRDIGITS=limit)
+        return subprocess.run(argv, env=env, capture_output=True, text=True)
+
+    below = kron_cap(1000, "640")
+    assert (below.returncode, below.stdout, below.stderr) == (0, "1\n", "")
+    past = kron_cap(5000, "0")
+    assert past.returncode == 2 and "digit limit on integers" in past.stderr
+
+
+def test_main_restores_the_interpreter_limit(capsys):
+    # main lifts CPython's limit while it runs, then restores the caller's
+    sys.set_int_max_str_digits(1000)
+    try:
+        assert main(["kron", "--cap", "1" * 2000, "2,1", "2,1", "2,1"]) == 0
+        assert capsys.readouterr().out == "1\n"
+        with pytest.raises(ValueError):
+            str(10**1000)
+    finally:
+        sys.set_int_max_str_digits(DIGIT_CAP)
 
 
 def test_every_subcommand_has_a_malformed_case():

@@ -7,7 +7,8 @@ for a point outside the polytope.  Every field, and the first two elements
 of every list, is mutated once each: deleted, or replaced by one of JUNK.
 Each mutated file goes through main() with the verifier that reads it.  A
 run may accept, reject or refuse (exit 0, 1 or 2), but it never crashes,
-and a refusal names what is wrong without Python's own words.
+a refusal names what is wrong without Python's own words, and no line it
+writes to stderr reaches 200 characters, the file's path aside.
 """
 
 import json
@@ -19,14 +20,19 @@ from kronkit.cli import main
 from kronkit.diagrams import KronInstance, make_instance, parse_young
 from kronkit.marginals import MembershipCertificate
 from kronkit.ressayre import RessayreCertificate
+from kronkit.scalars import DIGIT_CAP
 from kronkit.search import decide
 
 DELETE = object()
-JUNK = (DELETE, None, True, 1.5, "x", [], {}, -1, 0, 10**30)
+LITERAL = object()  # a JSON integer literal of 5,000 digits, past the cap
+NINES = 10**DIGIT_CAP - 1  # the largest integer that is read
+JUNK = (
+    DELETE, None, True, 1.5, "x", [], {}, -1, 0, 10**30, NINES, LITERAL, "x" * 100_000,
+)
 # a bare quoted key, the text of a KeyError, or an interpreter message
 PYTHON_WORDS = re.compile(
     r"^'[^']*'$|not enough values to unpack|Fraction\(|cannot interpret"
-    r"|indices must be"
+    r"|indices must be|set_int_max_str_digits"
 )
 
 # kind: (verifier and its two files, the reader of the kind, optional fields)
@@ -56,6 +62,12 @@ def paths(obj, prefix=()):
     for key, value in children:
         yield prefix + (key,)
         yield from paths(value, prefix + (key,))
+
+
+def dumped(obj) -> str:
+    """obj as JSON text, with LITERAL written as raw digits: no int that long
+    can be built to pass to json.dumps."""
+    return json.dumps(obj, default=lambda _: "LITERAL").replace('"LITERAL"', "1" * 5000)
 
 
 def mutated(obj, path, junk):
@@ -111,7 +123,10 @@ def problem(kind, field, junk, obj, code, err, path):
         or (kind, field) == ("instance", ("m",)) and type(junk) is not int
     )
     if code not in (0, 1, 2) or "Traceback" in err:
-        return f"exit {code}: {err}"
+        return f"exit {code}: {err[:300]}"
+    longest = max(map(len, err.replace(path, "").splitlines()), default=0)
+    if longest >= 200:
+        return f"a stderr line of {longest} characters: {err[:100]!r}"
     prefix = f"error: bad {'instance' if kind == 'instance' else 'certificate'} "
     prefix += f"file {path}: "
     if must_refuse and not err.startswith(prefix):
@@ -146,13 +161,17 @@ def test_every_single_field_mutation_is_decided_or_refused_by_name(
         for junk in JUNK:
             obj = mutated(original, field, junk)
             with open(path, "w") as fh:
-                json.dump(obj, fh)
+                fh.write(dumped(obj))
             capsys.readouterr()
             code = main(argv_for(kind, valid, path))
             runs += 1
             found = problem(kind, field, junk, obj, code, capsys.readouterr().err, path)
             if found:
-                shown = "deleted" if junk is DELETE else repr(junk)
+                shown = (
+                    "deleted" if junk is DELETE
+                    else "a 5000-digit literal" if junk is LITERAL
+                    else repr(junk)[:40]
+                )
                 problems.append(f"{list(field)} <- {shown}: {found}")
     assert not problems, "\n".join(problems)
     assert runs >= 100

@@ -1,5 +1,4 @@
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -7,12 +6,14 @@ import pytest
 from kronkit.errors import KronkitError
 from kronkit.search import FacetSystem
 from kronkit.scalars import (
+    DIGIT_CAP,
     GaussianRational,
     decimal_int,
     format_rational,
     json_int,
     json_ints,
     json_rational,
+    quoted,
 )
 
 
@@ -78,17 +79,38 @@ def test_single_parse_json_rational_refuses_what_it_refused():
     assert json_rational("0/7") == 0 and json_rational("-0") == 0
 
 
-@pytest.mark.skipif(
-    not hasattr(sys, "get_int_max_str_digits"), reason="no int→str digit limit"
-)
 def test_the_digit_limit_is_refused_in_kronkit_words():
     # Python's own text would advise calling sys.set_int_max_str_digits()
-    limit = sys.get_int_max_str_digits()
-    reason = f"^an integer exceeds the {limit}-digit limit on integers$"
-    for text in ("1" * (limit + 1), "-" + "1" * (limit + 1), "1/" + "1" * (limit + 1)):
+    reason = "^an integer exceeds the 4300-digit limit on integers$"
+    past = "1" * (DIGIT_CAP + 1)
+    for text in (past, "-" + past, "1/" + past, "0" + "1" * DIGIT_CAP):
         with pytest.raises(KronkitError, match=reason):
             json_rational(text)
-    assert decimal_int("-" + "1" * limit) == -int("1" * limit)
+    assert decimal_int("-" + "1" * DIGIT_CAP) == -int("1" * DIGIT_CAP)
+
+
+def test_an_amplitude_past_the_cap_is_not_written():
+    # to_json refuses what from_json could not read back
+    nines = Fraction(-(10**DIGIT_CAP - 1), 10**DIGIT_CAP - 2)  # 4300 digits each
+    at_cap = GaussianRational(nines, -nines)
+    assert GaussianRational.from_json(at_cap.to_json()) == at_cap
+    for part in (Fraction(10**DIGIT_CAP), Fraction(-(10**DIGIT_CAP)),
+                 Fraction(1, 10**DIGIT_CAP)):
+        with pytest.raises(KronkitError, match="^a rational exceeds the 4300-digit"):
+            GaussianRational(Fraction(0), part).to_json()
+
+
+def test_quoted_shows_a_value_on_one_short_line():
+    assert quoted("") == "''" and quoted("2,1") == "'2,1'"
+    assert quoted(12) == "12" and quoted(2.5) == "2.5" and quoted(None) == "None"
+    assert quoted([1, 1]) == "[1, 1]" and quoted(True) == "True"
+    assert quoted("x" * 21) == "'xxxxxxxxxxxxxxxxxxxx'... (21 characters)"
+    assert quoted(-(10**30)) == "-1000000000000000000... (32 characters)"
+    assert quoted([0] * 10) == "[0, 0, 0, 0, 0, 0, 0... (30 characters)"
+    # an int past the cap is never turned into digits
+    assert quoted(10**DIGIT_CAP - 1).endswith("... (4300 characters)")
+    assert quoted(10**DIGIT_CAP) == "<a 14285-bit integer>"
+    assert quoted(-(2**100_000)) == "<a 100001-bit integer>"
 
 
 def test_json_rational_rejects_bool():
